@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -292,158 +293,106 @@ def classify_neighbors(landscape, g: Genotype, f: float, lambda_max: int):
 def neighbor_class_counts(landscape, g: Genotype, f: float, lambda_max: int):
     """(lower, equal, higher) counts over all within-cap operation-neighbors.
 
-    Dispatches to the run-structure classifier when the landscape evaluates
-    through packed block vectors, falling back to a full batch evaluation
-    otherwise. Both paths count the identical operation multiset.
+    Landscapes with a block-vector fitness table go through the run-structure
+    kernel, others through a full batch evaluation. Both paths count the
+    identical operation multiset.
     """
-    if hasattr(landscape, "bv_value"):
-        return _class_counts_from_runs(g, landscape, f, lambda_max)
+    if hasattr(landscape, "bv_fitness"):
+        return tuple(int(v) for v in _class_counts_batch(landscape, [g], [f], lambda_max)[0])
     (counts, _, _) = classify_neighbors(landscape, g, f, lambda_max)
     return counts
 
 
-def _class_counts_from_runs(g: Genotype, landscape, f: float, cap: int):
-    """Classify every edit by its effect on the block vector.
+def _class_counts_batch(landscape, genotypes, fits, cap: int) -> np.ndarray:
+    """(M, 3) lower/equal/higher counts for the operation-neighbors of M genotypes.
 
-    A single edit only alters runs touching the edit site, so the new block
-    vector differs from the current one in at most two letters; edits are
-    grouped by resulting vector and each distinct vector costs one fitness
-    lookup. Grouped totals cover the exact (2 * lam + 1) * n_letters
-    operation multiset (insertions drop out at the length cap).
+    Edits with one outcome form a group that costs one lookup in the
+    landscape's block-vector fitness table; all groups share one gather.
     """
-    n = landscape.n_letters
-    b = landscape.b
-    lam = len(g)
-    bits = [1 << (n - 1 - l) for l in range(n)]
+    owner, nb, mult = _edit_groups(genotypes, landscape.n_letters, landscape.b, cap)
+    fv = landscape.bv_fitness[nb]
+    fp = np.asarray(fits, dtype=np.float64)[owner]
+    moved = np.flatnonzero(fv != fp)
+    m = len(genotypes)
+    lower, higher = np.bincount(2 * owner[moved] + (fv[moved] > fp[moved]), weights=mult[moved],
+                                minlength=2 * m).astype(np.int64).reshape(-1, 2).T
+    total = np.bincount(owner, weights=mult, minlength=m).astype(np.int64)
+    return np.stack([lower, total - lower - higher, higher], axis=1)
 
-    runs: list[tuple[int, int, int]] = []  # (letter, start, length)
-    prev = -1
-    for p, s in enumerate(g):
-        if s == prev:
-            letter, start, length = runs[-1]
-            runs[-1] = (letter, start, length + 1)
-        else:
-            runs.append((s, p, 1))
-            prev = s
-    cnt_ge_b = [0] * n
-    count_letters = [0] * n
-    for letter, _, length in runs:
-        count_letters[letter] += length
-        if length >= b:
-            cnt_ge_b[letter] += 1
-    base_bits = 0
-    for l in range(n):
-        if cnt_ge_b[l]:
-            base_bits |= bits[l]
 
-    counts: dict[int, int] = {}
+def _edit_groups(genotypes, n: int, b: int, cap: int):
+    """(genotype index, block vector, multiplicity) of each group of edits.
 
-    def add(nb: int, c: int) -> None:
-        if c:
-            counts[nb] = counts.get(nb, 0) + c
+    An edit only changes the runs at its site: it splits or shortens the run
+    of the letter it removes, and extends, bridges or opens a run of the
+    letter it writes. A neighbor's block vector is therefore the current one
+    with the removed letter's bit recounted and, when its new run reaches b,
+    the written letter's bit set.
 
-    include_ins = lam < cap
+    The genotypes are laid out in one flat array, each followed by the
+    bit-less sentinel letter n, whose slot stands for the end gap. Each slot
+    holds n insertions before it and n substitutions of it, the incumbent
+    letter's column holding the deletion. Insertions drop out at the cap.
+    """
+    lams = np.fromiter(map(len, genotypes), np.int64, len(genotypes))
+    size = int(lams.sum()) + len(lams)
+    flat = np.fromiter(chain.from_iterable(tuple(g) + (n,) for g in genotypes), np.int16, size)
+    heads = np.cumsum(lams + 1) - lams - 1
+    gid = np.repeat(np.arange(len(lams)), lams + 1)
 
-    if b == 1:
-        present = sum(1 for l in range(n) if count_letters[l])
-        if include_ins:
-            add(base_bits, (lam + 1) * present)
-            for c in range(n):
-                if not count_letters[c]:
-                    add(base_bits | bits[c], lam + 1)
-        for j, (o, _, ln) in enumerate(runs):
-            # deletion: the letter drops out only with its last copy
-            lost = base_bits & ~bits[o] if count_letters[o] == 1 else base_bits
-            add(lost if ln == 1 else base_bits, ln if ln >= 2 else 1)
-            # substitutions: possibly lose o, always gain c
-            sub_base = base_bits & ~bits[o] if count_letters[o] == 1 else base_bits
-            add(sub_base, (present - 1) * ln)
-            for c in range(n):
-                if not count_letters[c]:
-                    add(sub_base | bits[c], ln)
-    else:
-        run_of = []  # run index per position
-        for j, (_, _, ln) in enumerate(runs):
-            run_of.extend([j] * ln)
+    # runs from change points; a genotype's head always opens one
+    new = np.ones(size, bool)
+    np.not_equal(flat[1:], flat[:-1], out=new[1:])
+    new[heads] = True
+    starts = np.flatnonzero(new)
+    run = np.cumsum(new) - 1
+    rlen = np.diff(starts, append=size)
+    rlet = flat[starts]
+    first = np.zeros(len(starts), bool)
+    first[run[heads]] = True
+    left = np.where(first, -1, np.roll(rlet, 1))  # letter -1 matches none
+    left_len = np.where(first, 0, np.roll(rlen, 1))
+    qualifying = np.bincount((gid[starts] * (n + 1) + rlet)[rlen >= b],
+                             minlength=len(lams) * (n + 1)).reshape(-1, n + 1)
+    bit = np.append(1 << np.arange(n - 1, -1, -1, dtype=np.int32), 0)  # bit[n] = bit[-1] = 0
+    every = (1 << n) - 1 if b == 1 else 0  # with b = 1 any written letter is a block
 
-        if include_ins:
-            for p in range(lam + 1):
-                if 0 < p < lam and g[p - 1] == g[p]:
-                    # gap strictly inside a run: same letter extends it,
-                    # every other letter splits it
-                    o, start, ln = runs[run_of[p]]
-                    a = p - start
-                    add(base_bits | (bits[o] if ln + 1 >= b else 0), 1)
-                    keeps = cnt_ge_b[o] - (ln >= b) + (a >= b) + (ln - a >= b) > 0
-                    add(base_bits if keeps else base_bits & ~bits[o], n - 1)
-                else:
-                    specials = 0
-                    if p >= 1:
-                        left, _, ln_l = runs[run_of[p - 1]]
-                        add(base_bits | (bits[left] if ln_l + 1 >= b else 0), 1)
-                        specials += 1
-                    if p <= lam - 1:
-                        right, _, ln_r = runs[run_of[p]]
-                        add(base_bits | (bits[right] if ln_r + 1 >= b else 0), 1)
-                        specials += 1
-                    add(base_bits, n - specials)
+    ln, fl, fr = rlen[run], left[run], np.roll(rlet, -1)[run]
+    nl, nr = left_len[run], np.roll(rlen, -1)[run]
+    a = np.arange(size) - starts[run]  # offset in the run
+    rest = ln - 1 - a
+    others = qualifying[gid, flat] - (ln >= b)  # qualifying runs of the letter besides this one
+    cur = ((qualifying > 0) @ bit)[gid]
 
-        for j, (o, _, ln) in enumerate(runs):
-            if ln >= 2:
-                keeps = cnt_ge_b[o] - (ln >= b) + (ln - 1 >= b) > 0
-                add(base_bits if keeps else base_bits & ~bits[o], ln)
-            else:
-                nb = base_bits  # a length-1 run never qualified (b >= 2)
-                if 0 < j < len(runs) - 1 and runs[j - 1][0] == runs[j + 1][0]:
-                    m, _, ln_l = runs[j - 1]
-                    _, _, ln_r = runs[j + 1]
-                    if cnt_ge_b[m] - (ln_l >= b) - (ln_r >= b) + (ln_l + ln_r >= b) > 0:
-                        nb |= bits[m]
-                    else:
-                        nb &= ~bits[m]
-                add(nb, 1)
+    def recount(keeps):
+        return np.where(keeps, cur, cur & ~bit[flat])
 
-        for j, (o, start, ln) in enumerate(runs):
-            for a in range(ln):
-                rlen = ln - 1 - a
-                keeps = cnt_ge_b[o] - (ln >= b) + (a >= b) + (rlen >= b) > 0
-                base = base_bits if keeps else base_bits & ~bits[o]
-                handled = 0
-                if ln == 1 and 0 < j < len(runs) - 1 and runs[j - 1][0] == runs[j + 1][0]:
-                    # replacing a singleton bridges its equal-letter flanks
-                    m, _, ln_l = runs[j - 1]
-                    _, _, ln_r = runs[j + 1]
-                    nb = base
-                    if cnt_ge_b[m] - (ln_l >= b) - (ln_r >= b) + (ln_l + 1 + ln_r >= b) > 0:
-                        nb |= bits[m]
-                    else:
-                        nb &= ~bits[m]
-                    add(nb, 1)
-                    handled += 1
-                else:
-                    if a == 0 and j > 0:
-                        left, _, ln_l = runs[j - 1]
-                        add(base | (bits[left] if ln_l + 1 >= b else 0), 1)
-                        handled += 1
-                    if rlen == 0 and j < len(runs) - 1:
-                        right, _, ln_r = runs[j + 1]
-                        add(base | (bits[right] if ln_r + 1 >= b else 0), 1)
-                        handled += 1
-                add(base, n - 1 - handled)
+    def gain(letter, grows):
+        return np.where(grows, bit[letter], 0)
 
-    lower = equal = higher = 0
-    for nb, c in counts.items():
-        if nb == base_bits:
-            equal += c
-            continue
-        fv = landscape.bv_value(nb)
-        if fv < f:
-            lower += c
-        elif fv > f:
-            higher += c
-        else:
-            equal += c
-    return lower, equal, higher
+    # kinds laid end to end: insertions before each slot, then substitutions of it
+    bridge = (ln == 1) & (fl == fr)
+    base = np.concatenate([recount(others + (a >= b) + (ln - a >= b) > 0),
+                           recount(others + (a >= b) + (rest >= b) > 0)])
+    # written at a run's head, the left flank's letter extends that flank; at
+    # its end the right flank's, which for a bridged singleton is the same
+    joins_left = gain(fl, (a == 0) & (nl + 1 >= b))
+    written = np.concatenate([gain(flat, ln + 1 >= b) | joins_left,
+                              joins_left | gain(fr, (rest == 0) & (nr + 1 + bridge * nl >= b))])
+    gains = (written | every) & ~base
+    gains[size:] &= ~bit[flat]  # the incumbent letter's column holds the deletion
+
+    # a letter that gains no bit leaves the kind's base vector, so each slot
+    # looks up one base per kind, its deletion and one vector per gaining letter
+    at = np.flatnonzero(gains)
+    letter, which = np.divmod(np.flatnonzero(bit[:n, None] & gains[at]), len(at))
+    at = at[which]
+    valid = np.concatenate([lams[gid] < cap, flat < n])  # no capped insertions or end-slot edits
+    mult = (np.repeat([n, n - 1], size) - np.bincount(at, minlength=2 * size)) * valid
+    dele = recount(others + (ln - 1 >= b) > 0) | gain(fl, bridge & (nl + nr >= b))
+    return (np.concatenate([gid, gid, gid, gid[at % size]]),
+            np.concatenate([base, dele, base[at] | bit[letter]]),
+            np.concatenate([mult, valid[size:], valid[at]]))
 
 
 def neutrality_scan(
@@ -462,19 +411,23 @@ def neutrality_scan(
     space: the cap defaults to the landscape's own lambda_max.
     """
     cap = _walk_cap(landscape, landscape.lambda_max if lambda_max is None else lambda_max)
-    lower = equal = higher = 0
+    batch = hasattr(landscape, "bv_fitness")
+    counts = np.zeros(3, np.int64)
     for w in range(walks):
         rng = make_rng(seed, STREAM_NEUTRALITY, w)
         g = random_genotype(cap, landscape.n_letters, rng)
-        f = landscape.evaluate(g)
-        for step in range(length + 1):
-            lo, eq, hi = neighbor_class_counts(landscape, g, f, cap)
-            lower += lo
-            equal += eq
-            higher += hi
-            if step == length:
-                break
+        visited, fits = [g], [landscape.evaluate(g)]
+        for _ in range(length):
             g = random_neighbor(g, landscape.n_letters, rng, lambda_max=cap)
-            f = landscape.evaluate(g)
+            visited.append(g)
+            fits.append(landscape.evaluate(g))
+        # one kernel pass per walk: the pass's arrays, and so the scan's peak
+        # memory, grow with the number of genotypes it classifies
+        if batch:
+            counts += _class_counts_batch(landscape, visited, fits, cap).sum(axis=0)
+        else:
+            for g, f in zip(visited, fits):
+                counts += neighbor_class_counts(landscape, g, f, cap)
+    lower, equal, higher = (int(c) for c in counts)
     total = lower + equal + higher
     return lower / total, equal / total, higher / total

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, ea, landscapes
+from . import __version__, ea, landscapes, nk
 from .analysis import (
     AdaptiveWalkCampaign,
     RandomWalkCampaign,
@@ -91,6 +91,18 @@ class SpecError(ValueError):
     pass
 
 
+def _parse_seed(value, source: str) -> int:
+    """A master seed: an integer in [0, 2**64), given as a number or a string."""
+    integral = isinstance(value, (int, str)) and not isinstance(value, bool)
+    try:
+        seed = int(value) if integral else -1
+    except ValueError:
+        seed = -1
+    if not 0 <= seed < 1 << 64:
+        raise SpecError(f"{source}: seed must be an integer in [0, 2**64), got {value!r}")
+    return seed
+
+
 def _cells_from_grid(grid: dict) -> list[tuple[int, int, int]]:
     try:
         ns, ks, bs = grid["n"], grid["k"], grid["b"]
@@ -105,8 +117,9 @@ def validate_cells(cells: list[tuple[int, int, int]]) -> None:
             raise SpecError(f"invalid cell: k={k} must lie in [0, n-1] for n={n}")
         if b < 1:
             raise SpecError(f"invalid cell: b={b} must be >= 1 (n={n}, k={k})")
-        if n > 24:
-            raise SpecError(f"invalid cell: n={n} exceeds the exhaustive bound 24")
+        if n > nk.EXHAUSTIVE_BOUND:
+            raise SpecError(
+                f"invalid cell: n={n} exceeds the exhaustive bound {nk.EXHAUSTIVE_BOUND}")
 
 
 def load_spec(path) -> ExperimentSpec:
@@ -121,7 +134,7 @@ def load_spec(path) -> ExperimentSpec:
         command=data.get("command"),
         cells=cells,
         instances=int(data.get("instances", 10)),
-        seed=int(data.get("seed", 0)),
+        seed=_parse_seed(data.get("seed", 0), "spec file"),
         out=data.get("out"),
         landscape_lambda_max=data.get("landscape_lambda_max"),
         campaigns=campaigns,
@@ -720,14 +733,14 @@ def _reproduce_corr_study(spec: ExperimentSpec, out_dir: Path, jobs: int) -> int
 # entry point
 
 
-def _resolve_seed(args, spec: ExperimentSpec) -> int:
+def _resolve_seed(args, spec_seed: int) -> int:
     # precedence: --seed flag, then EPIROAD_SEED, then the spec file
     if args.seed is not None:
-        return args.seed
+        return _parse_seed(args.seed, "--seed")
     env = os.environ.get(ENV_SEED)
     if env is not None:
-        return int(env)
-    return spec.seed
+        return _parse_seed(env, ENV_SEED)
+    return spec_seed
 
 
 def main(argv=None) -> int:
@@ -762,8 +775,7 @@ def main(argv=None) -> int:
                 print(f"reproduce: --preset required; available: {', '.join(PRESET_NAMES)}",
                       file=sys.stderr)
                 return 2
-            seed = args.seed if args.seed is not None else int(
-                os.environ.get(ENV_SEED, "0"))
+            seed = _resolve_seed(args, 0)
             out_dir = Path(args.out or f"epiroad-out/{args.preset}")
             return cmd_reproduce(args.preset, out_dir, seed, args.scale, args.jobs)
 
@@ -777,7 +789,7 @@ def main(argv=None) -> int:
         if spec.command is not None and args.spec and spec.command != args.cmd:
             print(f"note: spec file declares command={spec.command!r}, running {args.cmd}",
                   file=sys.stderr)
-        spec.seed = _resolve_seed(args, spec)
+        spec.seed = _resolve_seed(args, spec.seed)
         out_dir = Path(args.out or spec.out or "epiroad-out")
 
         if args.cmd == "gen":

@@ -57,9 +57,6 @@ class RoyalRoadLandscape:
     def evaluate(self, g) -> float:
         return rr_fitness(self, g)
 
-    def bv_value(self, bits: int) -> float:
-        return int(bits).bit_count() / self.n_letters
-
     def evaluate_rows(self, rows: np.ndarray) -> np.ndarray:
         bits = block_bits_batch(rows, self.n_letters, self.b)
         counts = np.array([int(v).bit_count() for v in bits], dtype=np.float64)
@@ -161,6 +158,8 @@ def landscape_from_dict(d: dict) -> ErLandscape:
         raise ValueError(
             f"stored optimum {d['optimum_value']!r} does not match tables ({optimum!r})"
         )
+    if optimum != vals.max():
+        raise ValueError(f"all-blocks value {optimum!r} is not the table maximum {vals.max()!r}")
     return ErLandscape(params=params, nk=inst, optimum_value=optimum, bv_fitness=vals)
 
 

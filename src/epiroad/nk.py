@@ -250,12 +250,17 @@ def instance_to_dict(inst: NkInstance) -> dict:
 
 
 def instance_from_dict(d: dict) -> NkInstance:
-    links = np.asarray(d["links"], dtype=np.int64).reshape(d["n"], d["k"])
+    n, k = d["n"], d["k"]
+    links = np.asarray(d["links"], dtype=np.int64).reshape(n, k)
+    for i, row in enumerate(links.tolist()):
+        if len((set(row) - {i}) & set(range(n))) != k:
+            raise ValueError(f"links row {i} must hold {k} distinct loci in [0, {n}) "
+                             f"other than {i}, got {row}")
     tables = np.asarray(d["tables"], dtype=np.float64)
-    if tables.shape != (d["n"], 1 << (d["k"] + 1)):
-        raise ValueError(f"table shape {tables.shape} inconsistent with n={d['n']}, k={d['k']}")
+    if tables.shape != (n, 1 << (k + 1)):
+        raise ValueError(f"table shape {tables.shape} inconsistent with n={n}, k={k}")
     return NkInstance(
-        n=d["n"], k=d["k"], kind=d["kind"], seed=d["seed"],
+        n=n, k=k, kind=d["kind"], seed=d["seed"],
         links=links, tables=tables, mask=d.get("mask", 0),
     )
 

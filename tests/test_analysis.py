@@ -3,11 +3,14 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from epiroad import nk
 from epiroad.analysis import (
     AdaptiveWalkCampaign,
     RandomWalkCampaign,
+    _class_counts_batch,
     adaptive_walk,
     autocorrelation,
     classify_neighbors,
@@ -248,3 +251,57 @@ def test_fast_class_counts_cover_operation_multiset():
         assert lo + eq + hi == (2 * len(g) + 1) * 6
         lo, eq, hi = neighbor_class_counts(L, g, f, len(g))  # at the cap
         assert lo + eq + hi == len(g) * 6
+
+
+@st.composite
+def run_batches(draw):
+    """(n, b, genotypes, cap): genotypes spelled as runs of length 1, b-1, b or b+1.
+
+    An empty genotype sits in the middle of every batch. In about half the
+    batches the longest genotype sits exactly at the cap, so it has no
+    insertions.
+    """
+    n = draw(st.integers(1, 5))
+    b = draw(st.integers(1, 5))
+    runs = st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from([1, b - 1, b, b + 1])),
+                    max_size=6)
+    genotypes = draw(st.lists(runs.map(lambda rs: tuple(l for l, ln in rs for _ in range(ln))),
+                              min_size=1, max_size=4))
+    genotypes.insert(len(genotypes) // 2, ())
+    cap = max(map(len, genotypes)) + (0 if draw(st.booleans()) else 1)
+    return n, b, genotypes, cap
+
+
+@given(run_batches(), st.integers(0, 4), st.integers(0, 3))
+@example((3, 3, [(0, 0, 1, 0, 0, 0), (), (2, 1, 2, 0, 1, 0), (1, 1, 0, 1)], 7), 2, 0)  # bridges
+@example((1, 1, [(0, 0), (), (0,)], 2), 0, 0)  # one letter, b = 1
+@settings(max_examples=150, deadline=None)
+def test_class_counts_batch_matches_matrix_oracle(batch, k, seed):
+    n, b, genotypes, cap = batch
+    L = er_build(n, min(k, n - 1), b, max(n * b, cap), seed=seed)
+    fits = [L.evaluate(g) for g in genotypes]
+    rows = _class_counts_batch(L, genotypes, fits, cap)
+    assert rows.shape == (len(genotypes), 3)
+    for g, f, row in zip(genotypes, fits, rows):
+        (oracle, _, _) = classify_neighbors(L, g, f, cap)
+        assert tuple(row) == oracle
+        lam = len(g)
+        assert row.sum() == (lam * n if lam >= cap else (2 * lam + 1) * n)
+
+
+# neutrality_scan(er_build(n, k, b, lambda_max, seed), walks=40, length=20, seed=7), as
+# the scalar classifier computed it; with lambda_max = 8 about a third of the visited
+# genotypes sit at the cap
+GOLDEN_NEUTRALITY = {
+    (8, 4, 2, 100, 101): (0.07402531334205437, 0.8548060689408423, 0.07116861771710328),
+    (8, 4, 4, 100, 102): (0.0051361822023949285, 0.9895641163250931, 0.005299701472511992),
+    (6, 2, 1, 60, 103): (0.005538463383770233, 0.9847939643643211, 0.009667572251908625),
+    (4, 1, 2, 8, 104): (0.16999775432292835, 0.6235122389400404, 0.20649000673703122),
+}
+
+
+@pytest.mark.parametrize("cell", list(GOLDEN_NEUTRALITY))
+def test_neutrality_scan_is_bit_identical_to_golden(cell):
+    n, k, b, lambda_max, seed = cell
+    L = er_build(n, k, b, lambda_max, seed=seed)
+    assert neutrality_scan(L, walks=40, length=20, seed=7) == GOLDEN_NEUTRALITY[cell]

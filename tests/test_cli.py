@@ -178,6 +178,28 @@ def test_flag_seed_beats_env(tmp_path, monkeypatch):
     assert doc["provenance"]["master_seed"] == 7
 
 
+@pytest.mark.parametrize("argv", [["gen"], ["reproduce", "--preset", "table1"]])
+@pytest.mark.parametrize("flag, env", [("-1", None), (None, "abc"), (None, "-5"), (None, "1.5"),
+                                       (str(1 << 64), None)])
+def test_bad_seed_from_flag_or_env_exits_2(tmp_path, capsys, monkeypatch, argv, flag, env):
+    spec = write_spec(tmp_path / "spec.json")
+    if env is not None:
+        monkeypatch.setenv("EPIROAD_SEED", env)
+    args = argv + ["--spec", spec, "--out", tmp_path / "out", "--jobs", 1]
+    assert run_cli(args + (["--seed", flag] if flag else [])) == 2
+    err = capsys.readouterr().err
+    assert "seed must be an integer in [0, 2**64)" in err and (flag or env) in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed", [-3, "x", 1.5, True, None])
+def test_bad_seed_in_spec_file_exits_2(tmp_path, capsys, seed):
+    spec = write_spec(tmp_path / "spec.json", seed=seed)
+    assert run_cli(["gen", "--spec", spec, "--out", tmp_path / "out"]) == 2
+    assert f"spec file: seed must be an integer in [0, 2**64), got {seed!r}" in \
+        capsys.readouterr().err
+
+
 def test_reproduce_unknown_preset_lists_options(capsys):
     assert run_cli(["reproduce", "--preset", "nope"]) == 2
     err = capsys.readouterr().err

@@ -154,3 +154,21 @@ def test_landscape_load_rejects_corrupt_optimum():
 def test_landscape_load_rejects_wrong_format():
     with pytest.raises(ValueError):
         landscape_from_dict({"format": "something-else"})
+
+
+@pytest.mark.parametrize("row", [[0, 0], [0, 3], [1, 1], [2, 6], [-1, 2]])
+def test_landscape_load_rejects_bad_links(row):
+    # locus 0 with k=2: a self-link, a duplicate or a locus outside [0, n)
+    doc = landscape_to_dict(er_build(6, 2, 2, 100, seed=24))
+    doc["nk"]["links"][0] = row
+    with pytest.raises(ValueError, match="links"):
+        landscape_from_dict(doc)
+
+
+def test_landscape_load_rejects_non_optimal_all_blocks():
+    # raising a component of the all-zeros pattern leaves the all-ones entry
+    # (and the stored optimum) intact but puts another vector on top
+    doc = landscape_to_dict(er_build(6, 2, 2, 100, seed=25))
+    doc["nk"]["tables"][0][0] = 100.0
+    with pytest.raises(ValueError, match="maximum"):
+        landscape_from_dict(doc)
