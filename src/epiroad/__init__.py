@@ -38,13 +38,11 @@ from .genotype import (
     to_text,
 )
 from .landscapes import (
-    ErLandscape,
-    RoyalRoadLandscape,
+    BlockLandscape,
     er_build,
-    er_fitness,
     is_success,
     load_landscape,
-    rr_fitness,
+    royal_road,
     save_landscape,
 )
 from .nk import (
@@ -62,14 +60,14 @@ from .nk import (
 )
 
 __all__ = [
-    "AdaptiveWalkCampaign", "BlockParams", "EaConfig", "ErLandscape", "Genotype",
-    "NkInstance", "RandomWalkCampaign", "RoyalRoadLandscape", "RunResult", "WalkStats",
+    "AdaptiveWalkCampaign", "BlockLandscape", "BlockParams", "EaConfig", "Genotype",
+    "NkInstance", "RandomWalkCampaign", "RunResult", "WalkStats",
     "adaptive_walk", "all_fitness_values", "autocorrelation", "block_count",
     "block_vector", "correlation_length", "count_local_optima", "edit_distance",
-    "enumerate_neighbors", "er_build", "er_fitness", "exhaustive_optimum",
+    "enumerate_neighbors", "er_build", "exhaustive_optimum",
     "expected_optima_count", "fitness", "from_text", "generate", "has_block",
     "is_success", "load_landscape", "local_optima_stats", "neutrality_scan",
-    "normalize_to_one", "random_genotype", "random_walk", "rr_fitness", "run",
+    "normalize_to_one", "random_genotype", "random_walk", "royal_road", "run",
     "run_adaptive_walk_campaign", "run_instance", "run_random_walk_campaign",
     "save_landscape", "theoretical_optima_stats", "theoretical_rho", "theoretical_tau",
     "to_text",

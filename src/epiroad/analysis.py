@@ -32,6 +32,12 @@ from .genotype import (
 from .seeds import STREAM_ADAPTIVE_WALK, STREAM_NEUTRALITY, STREAM_RANDOM_WALK, make_rng
 
 
+def check_walk_sizes(walks: int, length: int) -> None:
+    """The bound every walk campaign puts on its walk count and walk length."""
+    if walks < 1 or length < 0:
+        raise ValueError("walks must be >= 1 and length >= 0")
+
+
 @dataclass(frozen=True)
 class RandomWalkCampaign:
     """Pool of fitness series from random walks.
@@ -47,8 +53,7 @@ class RandomWalkCampaign:
     seed: int = 0
 
     def __post_init__(self):
-        if self.walks < 1 or self.length < 0:
-            raise ValueError("walks must be >= 1 and length >= 0")
+        check_walk_sizes(self.walks, self.length)
         if not 0 <= self.s_max <= self.length:
             raise ValueError(f"s_max must lie in [0, length={self.length}], got {self.s_max}")
 
@@ -94,9 +99,7 @@ def _walk_cap(landscape, lambda_max: int | None) -> int:
 
 def evaluate_rows(landscape, rows: np.ndarray) -> np.ndarray:
     """Fitness of every row of a padded genotype matrix."""
-    if hasattr(landscape, "evaluate_rows"):
-        return landscape.evaluate_rows(rows)
-    return np.array([landscape.evaluate(row_to_genotype(r)) for r in rows])
+    return landscape.evaluate_rows(rows)
 
 
 def random_walk(
@@ -281,7 +284,10 @@ def run_adaptive_walk_campaign(landscape, campaign: AdaptiveWalkCampaign):
 
 
 def classify_neighbors(landscape, g: Genotype, f: float, lambda_max: int):
-    """(lower, equal, higher) neighbor counts plus the neighbor batch itself."""
+    """(lower, equal, higher) neighbor counts plus the neighbor batch itself.
+
+    Evaluates the full neighbor matrix; the oracle for the run-structure kernel.
+    """
     mat = neighbor_matrix(g, landscape.n_letters, lambda_max=lambda_max)
     fits = evaluate_rows(landscape, mat)
     lower = int((fits < f).sum())
@@ -291,16 +297,8 @@ def classify_neighbors(landscape, g: Genotype, f: float, lambda_max: int):
 
 
 def neighbor_class_counts(landscape, g: Genotype, f: float, lambda_max: int):
-    """(lower, equal, higher) counts over all within-cap operation-neighbors.
-
-    Landscapes with a block-vector fitness table go through the run-structure
-    kernel, others through a full batch evaluation. Both paths count the
-    identical operation multiset.
-    """
-    if hasattr(landscape, "bv_fitness"):
-        return tuple(int(v) for v in _class_counts_batch(landscape, [g], [f], lambda_max)[0])
-    (counts, _, _) = classify_neighbors(landscape, g, f, lambda_max)
-    return counts
+    """(lower, equal, higher) counts over all within-cap operation-neighbors."""
+    return tuple(int(v) for v in _class_counts_batch(landscape, [g], [f], lambda_max)[0])
 
 
 def _class_counts_batch(landscape, genotypes, fits, cap: int) -> np.ndarray:
@@ -410,8 +408,8 @@ def neutrality_scan(
     Unlike the correlation campaign, the walks here roam the full search
     space: the cap defaults to the landscape's own lambda_max.
     """
+    check_walk_sizes(walks, length)
     cap = _walk_cap(landscape, landscape.lambda_max if lambda_max is None else lambda_max)
-    batch = hasattr(landscape, "bv_fitness")
     counts = np.zeros(3, np.int64)
     for w in range(walks):
         rng = make_rng(seed, STREAM_NEUTRALITY, w)
@@ -423,11 +421,7 @@ def neutrality_scan(
             fits.append(landscape.evaluate(g))
         # one kernel pass per walk: the pass's arrays, and so the scan's peak
         # memory, grow with the number of genotypes it classifies
-        if batch:
-            counts += _class_counts_batch(landscape, visited, fits, cap).sum(axis=0)
-        else:
-            for g, f in zip(visited, fits):
-                counts += neighbor_class_counts(landscape, g, f, cap)
+        counts += _class_counts_batch(landscape, visited, fits, cap).sum(axis=0)
     lower, equal, higher = (int(c) for c in counts)
     total = lower + equal + higher
     return lower / total, equal / total, higher / total

@@ -31,6 +31,7 @@ from . import __version__, ea, landscapes, nk
 from .analysis import (
     AdaptiveWalkCampaign,
     RandomWalkCampaign,
+    check_walk_sizes,
     neutrality_scan,
     run_adaptive_walk_campaign,
     run_random_walk_campaign,
@@ -91,16 +92,32 @@ class SpecError(ValueError):
     pass
 
 
+def _integer(value) -> int | None:
+    """``value`` as an int if it is an integer or an integer string, else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        return None
+    try:
+        return int(value)
+    except ValueError:
+        return None
+
+
 def _parse_seed(value, source: str) -> int:
     """A master seed: an integer in [0, 2**64), given as a number or a string."""
-    integral = isinstance(value, (int, str)) and not isinstance(value, bool)
-    try:
-        seed = int(value) if integral else -1
-    except ValueError:
-        seed = -1
-    if not 0 <= seed < 1 << 64:
+    seed = _integer(value)
+    if seed is None or not 0 <= seed < 1 << 64:
         raise SpecError(f"{source}: seed must be an integer in [0, 2**64), got {value!r}")
     return seed
+
+
+# Each campaign section's sizes, checked by the rules of the campaign that runs it.
+_CAMPAIGN_CHECKS = (
+    ("random_walks", lambda c: RandomWalkCampaign(
+        **{f: c[f] for f in ("walks", "length", "s_max") if f in c})),
+    ("adaptive_walks", lambda c: AdaptiveWalkCampaign(
+        **{f: c[f] for f in ("walks", "lambda_max") if f in c})),
+    ("neutrality", lambda c: check_walk_sizes(c.get("walks", 2000), c.get("length", 20))),
+)
 
 
 def _cells_from_grid(grid: dict) -> list[tuple[int, int, int]]:
@@ -108,7 +125,10 @@ def _cells_from_grid(grid: dict) -> list[tuple[int, int, int]]:
         ns, ks, bs = grid["n"], grid["k"], grid["b"]
     except KeyError as e:
         raise SpecError(f"grid is missing key {e}") from None
-    return [(int(n), int(k), int(b)) for n in ns for k in ks for b in bs]
+    try:
+        return [(int(n), int(k), int(b)) for n in ns for k in ks for b in bs]
+    except (TypeError, ValueError):
+        raise SpecError(f"grid values must be lists of integers, got {grid!r}") from None
 
 
 def validate_cells(cells: list[tuple[int, int, int]]) -> None:
@@ -123,7 +143,22 @@ def validate_cells(cells: list[tuple[int, int, int]]) -> None:
 
 
 def load_spec(path) -> ExperimentSpec:
-    data = json.loads(Path(path).read_text())
+    try:
+        data = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise SpecError(f"cannot read spec file {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise SpecError(f"spec file {path} must hold a JSON object")
+    instances = _integer(data.get("instances", 10))
+    if instances is None or instances < 1:
+        raise SpecError(
+            f"spec file: instances must be an integer >= 1, got {data['instances']!r}")
+    for section, check in _CAMPAIGN_CHECKS:
+        if data.get(section) is not None:
+            try:
+                check(data[section])
+            except (TypeError, ValueError) as exc:
+                raise SpecError(f"spec file: {section}: {exc}") from None
     cells = _cells_from_grid(data.get("grid", {"n": [], "k": [], "b": []}))
     campaigns = CampaignSettings(
         random_walks=data.get("random_walks"),
@@ -133,7 +168,7 @@ def load_spec(path) -> ExperimentSpec:
     return ExperimentSpec(
         command=data.get("command"),
         cells=cells,
-        instances=int(data.get("instances", 10)),
+        instances=instances,
         seed=_parse_seed(data.get("seed", 0), "spec file"),
         out=data.get("out"),
         landscape_lambda_max=data.get("landscape_lambda_max"),
@@ -215,7 +250,7 @@ def write_csv(path: Path, header_lines: list[str], fieldnames: list[str], rows: 
 
 
 def _gen_unit(args) -> str:
-    n, k, b, idx, seed, lam_max, path_str, prov = args
+    path_str, n, k, b, idx, seed, lam_max, prov = args
     ls = landscapes.er_build(n, k, b, lam_max, seed=ea.landscape_seed(seed, n, k, b, idx))
     Path(path_str).parent.mkdir(parents=True, exist_ok=True)
     landscapes.save_landscape(ls, path_str, provenance=prov)
@@ -233,19 +268,12 @@ def cmd_gen(spec: ExperimentSpec, out_dir: Path, jobs: int = 1) -> int:
                 "master_seed": spec.seed,
                 "cell": [n, k, b, idx],
             }
-            units.append((n, k, b, idx, spec.seed, spec.lambda_max_for(n, b),
-                          str(landscape_path(out_dir, n, k, b, idx)), prov))
-    for path in _map_units(_gen_unit, units, jobs):
-        pass
-    print(f"gen: wrote {len(units)} landscape files under {out_dir / 'landscapes'}")
-    return 0
-
-
-def _map_units(fn, units, jobs):
-    if jobs <= 1 or len(units) <= 1:
-        return [fn(u) for u in units]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, units))
+            units.append((str(landscape_path(out_dir, n, k, b, idx)), n, k, b, idx,
+                          spec.seed, spec.lambda_max_for(n, b), prov))
+    failures: dict[tuple[int, int, int], list[str]] = {}
+    written = _map_units_collect(_gen_unit, units, jobs, failures)
+    print(f"gen: wrote {len(written)} landscape files under {out_dir / 'landscapes'}")
+    return _report_failures("gen", spec, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +400,8 @@ def cmd_analyze(spec: ExperimentSpec, out_dir: Path, jobs: int = 1, raw: bool = 
     return _report_failures("analyze", spec, failures)
 
 
-def _map_units_collect(fn, units, jobs, failures) -> list[dict]:
+def _map_units_collect(fn, units, jobs, failures) -> list:
+    """fn over units (path, n, k, b, instance, ...); failures are collected per cell."""
     out = []
     if jobs <= 1 or len(units) <= 1:
         for u in units:

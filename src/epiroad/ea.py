@@ -210,21 +210,3 @@ def run_instance(cfg: EaConfig, landscape, n: int, k: int, b: int,
         out.results.append(run(run_cfg, landscape))
     return out
 
-
-def aggregate_cell(instance_runs: list[InstanceRuns]) -> dict:
-    """Success rate and mean best-blocks outcome over all runs of one (n, k, b)."""
-    results = [res for ir in instance_runs for res in ir.results]
-    if not results:
-        raise ValueError("no runs to aggregate")
-    successes = sum(1 for r in results if r.success)
-    final_blocks = [r.best_blocks_trace[-1] for r in results]
-    gens = [r.generations_to_success for r in results if r.generations_to_success is not None]
-    mean_blocks_trace = np.mean([r.best_blocks_trace for r in results], axis=0)
-    return {
-        "runs": len(results),
-        "successes": successes,
-        "success_rate": successes / len(results),
-        "mean_final_blocks": float(np.mean(final_blocks)),
-        "mean_generations_to_success": float(np.mean(gens)) if gens else float("nan"),
-        "mean_blocks_trace": mean_blocks_trace,
-    }

@@ -43,7 +43,7 @@ class NkInstance:
     seed: int
     links: np.ndarray  # (n, k) int64, sorted per row, never contains the locus itself
     tables: np.ndarray  # (n, 2**(k+1)) float64 in [0, 1)
-    mask: int = 0  # xor relabeling applied by normalize_to_one; 0 = raw instance
+    mask: int = 0  # xor relabeling applied by relabel; 0 = raw instance
 
 
 def generate(n: int, k: int, kind: str, seed: int) -> NkInstance:
@@ -150,27 +150,29 @@ def exhaustive_optimum(inst: NkInstance) -> tuple[tuple[int, ...], float]:
 
 
 def normalize_to_one(inst: NkInstance) -> NkInstance:
-    """Relabel the space so the optimum becomes the all-ones string.
-
-    Realizes f'(x) = f(x xor m), with m the complement of the original
-    optimum, by xor-permuting each locus table's indices with the mask bits
-    of the locus and its links. The multiset of the 2**n fitness values is
-    unchanged; the instance is returned as-is when the optimum already is
-    all-ones.
-    """
+    """Relabel the space so the optimum becomes the all-ones string."""
     opt_bits, _ = exhaustive_optimum(inst)
-    n, k = inst.n, inst.k
-    m = ((1 << n) - 1) ^ pack_bits(opt_bits)
+    return relabel(inst, ((1 << inst.n) - 1) ^ pack_bits(opt_bits))
+
+
+def relabel(inst: NkInstance, m: int) -> NkInstance:
+    """The instance with f'(x) = f(x xor m).
+
+    Xor-permutes each locus table's indices with the mask bits of the locus
+    and its links, so f'(x) adds the very summands of f(x xor m) in the same
+    order. The multiset of the 2**n fitness values is unchanged; the instance
+    is returned as-is for m = 0.
+    """
     if m == 0:
         return inst
+    n = inst.n
     mbit = [(m >> (n - 1 - i)) & 1 for i in range(n)]
     new_tables = np.empty_like(inst.tables)
     for i in range(n):
         mi = mbit[i]
         for l in inst.links[i]:
             mi = (mi << 1) | mbit[int(l)]
-        perm = np.arange(1 << (k + 1)) ^ mi
-        new_tables[i] = inst.tables[i, perm]
+        new_tables[i] = inst.tables[i, np.arange(1 << (inst.k + 1)) ^ mi]
     return replace(inst, tables=new_tables, mask=inst.mask ^ m)
 
 
@@ -253,12 +255,14 @@ def instance_from_dict(d: dict) -> NkInstance:
     n, k = d["n"], d["k"]
     links = np.asarray(d["links"], dtype=np.int64).reshape(n, k)
     for i, row in enumerate(links.tolist()):
-        if len((set(row) - {i}) & set(range(n))) != k:
+        if len((set(row) - {i}) & set(range(n))) != k or row != sorted(row):
             raise ValueError(f"links row {i} must hold {k} distinct loci in [0, {n}) "
-                             f"other than {i}, got {row}")
+                             f"other than {i}, sorted, got {row}")
     tables = np.asarray(d["tables"], dtype=np.float64)
     if tables.shape != (n, 1 << (k + 1)):
         raise ValueError(f"table shape {tables.shape} inconsistent with n={n}, k={k}")
+    if not ((tables >= 0.0) & (tables < 1.0)).all():
+        raise ValueError("tables must hold values in [0, 1)")
     return NkInstance(
         n=n, k=k, kind=d["kind"], seed=d["seed"],
         links=links, tables=tables, mask=d.get("mask", 0),

@@ -20,7 +20,7 @@ from epiroad.analysis import (
     run_adaptive_walk_campaign,
     run_random_walk_campaign,
 )
-from epiroad.cli import build_preset
+from epiroad.cli import REFERENCE_NEUTRALITY, build_preset
 from epiroad.genotype import (
     block_bits,
     block_vector,
@@ -28,7 +28,7 @@ from epiroad.genotype import (
     neighbor_count,
     random_genotype,
 )
-from epiroad.landscapes import er_build, er_fitness
+from epiroad.landscapes import er_build
 from epiroad.seeds import (
     STREAM_ADAPTIVE_WALK,
     STREAM_LANDSCAPE_SEED,
@@ -42,12 +42,6 @@ from epiroad.seeds import (
 pytestmark = pytest.mark.acceptance
 
 MASTER = 20260810
-
-REFERENCE_NEUTRALITY = {
-    2: (7.2, 85.8, 7.0),
-    3: (2.8, 94.4, 2.8),
-    4: (0.5, 98.9, 0.6),
-}
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -143,7 +137,7 @@ def test_criterion_4_er_structure():
         L = _er(8, k, 2, 100 + idx)
         for _ in range(40):
             g = random_genotype(60, 8, rng)
-            ok &= er_fitness(L, g) == nk.fitness(L.nk, block_vector(g, 8, 2))
+            ok &= L.evaluate(g) == nk.fitness(L.nk, block_vector(g, 8, 2))
             checked += 1
         # genotypes holding all 8 blocks, various paddings and orders
         perm = [int(v) for v in rng.permutation(8)]
@@ -151,7 +145,7 @@ def test_criterion_4_er_structure():
         padded = full + tuple(int(v) for v in rng.integers(0, 8, size=10))
         for g in (full, padded):
             ok &= block_bits(g, 8, 2) == 255
-            ok &= er_fitness(L, g) == L.optimum_value
+            ok &= L.evaluate(g) == L.optimum_value
     report("criterion 4 (ER factors through block vector)", ok,
            f"20 landscapes, {checked} random genotypes exact, full-block genotypes "
            f"attain the recorded optimum")

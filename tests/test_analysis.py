@@ -23,7 +23,7 @@ from epiroad.analysis import (
     run_random_walk_campaign,
 )
 from epiroad.genotype import BlockParams, random_genotype, row_to_genotype
-from epiroad.landscapes import RoyalRoadLandscape, er_build
+from epiroad.landscapes import BlockLandscape, er_build, royal_road
 from epiroad.seeds import make_rng
 
 
@@ -63,7 +63,7 @@ def test_random_walk_respects_cap():
 
 def test_random_walk_single_letter_alphabet():
     # one letter, b=1: fitness is 0 on the empty genotype and 1 otherwise
-    L = RoyalRoadLandscape(BlockParams(1, 1, 5))
+    L = royal_road(BlockParams(1, 1, 5))
     series = random_walk(L, (), 100, make_rng(3, 0), lambda_max=5)
     assert set(np.unique(series)) <= {0.0, 1.0}
     assert series[0] == 0.0
@@ -208,7 +208,7 @@ def test_campaign_cap_cannot_exceed_landscape():
 
 
 def test_neutrality_constant_landscape_is_all_equal():
-    L = ConstantLandscape(n_letters=3, lambda_max=12)
+    L = BlockLandscape(BlockParams(3, 1, 12), np.full(1 << 3, 0.5), 0.5)
     triple = neutrality_scan(L, walks=5, length=5, seed=16)
     assert triple == (0.0, 1.0, 0.0)
 
@@ -233,7 +233,9 @@ def test_fast_class_counts_match_matrix_oracle():
         n = int(rng.integers(2, 7))
         b = int(rng.integers(1, 4))
         k = int(rng.integers(0, n))
-        L = er_build(n, k, b, max(2 * n * b, 30), seed=trial % 7)
+        params = BlockParams(n, b, max(2 * n * b, 30))
+        L = royal_road(params) if trial % 3 == 0 else er_build(n, k, b, params.lambda_max,
+                                                               seed=trial % 7)
         g = random_genotype(14, n, rng)
         cap = max(len(g), int(rng.integers(1, 16)))
         f = L.evaluate(g)
@@ -272,13 +274,17 @@ def run_batches(draw):
     return n, b, genotypes, cap
 
 
-@given(run_batches(), st.integers(0, 4), st.integers(0, 3))
-@example((3, 3, [(0, 0, 1, 0, 0, 0), (), (2, 1, 2, 0, 1, 0), (1, 1, 0, 1)], 7), 2, 0)  # bridges
-@example((1, 1, [(0, 0), (), (0,)], 2), 0, 0)  # one letter, b = 1
+@given(run_batches(), st.integers(0, 4), st.integers(0, 3), st.booleans())
+@example((3, 3, [(0, 0, 1, 0, 0, 0), (), (2, 1, 2, 0, 1, 0), (1, 1, 0, 1)], 7), 2, 0, False)
+@example((3, 3, [(0, 0, 1, 0, 0, 0), (), (2, 1, 2, 0, 1, 0), (1, 1, 0, 1)], 7), 2, 0, True)
+@example((1, 1, [(0, 0), (), (0,)], 2), 0, 0, False)  # one letter, b = 1
 @settings(max_examples=150, deadline=None)
-def test_class_counts_batch_matches_matrix_oracle(batch, k, seed):
+def test_class_counts_batch_matches_matrix_oracle(batch, k, seed, royal):
+    # the three-letter examples hold singleton bridges, on both landscape kinds
     n, b, genotypes, cap = batch
-    L = er_build(n, min(k, n - 1), b, max(n * b, cap), seed=seed)
+    params = BlockParams(n, b, max(n * b, cap))
+    L = royal_road(params) if royal else er_build(n, min(k, n - 1), b, params.lambda_max,
+                                                   seed=seed)
     fits = [L.evaluate(g) for g in genotypes]
     rows = _class_counts_batch(L, genotypes, fits, cap)
     assert rows.shape == (len(genotypes), 3)
@@ -305,3 +311,16 @@ def test_neutrality_scan_is_bit_identical_to_golden(cell):
     n, k, b, lambda_max, seed = cell
     L = er_build(n, k, b, lambda_max, seed=seed)
     assert neutrality_scan(L, walks=40, length=20, seed=7) == GOLDEN_NEUTRALITY[cell]
+
+
+def test_royal_road_neutrality_scan_is_bit_identical_to_golden():
+    # as the neighbor-matrix classifier computed it
+    L = royal_road(BlockParams(6, 2, 100))
+    assert neutrality_scan(L, walks=40, length=20, seed=301) == \
+        (0.049258015080466094, 0.8963514138414679, 0.05439057107806606)
+
+
+@pytest.mark.parametrize("walks, length", [(0, 5), (-1, 5), (3, -1)])
+def test_neutrality_scan_rejects_bad_sizes(walks, length):
+    with pytest.raises(ValueError, match="walks must be >= 1 and length >= 0"):
+        neutrality_scan(er_build(4, 1, 2, 8, seed=1), walks=walks, length=length)

@@ -200,6 +200,66 @@ def test_bad_seed_in_spec_file_exits_2(tmp_path, capsys, seed):
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "cannot read spec file"),
+    ("[1, 2]", "must hold a JSON object"),
+    ('{"grid": {"n": ["x"], "k": [0], "b": [2]}}', "grid values must be lists of integers"),
+])
+def test_unreadable_spec_file_exits_2(tmp_path, capsys, text, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    assert run_cli(["gen", "--spec", spec, "--out", tmp_path / "out"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("instances", ["abc", 2.5, 0, True, None])
+def test_bad_instances_in_spec_file_exits_2(tmp_path, capsys, instances):
+    spec = write_spec(tmp_path / "spec.json", instances=instances)
+    assert run_cli(["gen", "--spec", spec, "--out", tmp_path / "out"]) == 2
+    assert f"instances must be an integer >= 1, got {instances!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section, settings", [
+    ("neutrality", {"walks": 0}),
+    ("neutrality", {"walks": 5, "length": -1}),
+    ("random_walks", {"walks": 0, "length": 10, "s_max": 3}),
+    ("random_walks", {"walks": 5, "length": -1, "s_max": 0}),
+    ("adaptive_walks", {"walks": 0}),
+    ("neutrality", {"walks": "many"}),
+])
+def test_bad_campaign_sizes_exit_2(tmp_path, capsys, section, settings):
+    spec = write_spec(tmp_path / "spec.json", command="analyze", **{section: settings})
+    assert run_cli(["analyze", "--spec", spec, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert f"spec file: {section}:" in err and "Traceback" not in err
+
+
+def test_gen_failure_is_reported_per_cell(tmp_path, capsys, monkeypatch):
+    from epiroad import cli as cli_mod
+
+    real_build = cli_mod.landscapes.er_build
+    doomed = {cli_mod.ea.landscape_seed(42, 6, k, 2, i) for k, i in [(2, 1), (0, 0), (0, 1)]}
+
+    def flaky_build(n, k, b, lambda_max, seed):
+        if seed in doomed:
+            raise RuntimeError("injected build failure")
+        return real_build(n, k, b, lambda_max, seed=seed)
+
+    monkeypatch.setattr(cli_mod.landscapes, "er_build", flaky_build)
+    spec = write_spec(tmp_path / "spec.json")
+    out = tmp_path / "out"
+    # cell k=0 loses both instances, so the run fails; k=2 keeps instance 0
+    assert run_cli(["gen", "--spec", spec, "--out", out, "--jobs", 1]) == 1
+    err = capsys.readouterr().err
+    assert "gen: cell n=6 k=2 b=2 instance 1: injected build failure" in err
+    assert "gen: cell n=6 k=0 b=2 failed entirely" in err
+    assert "k=2 b=2 failed entirely" not in err
+    assert [f.name for f in sorted((out / "landscapes").glob("*.json"))] == \
+        ["n06_k02_b2_i00.json"]
+
+
 def test_reproduce_unknown_preset_lists_options(capsys):
     assert run_cli(["reproduce", "--preset", "nope"]) == 2
     err = capsys.readouterr().err

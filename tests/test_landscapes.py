@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -5,46 +6,61 @@ import pytest
 
 from epiroad import nk
 from epiroad.genotype import BlockParams, block_vector, from_text, random_genotype
+from epiroad.genotype import block_bits
 from epiroad.landscapes import (
-    ErLandscape,
-    RoyalRoadLandscape,
     er_build,
-    er_fitness,
     is_success,
     landscape_from_dict,
     landscape_to_dict,
     load_landscape,
-    rr_fitness,
+    royal_road,
     save_landscape,
 )
 from epiroad.seeds import make_rng
 
 
 def rr(n=4, b=3, lam_max=None):
-    return RoyalRoadLandscape(BlockParams(n, b, lam_max or 4 * n * b))
+    return royal_road(BlockParams(n, b, lam_max or 4 * n * b))
 
 
 def test_rr_reference_optimum_scores_one():
     L = rr()
     g = from_text("AAAGTAGGGTAATTTCCCTCCC", 4)
-    assert rr_fitness(L, g) == 1.0
+    assert L.evaluate(g) == 1.0
+    assert L.optimum_value == 1.0
 
 
 def test_rr_empty_and_single_block():
     L = rr()
-    assert rr_fitness(L, ()) == 0.0
-    assert rr_fitness(L, (0, 0, 0)) == 1 / 4
+    assert L.evaluate(()) == 0.0
+    assert L.evaluate((0, 0, 0)) == 1 / 4
 
 
 def test_rr_rejects_overlong_genotype():
-    L = RoyalRoadLandscape(BlockParams(2, 2, 4))
+    L = royal_road(BlockParams(2, 2, 4))
     with pytest.raises(ValueError):
-        rr_fitness(L, (0, 1, 0, 1, 0))
+        L.evaluate((0, 1, 0, 1, 0))
 
 
 def test_rr_rejects_foreign_letter():
     with pytest.raises(ValueError):
-        rr_fitness(rr(), (0, 9))
+        rr().evaluate((0, 9))
+
+
+def test_rr_table_is_blocks_over_n():
+    rng = make_rng(3, 0)
+    for n in range(1, 13):
+        for b in (1, 2, 3):
+            L = royal_road(BlockParams(n, b, 4 * n * b))
+            assert np.array_equal(L.bv_fitness, [v.bit_count() / n for v in range(1 << n)])
+            for _ in range(50):
+                g = random_genotype(4 * n * b, n, rng)
+                assert L.evaluate(g) == block_bits(g, n, b).bit_count() / n
+
+
+def test_rr_rejects_n_beyond_exhaustive_bound():
+    with pytest.raises(ValueError, match="exhaustive bound"):
+        royal_road(BlockParams(nk.EXHAUSTIVE_BOUND + 1, 1, 100))
 
 
 def test_er_build_k0_has_no_links():
@@ -72,7 +88,7 @@ def test_er_fitness_factors_through_block_vector():
     for _ in range(200):
         g = random_genotype(60, 8, rng)
         bv = block_vector(g, 8, 2)
-        assert er_fitness(L, g) == nk.fitness(L.nk, bv)
+        assert L.evaluate(g) == nk.fitness(L.nk, bv)
 
 
 def test_equal_block_vectors_give_identical_fitness():
@@ -81,14 +97,14 @@ def test_equal_block_vectors_give_identical_fitness():
     g1 = (0, 0, 0, 1, 1, 1)
     g2 = (2, 1, 1, 1, 5, 0, 0, 0, 0, 7)
     assert block_vector(g1, 8, 3) == block_vector(g2, 8, 3)
-    assert er_fitness(L, g1) == er_fitness(L, g2)
+    assert L.evaluate(g1) == L.evaluate(g2)
 
 
 def test_full_block_genotypes_attain_optimum():
     for seed in range(5):
         L = er_build(8, 3, 2, 100, seed=seed)
         g = tuple(s for letter in range(8) for s in [letter] * 2)
-        assert er_fitness(L, g) == L.optimum_value
+        assert L.evaluate(g) == L.optimum_value
         assert int(np.argmax(L.bv_fitness)) == (1 << 8) - 1
 
 
@@ -104,17 +120,15 @@ def test_er_k0_block_addition_strictly_improves():
 
 def test_rr_and_er_k0_share_argmax_set():
     L = er_build(6, 0, 2, 100, seed=12)
-    vals = L.bv_fitness
-    assert int(np.argmax(vals)) == (1 << 6) - 1
+    assert int(np.argmax(L.bv_fitness)) == (1 << 6) - 1
     # royal road argmax over block vectors is the all-ones vector too
-    counts = [int(v).bit_count() for v in range(1 << 6)]
-    assert counts.index(max(counts)) == (1 << 6) - 1
+    assert int(np.argmax(royal_road(L.params).bv_fitness)) == (1 << 6) - 1
 
 
 def test_er_rejects_overlong_genotype():
     L = er_build(4, 1, 2, 8, seed=13)
     with pytest.raises(ValueError):
-        er_fitness(L, (0,) * 9)
+        L.evaluate((0,) * 9)
 
 
 def test_is_success_tolerance():
@@ -140,7 +154,7 @@ def test_landscape_round_trip(tmp_path):
     rng = make_rng(22, 0)
     for _ in range(100):
         g = random_genotype(80, 8, rng)
-        assert er_fitness(loaded, g) == er_fitness(L, g)
+        assert loaded.evaluate(g) == L.evaluate(g)
 
 
 def test_landscape_load_rejects_corrupt_optimum():
@@ -166,9 +180,53 @@ def test_landscape_load_rejects_bad_links(row):
 
 
 def test_landscape_load_rejects_non_optimal_all_blocks():
-    # raising a component of the all-zeros pattern leaves the all-ones entry
-    # (and the stored optimum) intact but puts another vector on top
+    # raising every locus's all-zeros component leaves the all-ones entry
+    # (and the stored optimum) intact but puts the all-zeros vector on top
     doc = landscape_to_dict(er_build(6, 2, 2, 100, seed=25))
-    doc["nk"]["tables"][0][0] = 100.0
+    for row in doc["nk"]["tables"]:
+        row[0] = 0.999
     with pytest.raises(ValueError, match="maximum"):
         landscape_from_dict(doc)
+
+
+@pytest.mark.parametrize("value", [-1.0, 1.0, 100.0, float("nan")])
+def test_landscape_load_rejects_table_entry_outside_unit_interval(value):
+    doc = landscape_to_dict(er_build(6, 2, 2, 100, seed=26))
+    doc["nk"]["tables"][2][3] = value
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        landscape_from_dict(doc)
+
+
+def test_landscape_load_rejects_unsorted_links():
+    doc = landscape_to_dict(er_build(6, 2, 2, 100, seed=27))
+    doc["nk"]["links"][0] = doc["nk"]["links"][0][::-1]
+    with pytest.raises(ValueError, match="sorted"):
+        landscape_from_dict(doc)
+
+
+# sha256 of er_build(n, k, b, 100, seed).bv_fitness; every bit of a table is
+# part of the seed -> bytes contract
+GOLDEN_TABLE_SHA = {
+    (12, 6, 2, 201): "cc6bf4fa5cce1af2a9df187f979d17cc25b28698c2151d462e46a80f5c2b623e",
+    (16, 8, 3, 202): "a7877cf642c0a8369c0d0ad67d652832d1c5228ba5d2246afa425bf3cb7cfd16",
+}
+
+
+@pytest.mark.parametrize("cell", list(GOLDEN_TABLE_SHA))
+def test_er_build_table_is_bit_identical_to_golden(cell):
+    n, k, b, seed = cell
+    L = er_build(n, k, b, 100, seed=seed)
+    assert hashlib.sha256(np.ascontiguousarray(L.bv_fitness)).hexdigest() == \
+        GOLDEN_TABLE_SHA[cell]
+
+
+def test_er_build_matches_normalize_then_tabulate():
+    # at n = 1, 2 and 3 some of the seeds leave the raw optimum at all-ones (mask 0)
+    for n, k in [(1, 0), (2, 1), (3, 0), (8, 2), (8, 7), (12, 6), (16, 0)]:
+        for seed in range(4):
+            L = er_build(n, k, 2, 100, seed=seed)
+            ref = nk.normalize_to_one(nk.generate(n, k, "random", seed=seed))
+            assert L.nk.mask == ref.mask
+            assert np.array_equal(L.nk.tables, ref.tables)
+            assert np.array_equal(L.bv_fitness, nk.all_fitness_values(ref))
+            assert L.optimum_value == float(L.bv_fitness[-1])
