@@ -7,9 +7,9 @@ over them, ``evolve`` runs the EA sweep, and ``reproduce`` runs a named
 preset and prints observed values next to reference values where they exist.
 
 All CSV outputs start with '#' provenance lines (artifact version, spec
-hash, master seed, grid cells, timestamp); everything after those lines is
-byte-identical across re-runs with identical inputs. Landscape JSON files
-carry no timestamp and are byte-identical entirely.
+hash, master seed, stream format, grid cells, timestamp); everything after
+those lines is byte-identical across re-runs with identical inputs.
+Landscape JSON files carry no timestamp and are byte-identical entirely.
 """
 
 from __future__ import annotations
@@ -37,7 +37,13 @@ from .analysis import (
     run_random_walk_campaign,
 )
 from .genotype import to_text
-from .seeds import STREAM_ADAPTIVE_WALK, STREAM_NEUTRALITY, STREAM_RANDOM_WALK, derive_seed
+from .seeds import (
+    STREAM_ADAPTIVE_WALK,
+    STREAM_FORMAT,
+    STREAM_NEUTRALITY,
+    STREAM_RANDOM_WALK,
+    derive_seed,
+)
 
 ARTIFACT = f"epiroad {__version__}"
 ENV_SEED = "EPIROAD_SEED"
@@ -159,6 +165,19 @@ def load_spec(path) -> ExperimentSpec:
                 check(data[section])
             except (TypeError, ValueError) as exc:
                 raise SpecError(f"spec file: {section}: {exc}") from None
+    lambda_max = data.get("landscape_lambda_max")
+    if lambda_max is not None:
+        lambda_max = _integer(lambda_max)
+        if lambda_max is None or lambda_max < 1:
+            raise SpecError("spec file: landscape_lambda_max must be an integer >= 1, "
+                            f"got {data['landscape_lambda_max']!r}")
+    ea_settings = data.get("ea", {})
+    if not isinstance(ea_settings, dict):
+        raise SpecError(f"spec file: ea must be a JSON object, got {ea_settings!r}")
+    try:
+        ea.EaConfig(**ea_settings)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"spec file: ea: {exc}") from None
     cells = _cells_from_grid(data.get("grid", {"n": [], "k": [], "b": []}))
     campaigns = CampaignSettings(
         random_walks=data.get("random_walks"),
@@ -171,9 +190,9 @@ def load_spec(path) -> ExperimentSpec:
         instances=instances,
         seed=_parse_seed(data.get("seed", 0), "spec file"),
         out=data.get("out"),
-        landscape_lambda_max=data.get("landscape_lambda_max"),
+        landscape_lambda_max=lambda_max,
         campaigns=campaigns,
-        ea=data.get("ea", {}),
+        ea=ea_settings,
     )
 
 
@@ -221,6 +240,7 @@ def provenance_lines(spec: ExperimentSpec, command: str, timestamp: bool = True)
         f"# command: {command}",
         f"# spec_sha256: {spec.sha256()}",
         f"# master_seed: {spec.seed}",
+        f"# stream_format: {STREAM_FORMAT}",
         f"# cells: {cells} instances={spec.instances}",
     ]
     if timestamp:
@@ -266,6 +286,7 @@ def cmd_gen(spec: ExperimentSpec, out_dir: Path, jobs: int = 1) -> int:
                 "artifact": ARTIFACT,
                 "spec_sha256": spec.sha256(),
                 "master_seed": spec.seed,
+                "stream_format": STREAM_FORMAT,
                 "cell": [n, k, b, idx],
             }
             units.append((str(landscape_path(out_dir, n, k, b, idx)), n, k, b, idx,
@@ -369,17 +390,13 @@ def cmd_analyze(spec: ExperimentSpec, out_dir: Path, jobs: int = 1, raw: bool = 
         # analyze with no explicit campaign settings runs everything at defaults
         settings = {"random_walks": {}, "adaptive_walks": {}, "neutrality": {}}
     raw_dir = str(out_dir / "raw") if raw else None
-    units = []
-    for n, k, b in spec.cells:
-        for idx in range(spec.instances):
-            path = landscape_path(out_dir, n, k, b, idx)
-            if not path.exists():
-                print(f"analyze: missing landscape file {path}; run gen first", file=sys.stderr)
-                return 2
-            units.append((str(path), n, k, b, idx, spec.seed, settings, raw_dir))
+    failures: dict[tuple[int, int, int], list[str]] = {}
+    units = _landscape_units("analyze", spec, out_dir, failures)
+    if units is None:
+        return 2
+    units = [u + (spec.seed, settings, raw_dir) for u in units]
 
     rows: list[dict] = []
-    failures: dict[tuple[int, int, int], list[str]] = {}
     results = _map_units_collect(_analyze_unit, units, jobs, failures)
     rows.extend(results)
 
@@ -398,6 +415,28 @@ def cmd_analyze(spec: ExperimentSpec, out_dir: Path, jobs: int = 1, raw: bool = 
     print(f"analyze: wrote {out_dir / 'analysis_instances.csv'} and analysis_summary.csv "
           f"({len(rows)} instance rows)")
     return _report_failures("analyze", spec, failures)
+
+
+def _landscape_units(command, spec, out_dir, failures) -> list[tuple] | None:
+    """(path, n, k, b, instance) of every landscape file the spec names that exists.
+
+    A missing file is recorded as its unit's failure, so its siblings still
+    run. None, after a message, when files are named but none exists: gen
+    has not been run for this output directory.
+    """
+    units, missing = [], []
+    for n, k, b in spec.cells:
+        for idx in range(spec.instances):
+            path = landscape_path(out_dir, n, k, b, idx)
+            (units if path.exists() else missing).append((str(path), n, k, b, idx))
+    if missing and not units:
+        print(f"{command}: missing landscape files under {out_dir / 'landscapes'}; "
+              "run gen first", file=sys.stderr)
+        return None
+    for path, n, k, b, idx in missing:
+        failures.setdefault((n, k, b), []).append(
+            f"instance {idx}: missing landscape file {path}")
+    return units
 
 
 def _map_units_collect(fn, units, jobs, failures) -> list:
@@ -484,16 +523,12 @@ def cmd_evolve(spec: ExperimentSpec, out_dir: Path, jobs: int = 1, traces: bool 
     validate_cells(spec.cells)
     ea_cfg = dict(spec.ea)
     ea_cfg.pop("seed", None)  # run seeds derive from the master seed
-    units = []
-    for n, k, b in spec.cells:
-        for idx in range(spec.instances):
-            path = landscape_path(out_dir, n, k, b, idx)
-            if not path.exists():
-                print(f"evolve: missing landscape file {path}; run gen first", file=sys.stderr)
-                return 2
-            units.append((str(path), n, k, b, idx, spec.seed, ea_cfg, traces))
-
     failures: dict[tuple[int, int, int], list[str]] = {}
+    units = _landscape_units("evolve", spec, out_dir, failures)
+    if units is None:
+        return 2
+    units = [u + (spec.seed, ea_cfg, traces) for u in units]
+
     results = _map_units_collect(_evolve_unit, units, jobs, failures)
 
     run_rows = [row for res in results for row in res["rows"]]

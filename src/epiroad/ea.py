@@ -13,17 +13,27 @@ insertion, one deletion and one substitution together, in that order;
 operation applies is decided against the incoming genotype: deletion and
 substitution are skipped when it is empty, insertion when it already sits at
 ``max_program_size``.
+
+A run's randomness comes from its own stream: the initial population is drawn
+from the stream's ``Generator``, every later draw from a ``UniformPool`` over
+the same generator (stream format 2). The operators only call ``random()``
+and ``integers(high)``, so they take either.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .genotype import Genotype, block_count, random_genotype
 from .landscapes import is_success
-from .seeds import STREAM_EA_RUN, STREAM_LANDSCAPE_SEED, derive_seed, make_rng
+from .seeds import STREAM_EA_RUN, STREAM_LANDSCAPE_SEED, UniformPool, derive_seed, make_rng
+
+
+# Accepted values per annotated field type; bool is never an int or a float here.
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}
 
 
 @dataclass
@@ -43,6 +53,11 @@ class EaConfig:
     stop_on_success: bool = True
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) != (f.type == "bool") or \
+                    not isinstance(value, _FIELD_TYPES[f.type]):
+                raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
         if not 0.0 <= self.mutation_rate <= 1.0:
             raise ValueError(f"mutation_rate must lie in [0, 1], got {self.mutation_rate}")
         if not 0.0 <= self.crossover_rate <= 1.0:
@@ -54,6 +69,10 @@ class EaConfig:
             )
         if self.population < 1 or self.generations < 0 or self.tournament_size < 1:
             raise ValueError("population, generations and tournament_size must be positive")
+        if self.runs < 1 or self.landscape_instances < 1:
+            raise ValueError("runs and landscape_instances must be >= 1")
+        if self.max_creation_size < 0 or self.seed < 0:
+            raise ValueError("max_creation_size and seed must be >= 0")
 
 
 @dataclass
@@ -110,14 +129,39 @@ def one_point_crossover(
     return a, b
 
 
-def tournament_select(fitnesses: np.ndarray, k: int, rng: np.random.Generator) -> int:
-    """Index of the fittest of k draws with replacement; ties uniform."""
-    idx = rng.integers(0, len(fitnesses), size=k)
-    vals = fitnesses[idx]
-    cand = idx[vals == vals.max()]
-    if len(cand) == 1:
-        return int(cand[0])
-    return int(cand[rng.integers(len(cand))])
+def tournament_select(fitnesses, k: int, rng) -> int:
+    """Index of the fittest of k draws with replacement; ties uniform.
+
+    ``fitnesses`` is any indexable sequence; the EA passes a list, whose
+    scalar reads are cheaper than an array's.
+    """
+    n = len(fitnesses)
+    winners = [rng.integers(n)]
+    top = fitnesses[winners[0]]
+    for _ in range(k - 1):
+        i = rng.integers(n)
+        f = fitnesses[i]
+        if f > top:
+            top = f
+            winners = [i]
+        elif f == top:
+            winners.append(i)
+    if len(winners) == 1:
+        return int(winners[0])
+    return int(winners[rng.integers(len(winners))])
+
+
+def elitist_victim(fits: np.ndarray, best_idx: int) -> int:
+    """Index of the minimum of ``fits`` other than ``best_idx``, first on ties.
+
+    ``fits[best_idx]`` must be a maximum of ``fits`` (len >= 2). Then the
+    first minimum is ``best_idx`` only when every value is equal, and the
+    victim is the first other index.
+    """
+    victim = int(fits.argmin())
+    if victim == best_idx:
+        return 1 if best_idx == 0 else 0
+    return victim
 
 
 def run(cfg: EaConfig, landscape) -> RunResult:
@@ -130,41 +174,40 @@ def run(cfg: EaConfig, landscape) -> RunResult:
     rng = make_rng(cfg.seed, STREAM_EA_RUN)
     n_letters = landscape.n_letters
     pop = init_population(cfg, n_letters, rng)
+    draws = UniformPool(rng)
     fits = np.array([landscape.evaluate(g) for g in pop])
+    fit_list = fits.tolist()  # mirror of fits for scalar reads
     best_idx = int(np.argmax(fits))
+    elitist = cfg.elitism and cfg.population > 1
 
     fitness_trace: list[float] = []
     blocks_trace: list[int] = []
 
     def record() -> None:
-        fitness_trace.append(float(fits[best_idx]))
+        fitness_trace.append(fit_list[best_idx])
         blocks_trace.append(block_count(pop[best_idx], n_letters, landscape.b))
 
     record()
-    success_gen = 0 if is_success(landscape, fits[best_idx]) else None
+    success_gen = 0 if is_success(landscape, fit_list[best_idx]) else None
 
     for gen in range(1, cfg.generations + 1):
         if success_gen is not None and cfg.stop_on_success:
             break
         for _ in range(cfg.population):
-            i1 = tournament_select(fits, cfg.tournament_size, rng)
-            i2 = tournament_select(fits, cfg.tournament_size, rng)
-            c1, c2 = one_point_crossover(pop[i1], pop[i2], cfg, rng)
-            for child in (mutate(c1, cfg, n_letters, rng), mutate(c2, cfg, n_letters, rng)):
+            i1 = tournament_select(fit_list, cfg.tournament_size, draws)
+            i2 = tournament_select(fit_list, cfg.tournament_size, draws)
+            c1, c2 = one_point_crossover(pop[i1], pop[i2], cfg, draws)
+            for child in (mutate(c1, cfg, n_letters, draws), mutate(c2, cfg, n_letters, draws)):
                 f = landscape.evaluate(child)
-                if cfg.elitism and cfg.population > 1:
-                    masked = fits.copy()
-                    masked[best_idx] = np.inf
-                    victim = int(np.argmin(masked))
-                else:
-                    victim = int(np.argmin(fits))
-                if f >= fits[victim]:
+                victim = elitist_victim(fits, best_idx) if elitist else int(fits.argmin())
+                if f >= fit_list[victim]:
                     pop[victim] = child
                     fits[victim] = f
-                    if f > fits[best_idx]:
+                    fit_list[victim] = f
+                    if f > fit_list[best_idx]:
                         best_idx = victim
         record()
-        if success_gen is None and is_success(landscape, fits[best_idx]):
+        if success_gen is None and is_success(landscape, fit_list[best_idx]):
             success_gen = gen
 
     # pad traces when stopped early; the optimum is already in the population

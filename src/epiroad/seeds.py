@@ -5,6 +5,12 @@ with ``SeedSequence([master_seed, stream_id, *indices])`` so that instance
 generation, each walk of a campaign, and each EA run own independent,
 reproducible streams. Results are therefore independent of execution order
 and of the degree of parallelism.
+
+``STREAM_FORMAT`` versions which numbers a given stream hands to which
+consumer; it is recorded in every output's provenance and bumped whenever a
+change to the draws alters results for an unchanged seed. Format 2: after
+initialising its population, an EA run draws its scalars from a
+``UniformPool`` over its stream instead of one ``Generator`` call each.
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ STREAM_ADAPTIVE_WALK = 3
 STREAM_NEUTRALITY = 4
 STREAM_EA_RUN = 5
 STREAM_LANDSCAPE_SEED = 6
+
+STREAM_FORMAT = 2
 
 
 def seed_sequence(master_seed: int, *path: int) -> np.random.SeedSequence:
@@ -36,3 +44,34 @@ def derive_seed(master_seed: int, *path: int) -> int:
     """A 63-bit child seed, usable wherever an integer seed is stored."""
     state = seed_sequence(master_seed, *path).generate_state(2, np.uint32)
     return int((int(state[0]) << 31) ^ int(state[1]))
+
+
+class UniformPool:
+    """Scalar draws served from blocks of one generator's uniforms.
+
+    ``random()`` returns the values of ``rng.random(BLOCK)`` in order, one per
+    call, and draws the next block when the current one runs out, so the
+    pool's draws equal those of one long ``rng.random`` call. ``integers(high)``
+    maps the next uniform u to ``int(u * high)``, which lies in [0, high) for
+    1 <= high < 2**53 because u <= 1 - 2**-53. The pool stands in for the
+    scalar ``Generator`` interface (``random()``, ``integers(high)``) at the
+    cost of a list pop per draw instead of a numpy call.
+    """
+
+    BLOCK = 4096
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._stack: list[float] = []
+
+    def _refill(self) -> list[float]:
+        stack = self._rng.random(self.BLOCK).tolist()
+        stack.reverse()  # pop() from the end serves the block in draw order
+        self._stack = stack
+        return stack
+
+    def random(self) -> float:
+        return (self._stack or self._refill()).pop()
+
+    def integers(self, high: int) -> int:
+        return int((self._stack or self._refill()).pop() * high)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -258,6 +259,91 @@ def test_gen_failure_is_reported_per_cell(tmp_path, capsys, monkeypatch):
     assert "k=2 b=2 failed entirely" not in err
     assert [f.name for f in sorted((out / "landscapes").glob("*.json"))] == \
         ["n06_k02_b2_i00.json"]
+
+
+def test_outputs_record_the_stream_format(tmp_path):
+    spec = write_spec(tmp_path / "spec.json", **EVOLVE_SPEC)
+    out = tmp_path / "out"
+    run_cli(["gen", "--spec", spec, "--out", out, "--jobs", 1])
+    doc = json.loads(next(iter(sorted((out / "landscapes").glob("*.json")))).read_text())
+    assert doc["provenance"]["stream_format"] == 2
+    run_cli(["evolve", "--spec", spec, "--out", out, "--jobs", 1])
+    assert "# stream_format: 2" in (out / "ea_runs.csv").read_text().splitlines()
+
+
+# sha256 of the ea_runs.csv body below the '#' lines, at stream format 2
+EA_RUNS_SHA256 = "e182ef7ca086500076c81a829032783216b0323baa9664b573c965f98bf2e399"
+
+
+def test_evolve_runs_body_is_pinned_and_independent_of_jobs(tmp_path):
+    # pinned at stream format 2; a change to the EA's draws must bump the
+    # format and re-pin
+    spec = write_spec(tmp_path / "spec.json", **EVOLVE_SPEC)
+    bodies = []
+    for jobs in (1, 2):
+        out = tmp_path / f"o{jobs}"
+        run_cli(["gen", "--spec", spec, "--out", out, "--jobs", jobs])
+        assert run_cli(["evolve", "--spec", spec, "--out", out, "--jobs", jobs]) == 0
+        lines = (out / "ea_runs.csv").read_bytes().splitlines(keepends=True)
+        bodies.append(b"".join(line for line in lines if not line.startswith(b"#")))
+    assert bodies[0] == bodies[1]
+    assert hashlib.sha256(bodies[0]).hexdigest() == EA_RUNS_SHA256
+
+
+@pytest.mark.parametrize("command, extra", [("analyze", ANALYZE_SPEC), ("evolve", EVOLVE_SPEC)])
+def test_missing_landscape_fails_only_its_unit(tmp_path, capsys, command, extra):
+    spec = write_spec(tmp_path / "spec.json", **{**extra, "command": command})
+    out = tmp_path / "out"
+    run_cli(["gen", "--spec", spec, "--out", out, "--jobs", 1])
+    lost = out / "landscapes" / "n06_k02_b2_i01.json"
+    lost.unlink()
+    capsys.readouterr()
+    # cell k=2 keeps instance 0, so the run succeeds without the lost file
+    assert run_cli([command, "--spec", spec, "--out", out, "--jobs", 1]) == 0
+    err = capsys.readouterr().err
+    assert f"{command}: cell n=6 k=2 b=2 instance 1: missing landscape file {lost}" in err
+    assert "failed entirely" not in err
+    csv_name = "analysis_instances.csv" if command == "analyze" else "ea_runs.csv"
+    rows = csv_body(out / csv_name)[1:]
+    runs = 1 if command == "analyze" else EVOLVE_SPEC["ea"]["runs"]
+    assert len(rows) == 3 * runs
+    assert sum(row.startswith("6,2,2,") for row in rows) == runs
+    # losing both instances of a cell fails the cell, and the run
+    (out / "landscapes" / "n06_k02_b2_i00.json").unlink()
+    assert run_cli([command, "--spec", spec, "--out", out, "--jobs", 1]) == 1
+    err = capsys.readouterr().err
+    assert "cell n=6 k=2 b=2 failed entirely" in err
+    assert "k=0 b=2 failed entirely" not in err
+    assert len(csv_body(out / csv_name)[1:]) == 2 * runs
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"ea": {"populaton": 10}}, "unexpected keyword argument 'populaton'"),
+    ({"ea": {"population": "10"}}, "population must be int, got '10'"),
+    ({"ea": {"mutation_rate": 2.0}}, "mutation_rate must lie in [0, 1]"),
+    ({"ea": {"runs": 0}}, "runs and landscape_instances must be >= 1"),
+    ({"ea": [1, 2]}, "ea must be a JSON object"),
+    ({"landscape_lambda_max": "abc"}, "landscape_lambda_max must be an integer >= 1, got 'abc'"),
+    ({"landscape_lambda_max": 0}, "landscape_lambda_max must be an integer >= 1, got 0"),
+    ({"landscape_lambda_max": 2.5}, "landscape_lambda_max must be an integer >= 1, got 2.5"),
+    ({"landscape_lambda_max": True}, "landscape_lambda_max must be an integer >= 1, got True"),
+])
+@pytest.mark.parametrize("command", ["gen", "evolve"])
+def test_bad_ea_and_lambda_max_settings_exit_2(tmp_path, capsys, command, settings, message):
+    spec = write_spec(tmp_path / "spec.json", **settings)
+    assert run_cli([command, "--spec", spec, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert f"{command}: spec file: " in err and message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_good_lambda_max_and_ea_settings_load(tmp_path):
+    from epiroad.cli import load_spec
+
+    spec = load_spec(write_spec(tmp_path / "spec.json", landscape_lambda_max=120,
+                                ea={"population": 10, "elitism": False}))
+    assert spec.landscape_lambda_max == 120
+    assert spec.ea == {"population": 10, "elitism": False}
 
 
 def test_reproduce_unknown_preset_lists_options(capsys):

@@ -2,11 +2,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epiroad.ea import (
     EaConfig,
+    elitist_victim,
     init_population,
     mutate,
     one_point_crossover,
@@ -16,7 +17,7 @@ from epiroad.ea import (
 )
 from epiroad.genotype import block_count
 from epiroad.landscapes import er_build
-from epiroad.seeds import make_rng
+from epiroad.seeds import STREAM_FORMAT, UniformPool, make_rng
 
 
 class ScriptedRng:
@@ -279,3 +280,114 @@ def test_run_rejects_program_size_beyond_landscape():
     L = er_build(4, 1, 2, 8, seed=37)
     with pytest.raises(ValueError):
         run(small_cfg(max_program_size=10, max_creation_size=5), L)
+
+
+def test_config_rejects_wrong_types_and_ranges():
+    for kw in [dict(population="10"), dict(population=2.5), dict(population=True),
+               dict(elitism=1), dict(mutation_rate="0.5"), dict(runs=0),
+               dict(max_creation_size=-1, max_program_size=10), dict(seed=-1)]:
+        with pytest.raises((TypeError, ValueError)):
+            EaConfig(**kw)
+    assert EaConfig(population=np.int64(5), mutation_rate=1).population == 5
+
+
+# ---------------------------------------------------------------------------
+# stream format 2: block draws
+
+
+class ConstantUniforms:
+    """A generator stub whose every uniform is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
+def test_pool_integers_stay_below_high_at_largest_uniform():
+    u = np.nextafter(1.0, 0.0)
+    highs = list(range(1, 5000)) + [2**31 - 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 1]
+    pool = UniformPool(ConstantUniforms(u))
+    for high in highs:
+        assert pool.integers(high) == high - 1
+    assert UniformPool(ConstantUniforms(0.0)).integers(7) == 0
+
+
+def test_pool_draws_match_one_long_generator_call():
+    pool = UniformPool(make_rng(21, 5))
+    draws = [pool.random() for _ in range(2 * UniformPool.BLOCK + 3)]
+    assert draws == make_rng(21, 5).random(2 * UniformPool.BLOCK + 3).tolist()
+    pool = UniformPool(make_rng(22, 5))
+    ints = [pool.integers(10) for _ in range(UniformPool.BLOCK + 10)]
+    assert ints == [int(u * 10) for u in make_rng(22, 5).random(UniformPool.BLOCK + 10)]
+
+
+# chi-square critical value, 6 degrees of freedom, p = 0.001
+CHI2_CRIT_DF6 = 22.458
+
+
+def chi_square(counts, expected):
+    return sum((counts[i] - e) ** 2 / e for i, e in enumerate(expected))
+
+
+def test_pool_integers_chi_square():
+    pool = UniformPool(make_rng(23, 0))
+    draws = 70_000
+    counts = Counter(pool.integers(7) for _ in range(draws))
+    assert set(counts) == set(range(7))
+    assert chi_square(counts, [draws / 7] * 7) < CHI2_CRIT_DF6
+
+
+def test_tournament_winners_chi_square():
+    # k = 3 draws with replacement: P(winner has value v) = F(v)^3 - F(v-)^3,
+    # where F counts the values <= v; tied indices share it equally
+    fits = [0.1, 0.5, 0.5, 0.9, 0.3, 0.9, 0.2]
+    n, k = len(fits), 3
+    expected_p = []
+    for v in fits:
+        le = sum(f <= v for f in fits)
+        lt = sum(f < v for f in fits)
+        tied = le - lt
+        expected_p.append(((le / n) ** k - (lt / n) ** k) / tied)
+    assert abs(sum(expected_p) - 1) < 1e-12
+    pool = UniformPool(make_rng(24, 0))
+    trials = 60_000
+    counts = Counter(tournament_select(fits, k, pool) for _ in range(trials))
+    assert chi_square(counts, [trials * p for p in expected_p]) < CHI2_CRIT_DF6
+
+
+def masked_copy_victim(fits, best_idx):
+    masked = fits.copy()
+    masked[best_idx] = np.inf
+    return int(np.argmin(masked))
+
+
+@given(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=2, max_size=12),
+       st.integers(0, 11))
+@example([0.5] * 4, 0)
+@example([0.5] * 4, 1)
+@example([0.5] * 4, 3)
+@example([0.9, 0.1, 0.1, 0.9], 0)
+@example([0.9, 0.9], 0)
+@settings(max_examples=300)
+def test_elitist_victim_matches_masked_copy(values, pick):
+    fits = np.array(values)
+    # elitism keeps fits[best_idx] at a maximum, not necessarily the first
+    maxima = np.flatnonzero(fits == fits.max())
+    best_idx = int(maxima[pick % len(maxima)])
+    assert elitist_victim(fits, best_idx) == masked_copy_victim(fits, best_idx)
+
+
+def test_run_golden_stream_format_2():
+    # pinned output of one run; a change to the EA's draws or their order
+    # must bump STREAM_FORMAT and re-pin
+    assert STREAM_FORMAT == 2
+    L = er_build(6, 2, 2, 100, seed=38)
+    cfg = EaConfig(population=40, generations=12, max_creation_size=20,
+                   max_program_size=100, seed=3, runs=1)
+    res = run(cfg, L)
+    assert res.generations_to_success == 8
+    assert res.best_blocks_trace == [2] + [3] * 7 + [6] * 5
+    assert res.best_fitness_trace == \
+        [0.7818227665782054] + [0.8357267885778169] * 7 + [0.8390074730501776] * 5
