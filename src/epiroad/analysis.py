@@ -16,8 +16,9 @@ matter how walks are scheduled.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 
 import numpy as np
@@ -38,6 +39,18 @@ def check_walk_sizes(walks: int, length: int) -> None:
         raise ValueError("walks must be >= 1 and length >= 0")
 
 
+def _check_campaign(campaign) -> None:
+    """Every field an int (bool is not one); a ``lambda_max`` that may be None, else >= 0."""
+    for f in fields(campaign):
+        value = getattr(campaign, f.name)
+        if value is None and f.type == "int | None":
+            continue
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"{f.name} must be int, got {value!r}")
+    if campaign.lambda_max is not None and campaign.lambda_max < 0:
+        raise ValueError(f"lambda_max must be >= 0, got {campaign.lambda_max}")
+
+
 @dataclass(frozen=True)
 class RandomWalkCampaign:
     """Pool of fitness series from random walks.
@@ -53,6 +66,7 @@ class RandomWalkCampaign:
     seed: int = 0
 
     def __post_init__(self):
+        _check_campaign(self)
         check_walk_sizes(self.walks, self.length)
         if not 0 <= self.s_max <= self.length:
             raise ValueError(f"s_max must lie in [0, length={self.length}], got {self.s_max}")
@@ -65,8 +79,23 @@ class AdaptiveWalkCampaign:
     seed: int = 0
 
     def __post_init__(self):
-        if self.walks < 1 or self.lambda_max < 0:
-            raise ValueError("walks must be >= 1 and lambda_max >= 0")
+        _check_campaign(self)
+        if self.walks < 1:
+            raise ValueError("walks must be >= 1")
+
+
+@dataclass(frozen=True)
+class NeutralityCampaign:
+    """Sizes of a neutrality scan; ``lambda_max`` None means the landscape's own."""
+
+    walks: int = 2_000
+    length: int = 20
+    lambda_max: int | None = None
+    seed: int = 0
+
+    def __post_init__(self):
+        _check_campaign(self)
+        check_walk_sizes(self.walks, self.length)
 
 
 @dataclass

@@ -15,9 +15,11 @@ Landscape JSON files carry no timestamp and are byte-identical entirely.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -30,8 +32,8 @@ import numpy as np
 from . import __version__, ea, landscapes, nk
 from .analysis import (
     AdaptiveWalkCampaign,
+    NeutralityCampaign,
     RandomWalkCampaign,
-    check_walk_sizes,
     neutrality_scan,
     run_adaptive_walk_campaign,
     run_random_walk_campaign,
@@ -48,8 +50,6 @@ from .seeds import (
 ARTIFACT = f"epiroad {__version__}"
 ENV_SEED = "EPIROAD_SEED"
 
-PRESET_NAMES = ("table1", "fig1", "fig3", "fig5", "fig6", "fig7", "fig8", "corr-study")
-
 # Reference neutrality proportions (percent lower/equal/higher) for the
 # table1 preset, n=8, k=4.
 REFERENCE_NEUTRALITY = {
@@ -59,11 +59,21 @@ REFERENCE_NEUTRALITY = {
 }
 
 
+# The campaign class behind each spec section; it owns the section's defaults and checks.
+CAMPAIGNS = {
+    "random_walks": RandomWalkCampaign,
+    "adaptive_walks": AdaptiveWalkCampaign,
+    "neutrality": NeutralityCampaign,
+}
+
+
 @dataclass
 class CampaignSettings:
-    random_walks: dict | None = None  # walks, length, s_max
-    adaptive_walks: dict | None = None  # walks, lambda_max
-    neutrality: dict | None = None  # walks, length
+    """Keyword arguments of each section's class in ``CAMPAIGNS``; None skips the campaign."""
+
+    random_walks: dict | None = None
+    adaptive_walks: dict | None = None
+    neutrality: dict | None = None
 
 
 @dataclass
@@ -116,16 +126,6 @@ def _parse_seed(value, source: str) -> int:
     return seed
 
 
-# Each campaign section's sizes, checked by the rules of the campaign that runs it.
-_CAMPAIGN_CHECKS = (
-    ("random_walks", lambda c: RandomWalkCampaign(
-        **{f: c[f] for f in ("walks", "length", "s_max") if f in c})),
-    ("adaptive_walks", lambda c: AdaptiveWalkCampaign(
-        **{f: c[f] for f in ("walks", "lambda_max") if f in c})),
-    ("neutrality", lambda c: check_walk_sizes(c.get("walks", 2000), c.get("length", 20))),
-)
-
-
 def _cells_from_grid(grid: dict) -> list[tuple[int, int, int]]:
     try:
         ns, ks, bs = grid["n"], grid["k"], grid["b"]
@@ -137,8 +137,26 @@ def _cells_from_grid(grid: dict) -> list[tuple[int, int, int]]:
         raise SpecError(f"grid values must be lists of integers, got {grid!r}") from None
 
 
-def validate_cells(cells: list[tuple[int, int, int]]) -> None:
-    for n, k, b in cells:
+def _campaign_sections(spec: ExperimentSpec, defaults: bool) -> dict[str, dict]:
+    """The spec's campaign sections by name; with ``defaults``, all three if it names none."""
+    sections = {name: s for name, s in asdict(spec.campaigns).items() if s is not None}
+    if defaults and not sections:
+        # analyze with no explicit campaign settings runs everything at defaults
+        return {name: {} for name in CAMPAIGNS}
+    return sections
+
+
+def validate_cells(spec: ExperimentSpec, command: str) -> None:
+    """Check every cell, and every walk or program bound against its landscapes' cap.
+
+    The bounds are those of what ``command``, or the command the spec
+    declares, runs; the cap is ``spec.lambda_max_for(n, b)``.
+    """
+    commands = {command, spec.command}
+    sections = _campaign_sections(spec, defaults="analyze" in commands)
+    walk_caps = {name: CAMPAIGNS[name](**section).lambda_max for name, section in sections.items()}
+    program_cap = ea.EaConfig(**spec.ea).max_program_size if "evolve" in commands else None
+    for n, k, b in spec.cells:
         if not 0 <= k <= n - 1:
             raise SpecError(f"invalid cell: k={k} must lie in [0, n-1] for n={n}")
         if b < 1:
@@ -146,6 +164,16 @@ def validate_cells(cells: list[tuple[int, int, int]]) -> None:
         if n > nk.EXHAUSTIVE_BOUND:
             raise SpecError(
                 f"invalid cell: n={n} exceeds the exhaustive bound {nk.EXHAUSTIVE_BOUND}")
+        # without its own cap a random walk stays within 2nb, a neutrality scan
+        # within the landscape's lambda_max
+        bounds = {f"{name} walk bound": 2 * n * b if cap is None and name == "random_walks"
+                  else cap for name, cap in walk_caps.items()}
+        bounds["ea max_program_size"] = program_cap
+        lambda_max = spec.lambda_max_for(n, b)
+        for what, bound in bounds.items():
+            if bound is not None and bound > lambda_max:
+                raise SpecError(f"invalid cell: {what} {bound} exceeds the landscape "
+                                f"lambda_max={lambda_max} (n={n}, k={k}, b={b})")
 
 
 def load_spec(path) -> ExperimentSpec:
@@ -159,10 +187,10 @@ def load_spec(path) -> ExperimentSpec:
     if instances is None or instances < 1:
         raise SpecError(
             f"spec file: instances must be an integer >= 1, got {data['instances']!r}")
-    for section, check in _CAMPAIGN_CHECKS:
+    for section, campaign in CAMPAIGNS.items():
         if data.get(section) is not None:
             try:
-                check(data[section])
+                campaign(**data[section])
             except (TypeError, ValueError) as exc:
                 raise SpecError(f"spec file: {section}: {exc}") from None
     lambda_max = data.get("landscape_lambda_max")
@@ -179,11 +207,6 @@ def load_spec(path) -> ExperimentSpec:
     except (TypeError, ValueError) as exc:
         raise SpecError(f"spec file: ea: {exc}") from None
     cells = _cells_from_grid(data.get("grid", {"n": [], "k": [], "b": []}))
-    campaigns = CampaignSettings(
-        random_walks=data.get("random_walks"),
-        adaptive_walks=data.get("adaptive_walks"),
-        neutrality=data.get("neutrality"),
-    )
     return ExperimentSpec(
         command=data.get("command"),
         cells=cells,
@@ -191,7 +214,7 @@ def load_spec(path) -> ExperimentSpec:
         seed=_parse_seed(data.get("seed", 0), "spec file"),
         out=data.get("out"),
         landscape_lambda_max=lambda_max,
-        campaigns=campaigns,
+        campaigns=CampaignSettings(**{section: data.get(section) for section in CAMPAIGNS}),
         ea=ea_settings,
     )
 
@@ -202,25 +225,21 @@ def _scaled(count: int, scale: float, floor: int = 1) -> int:
 
 def apply_scale(spec: ExperimentSpec, scale: float) -> ExperimentSpec:
     """Shrink (or grow) campaign sizes, run counts, instances and population."""
+    if not 0 < scale < math.inf:
+        raise SpecError(f"--scale must be a finite number > 0, got {scale!r}")
     if scale == 1.0:
         return spec
-    c = spec.campaigns
-    campaigns = CampaignSettings(
-        random_walks=None if c.random_walks is None
-        else {**c.random_walks, "walks": _scaled(c.random_walks.get("walks", 20000), scale)},
-        adaptive_walks=None if c.adaptive_walks is None
-        else {**c.adaptive_walks, "walks": _scaled(c.adaptive_walks.get("walks", 2000), scale)},
-        neutrality=None if c.neutrality is None
-        else {**c.neutrality, "walks": _scaled(c.neutrality.get("walks", 2000), scale)},
-    )
+    campaigns = {name: {**section, "walks": _scaled(CAMPAIGNS[name](**section).walks, scale)}
+                 for name, section in _campaign_sections(spec, defaults=False).items()}
+    cfg = ea.EaConfig(**spec.ea)
     ea_cfg = dict(spec.ea)
-    ea_cfg["runs"] = _scaled(ea_cfg.get("runs", 35), scale)
-    ea_cfg["population"] = _scaled(ea_cfg.get("population", 1000), scale, floor=20)
-    ea_cfg["generations"] = _scaled(ea_cfg.get("generations", 400), scale, floor=10)
+    ea_cfg["runs"] = _scaled(cfg.runs, scale)
+    ea_cfg["population"] = _scaled(cfg.population, scale, floor=20)
+    ea_cfg["generations"] = _scaled(cfg.generations, scale, floor=10)
     return replace(
         spec,
         instances=_scaled(spec.instances, scale),
-        campaigns=campaigns,
+        campaigns=CampaignSettings(**campaigns),
         ea=ea_cfg,
     )
 
@@ -278,7 +297,7 @@ def _gen_unit(args) -> str:
 
 
 def cmd_gen(spec: ExperimentSpec, out_dir: Path, jobs: int = 1) -> int:
-    validate_cells(spec.cells)
+    validate_cells(spec, "gen")
     units = []
     for n, k, b in spec.cells:
         for idx in range(spec.instances):
@@ -301,41 +320,35 @@ def cmd_gen(spec: ExperimentSpec, out_dir: Path, jobs: int = 1) -> int:
 # analyze
 
 
+# analysis columns copied from the adaptive campaign's WalkStats
+_ADAPTIVE_FIELDS = ["optima_fitness_mean", "optima_fitness_std", "optima_fitness_skewness",
+                    "optima_fitness_kurtosis", "mean_walk_length", "est_optima_distance"]
+
+
 def _analyze_unit(args) -> dict:
     path_str, n, k, b, idx, master_seed, settings, raw_dir = args
     ls = landscapes.load_landscape(path_str)
     row: dict = {"n": n, "k": k, "b": b, "instance_seed": ls.nk.seed}
     raw_records: list[dict] = []
-    rw = settings.get("random_walks")
-    if rw is not None:
-        campaign = RandomWalkCampaign(
-            walks=rw.get("walks", 20000),
-            length=rw.get("length", 35),
-            lambda_max=rw.get("lambda_max"),
-            s_max=rw.get("s_max", 20),
-            seed=derive_seed(master_seed, STREAM_RANDOM_WALK, n, k, b, idx),
-        )
-        stats, raw = run_random_walk_campaign(ls, campaign)
-        for s in range(1, campaign.s_max + 1):
+
+    def campaign(name: str, stream: int):
+        # campaign seeds derive from the master seed
+        seed = derive_seed(master_seed, stream, n, k, b, idx)
+        return CAMPAIGNS[name](**{**settings[name], "seed": seed})
+
+    if "random_walks" in settings:
+        rw = campaign("random_walks", STREAM_RANDOM_WALK)
+        stats, raw = run_random_walk_campaign(ls, rw)
+        for s in range(1, rw.s_max + 1):
             row[f"rho_{s}"] = stats.rho[s]
         row["tau"] = stats.tau
         if raw_dir:
             raw_records += [{"campaign": "random", "walk": w, "series": series.tolist()}
                             for w, series in enumerate(raw["series"])]
-    aw = settings.get("adaptive_walks")
-    if aw is not None:
-        campaign = AdaptiveWalkCampaign(
-            walks=aw.get("walks", 2000),
-            lambda_max=aw.get("lambda_max", 50),
-            seed=derive_seed(master_seed, STREAM_ADAPTIVE_WALK, n, k, b, idx),
-        )
-        stats, raw = run_adaptive_walk_campaign(ls, campaign)
-        row["optima_fitness_mean"] = stats.optima_fitness_mean
-        row["optima_fitness_std"] = stats.optima_fitness_std
-        row["optima_fitness_skewness"] = stats.optima_fitness_skewness
-        row["optima_fitness_kurtosis"] = stats.optima_fitness_kurtosis
-        row["mean_walk_length"] = stats.mean_walk_length
-        row["est_optima_distance"] = stats.est_optima_distance
+    if "adaptive_walks" in settings:
+        stats, raw = run_adaptive_walk_campaign(
+            ls, campaign("adaptive_walks", STREAM_ADAPTIVE_WALK))
+        row.update((f, getattr(stats, f)) for f in _ADAPTIVE_FIELDS)
         if raw_dir:
             raw_records += [
                 {"campaign": "adaptive", "walk": w,
@@ -344,15 +357,9 @@ def _analyze_unit(args) -> dict:
                  "length": int(raw["lengths"][w])}
                 for w, g in enumerate(raw["endpoints"])
             ]
-    nt = settings.get("neutrality")
-    if nt is not None:
+    if "neutrality" in settings:
         lower, equal, higher = neutrality_scan(
-            ls,
-            walks=nt.get("walks", 2000),
-            length=nt.get("length", 20),
-            seed=derive_seed(master_seed, STREAM_NEUTRALITY, n, k, b, idx),
-            lambda_max=nt.get("lambda_max"),
-        )
+            ls, **asdict(campaign("neutrality", STREAM_NEUTRALITY)))
         row["frac_lower"] = lower
         row["frac_equal"] = equal
         row["frac_higher"] = higher
@@ -367,38 +374,29 @@ def _analyze_unit(args) -> dict:
 
 def _analysis_fieldnames(settings: dict) -> list[str]:
     names = ["n", "k", "b", "instance_seed"]
-    rw = settings.get("random_walks")
-    if rw is not None:
-        names += [f"rho_{s}" for s in range(1, rw.get("s_max", 20) + 1)] + ["tau"]
-    if settings.get("adaptive_walks") is not None:
-        names += ["optima_fitness_mean", "optima_fitness_std",
-                  "optima_fitness_skewness", "optima_fitness_kurtosis",
-                  "mean_walk_length", "est_optima_distance"]
-    if settings.get("neutrality") is not None:
+    if "random_walks" in settings:
+        s_max = RandomWalkCampaign(**settings["random_walks"]).s_max
+        names += [f"rho_{s}" for s in range(1, s_max + 1)] + ["tau"]
+    if "adaptive_walks" in settings:
+        names += _ADAPTIVE_FIELDS
+    if "neutrality" in settings:
         names += ["frac_lower", "frac_equal", "frac_higher"]
     return names
 
 
-def cmd_analyze(spec: ExperimentSpec, out_dir: Path, jobs: int = 1, raw: bool = False) -> int:
-    validate_cells(spec.cells)
-    settings = {
-        "random_walks": spec.campaigns.random_walks,
-        "adaptive_walks": spec.campaigns.adaptive_walks,
-        "neutrality": spec.campaigns.neutrality,
-    }
-    if all(v is None for v in settings.values()):
-        # analyze with no explicit campaign settings runs everything at defaults
-        settings = {"random_walks": {}, "adaptive_walks": {}, "neutrality": {}}
+def cmd_analyze(spec: ExperimentSpec, out_dir: Path, jobs: int = 1,
+                raw: bool = False) -> tuple[int, dict]:
+    """Run the walk campaigns: (exit code, {"analysis_summary": per-cell rows})."""
+    validate_cells(spec, "analyze")
+    settings = _campaign_sections(spec, defaults=True)
     raw_dir = str(out_dir / "raw") if raw else None
     failures: dict[tuple[int, int, int], list[str]] = {}
     units = _landscape_units("analyze", spec, out_dir, failures)
     if units is None:
-        return 2
+        return 2, {}
     units = [u + (spec.seed, settings, raw_dir) for u in units]
 
-    rows: list[dict] = []
-    results = _map_units_collect(_analyze_unit, units, jobs, failures)
-    rows.extend(results)
+    rows = _map_units_collect(_analyze_unit, units, jobs, failures)
 
     fieldnames = _analysis_fieldnames(settings)
     header = provenance_lines(spec, "analyze")
@@ -414,7 +412,7 @@ def cmd_analyze(spec: ExperimentSpec, out_dir: Path, jobs: int = 1, raw: bool = 
     write_csv(out_dir / "analysis_summary.csv", header, summary_fields, summary)
     print(f"analyze: wrote {out_dir / 'analysis_instances.csv'} and analysis_summary.csv "
           f"({len(rows)} instance rows)")
-    return _report_failures("analyze", spec, failures)
+    return _report_failures("analyze", spec, failures), {"analysis_summary": summary}
 
 
 def _landscape_units(command, spec, out_dir, failures) -> list[tuple] | None:
@@ -519,14 +517,19 @@ def _evolve_unit(args) -> dict:
     return {"cell": (n, k, b), "rows": rows, "traces": traces}
 
 
-def cmd_evolve(spec: ExperimentSpec, out_dir: Path, jobs: int = 1, traces: bool = False) -> int:
-    validate_cells(spec.cells)
+def cmd_evolve(spec: ExperimentSpec, out_dir: Path, jobs: int = 1,
+               traces: bool = False) -> tuple[int, dict]:
+    """Run the EA sweep: (exit code, {"ea_summary": per-cell rows, "ea_traces": trace rows}).
+
+    The trace rows are empty unless ``traces`` is set.
+    """
+    validate_cells(spec, "evolve")
     ea_cfg = dict(spec.ea)
     ea_cfg.pop("seed", None)  # run seeds derive from the master seed
     failures: dict[tuple[int, int, int], list[str]] = {}
     units = _landscape_units("evolve", spec, out_dir, failures)
     if units is None:
-        return 2
+        return 2, {}
     units = [u + (spec.seed, ea_cfg, traces) for u in units]
 
     results = _map_units_collect(_evolve_unit, units, jobs, failures)
@@ -559,138 +562,25 @@ def cmd_evolve(spec: ExperimentSpec, out_dir: Path, jobs: int = 1, traces: bool 
                       "mean_final_blocks", "mean_generations_to_success"]
     write_csv(out_dir / "ea_summary.csv", header, summary_fields, summary)
 
+    trace_rows = [row for res in results for row in res["traces"]]
     if traces:
-        trace_rows = [row for res in results for row in res["traces"]]
         trace_fields = ["n", "k", "b", "instance_seed", "run_index", "generation",
                         "best_fitness", "best_blocks"]
         write_csv(out_dir / "ea_traces.csv", header, trace_fields, trace_rows)
 
     print(f"evolve: wrote {out_dir / 'ea_runs.csv'} and ea_summary.csv "
           f"({len(run_rows)} run rows)")
-    return _report_failures("evolve", spec, failures)
+    return (_report_failures("evolve", spec, failures),
+            {"ea_summary": summary, "ea_traces": trace_rows})
 
 
 # ---------------------------------------------------------------------------
-# presets
+# presets: each report prints from the summary rows that analyze and evolve return
 
 
-def build_preset(name: str, scale: float, seed: int) -> ExperimentSpec:
-    if name == "table1":
-        spec = ExperimentSpec(
-            command="analyze",
-            cells=[(8, 4, b) for b in (2, 3, 4)],
-            instances=10, seed=seed,
-            campaigns=CampaignSettings(neutrality={"walks": 2000, "length": 20}),
-        )
-    elif name in ("fig1", "fig3"):
-        spec = ExperimentSpec(
-            command="analyze",
-            cells=[(10, k, b) for k in range(10) for b in range(1, 6)],
-            instances=10, seed=seed,
-            campaigns=CampaignSettings(
-                random_walks={"walks": 20000, "length": 35, "s_max": 20}),
-        )
-    elif name == "fig5":
-        spec = ExperimentSpec(
-            command="analyze",
-            cells=[(10, k, b) for k in range(10) for b in range(1, 6)],
-            instances=10, seed=seed,
-            campaigns=CampaignSettings(
-                adaptive_walks={"walks": 2000, "lambda_max": 50}),
-        )
-    elif name == "fig6":
-        spec = ExperimentSpec(
-            command="evolve",
-            cells=[(8, k, b) for k in range(0, 5) for b in range(2, 6)],
-            instances=10, seed=seed, ea={},
-        )
-    elif name == "fig7":
-        spec = ExperimentSpec(
-            command="evolve",
-            cells=[(10, k, 4) for k in range(0, 6)],
-            instances=10, seed=seed, ea={"stop_on_success": False},
-        )
-    elif name == "fig8":
-        spec = ExperimentSpec(
-            command="evolve",
-            cells=[(16, k, b) for k in range(0, 9) for b in range(2, 6)],
-            instances=10, seed=seed, ea={},
-        )
-    elif name == "corr-study":
-        cells = [(n, k, b) for n in (8, 10, 16)
-                 for k in range(0, n // 2 + 1) for b in range(2, 6)]
-        spec = ExperimentSpec(
-            command="evolve", cells=cells, instances=10, seed=seed,
-            campaigns=CampaignSettings(
-                random_walks={"walks": 20000, "length": 35, "s_max": 20},
-                adaptive_walks={"walks": 2000, "lambda_max": 50},
-            ),
-            ea={},
-        )
-    else:
-        raise SpecError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
-    return apply_scale(spec, scale)
-
-
-def _read_summary(path: Path) -> list[dict]:
-    rows = []
-    with open(path) as fh:
-        body = [line for line in fh if not line.startswith("#")]
-    for row in csv.DictReader(body):
-        parsed = {}
-        for key, val in row.items():
-            try:
-                parsed[key] = int(val)
-            except ValueError:
-                try:
-                    parsed[key] = float(val)
-                except ValueError:
-                    parsed[key] = val
-        rows.append(parsed)
-    return rows
-
-
-def cmd_reproduce(name: str, out_dir: Path, seed: int, scale: float, jobs: int) -> int:
-    if name not in PRESET_NAMES:
-        print(f"reproduce: unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}",
-              file=sys.stderr)
-        return 2
-    spec = build_preset(name, scale, seed)
-    rc = cmd_gen(spec, out_dir, jobs)
-    if rc:
-        return rc
-    if name == "corr-study":
-        return _reproduce_corr_study(spec, out_dir, jobs)
-    if spec.command == "analyze":
-        rc = cmd_analyze(spec, out_dir, jobs)
-        if rc:
-            return rc
-        summary = _read_summary(out_dir / "analysis_summary.csv")
-        if name == "table1":
-            _report_table1(summary)
-        elif name == "fig1":
-            _report_tau(summary)
-        elif name == "fig3":
-            _report_rho(summary)
-        elif name == "fig5":
-            _report_adaptive(summary)
-        return 0
-    rc = cmd_evolve(spec, out_dir, jobs, traces=(name == "fig7"))
-    if rc:
-        return rc
-    summary = _read_summary(out_dir / "ea_summary.csv")
-    if name == "fig6":
-        _report_success_rate(summary)
-    elif name == "fig7":
-        _report_block_traces(out_dir)
-    elif name == "fig8":
-        _report_mean_blocks(summary)
-    return 0
-
-
-def _report_table1(summary) -> None:
+def _report_table1(tables) -> None:
     print("neutral-neighbor proportions, percent (observed | reference), n=8 k=4:")
-    for row in sorted(summary, key=lambda r: r["b"]):
+    for row in sorted(tables["analysis_summary"], key=lambda r: r["b"]):
         ref = REFERENCE_NEUTRALITY.get(row["b"])
         obs = (100 * row["frac_lower"], 100 * row["frac_equal"], 100 * row["frac_higher"])
         line = (f"  b={row['b']}: lower/equal/higher = "
@@ -700,7 +590,8 @@ def _report_table1(summary) -> None:
         print(line)
 
 
-def _report_tau(summary) -> None:
+def _report_tau(tables) -> None:
+    summary = tables["analysis_summary"]
     print("mean correlation length tau by (k, b), n=10"
           " (reference trend: decreasing in k, flatter for larger b):")
     bs = sorted({r["b"] for r in summary})
@@ -710,37 +601,37 @@ def _report_tau(summary) -> None:
         print(f"  b={b}: {txt}")
 
 
-def _report_rho(summary) -> None:
+def _report_rho(tables) -> None:
     print("autocorrelation rho(s), s=1..5 shown, n=10:")
-    for row in sorted(summary, key=lambda r: (r["b"], r["k"])):
+    for row in sorted(tables["analysis_summary"], key=lambda r: (r["b"], r["k"])):
         vals = " ".join(f"{row[f'rho_{s}']:.3f}" for s in range(1, 6))
         print(f"  k={row['k']} b={row['b']}: {vals}")
 
 
-def _report_adaptive(summary) -> None:
+def _report_adaptive(tables) -> None:
     print("adaptive walks, n=10 (reference trends: length decreasing in k for small b;"
           " optima fitness decreasing in b):")
-    for row in sorted(summary, key=lambda r: (r["b"], r["k"])):
+    for row in sorted(tables["analysis_summary"], key=lambda r: (r["b"], r["k"])):
         print(f"  k={row['k']} b={row['b']}: mean_length={row['mean_walk_length']:.2f} "
               f"optima_fitness={row['optima_fitness_mean']:.4f}")
 
 
-def _report_success_rate(summary) -> None:
+def _report_success_rate(tables) -> None:
     print("EA success rate by (k, b), n=8 (reference trend: decreasing in k,"
           " steeper for larger b):")
-    for row in sorted(summary, key=lambda r: (r["b"], r["k"])):
+    for row in sorted(tables["ea_summary"], key=lambda r: (r["b"], r["k"])):
         print(f"  k={row['k']} b={row['b']}: success_rate={row['success_rate']:.3f}")
 
 
-def _report_mean_blocks(summary) -> None:
+def _report_mean_blocks(tables) -> None:
     print("EA mean blocks of best individual, n=16 (reference trend: decreasing"
           " as k or b increases):")
-    for row in sorted(summary, key=lambda r: (r["b"], r["k"])):
+    for row in sorted(tables["ea_summary"], key=lambda r: (r["b"], r["k"])):
         print(f"  k={row['k']} b={row['b']}: mean_final_blocks={row['mean_final_blocks']:.2f}")
 
 
-def _report_block_traces(out_dir: Path) -> None:
-    rows = _read_summary(out_dir / "ea_traces.csv")
+def _report_block_traces(tables) -> None:
+    rows = tables["ea_traces"]
     print("mean best-blocks trace by generation, n=10 b=4 (every 10th generation):")
     ks = sorted({r["k"] for r in rows})
     for k in ks:
@@ -753,44 +644,82 @@ def _report_block_traces(out_dir: Path) -> None:
         print(f"  k={k}: {txt}")
 
 
-def _reproduce_corr_study(spec: ExperimentSpec, out_dir: Path, jobs: int) -> int:
-    rc = cmd_analyze(spec, out_dir, jobs)
-    if rc:
-        return rc
-    rc = cmd_evolve(spec, out_dir, jobs)
-    if rc:
-        return rc
-    analysis = {(r["n"], r["k"], r["b"]): r
-                for r in _read_summary(out_dir / "analysis_summary.csv")}
-    ea_rows = {(r["n"], r["k"], r["b"]): r
-               for r in _read_summary(out_dir / "ea_summary.csv")}
-    lengths, taus, blocks_l, blocks_t = [], [], [], []
-    for cell, arow in analysis.items():
-        erow = ea_rows.get(cell)
-        if erow is None:
-            continue
-        if not np.isnan(arow["mean_walk_length"]):
-            lengths.append(arow["mean_walk_length"])
-            blocks_l.append(erow["mean_final_blocks"])
-        if not np.isnan(arow["tau"]):
-            taus.append(arow["tau"])
-            blocks_t.append(erow["mean_final_blocks"])
+def _report_corr_study(tables) -> None:
+    analysis = {(r["n"], r["k"], r["b"]): r for r in tables["analysis_summary"]}
+    ea_rows = {(r["n"], r["k"], r["b"]): r for r in tables["ea_summary"]}
     print("correlation study (no pass threshold applied):")
-    if len(lengths) >= 2 and np.std(lengths) > 0 and np.std(blocks_l) > 0:
-        r = float(np.corrcoef(lengths, blocks_l)[0, 1])
-        print(f"  corr(adaptive walk length, mean blocks found) = {r:.3f}"
-              f" over {len(lengths)} cells")
-    else:
-        print(f"  corr(adaptive walk length, mean blocks found): undefined"
-              f" over {len(lengths)} cells")
-    if len(taus) >= 2 and np.std(taus) > 0 and np.std(blocks_t) > 0:
-        r = float(np.corrcoef(taus, blocks_t)[0, 1])
-        print(f"  corr(random-walk correlation length, mean blocks found) = {r:.3f}"
-              f" over {len(taus)} cells")
-    else:
-        print(f"  corr(random-walk correlation length, mean blocks found): undefined"
-              f" over {len(taus)} cells")
-    return 0
+    for field, label in (("mean_walk_length", "adaptive walk length"),
+                         ("tau", "random-walk correlation length")):
+        xs, blocks = [], []
+        for cell, row in analysis.items():
+            if cell in ea_rows and not np.isnan(row[field]):
+                xs.append(row[field])
+                blocks.append(ea_rows[cell]["mean_final_blocks"])
+        if len(xs) >= 2 and np.std(xs) > 0 and np.std(blocks) > 0:
+            r = float(np.corrcoef(xs, blocks)[0, 1])
+            print(f"  corr({label}, mean blocks found) = {r:.3f} over {len(xs)} cells")
+        else:
+            print(f"  corr({label}, mean blocks found): undefined over {len(xs)} cells")
+
+
+_N10_CELLS = [(10, k, b) for k in range(10) for b in range(1, 6)]
+_RANDOM_WALKS = {"walks": 20000, "length": 35, "s_max": 20}
+_ADAPTIVE_WALKS = {"walks": 2000, "lambda_max": 50}
+
+# Each paper experiment at full scale, and the report it prints. Section values
+# are spelled out, not left to the campaign defaults, because they enter spec_sha256.
+PRESETS = {
+    "table1": (ExperimentSpec(
+        command="analyze", cells=[(8, 4, b) for b in (2, 3, 4)],
+        campaigns=CampaignSettings(neutrality={"walks": 2000, "length": 20})), _report_table1),
+    "fig1": (ExperimentSpec(
+        command="analyze", cells=_N10_CELLS,
+        campaigns=CampaignSettings(random_walks=_RANDOM_WALKS)), _report_tau),
+    "fig3": (ExperimentSpec(
+        command="analyze", cells=_N10_CELLS,
+        campaigns=CampaignSettings(random_walks=_RANDOM_WALKS)), _report_rho),
+    "fig5": (ExperimentSpec(
+        command="analyze", cells=_N10_CELLS,
+        campaigns=CampaignSettings(adaptive_walks=_ADAPTIVE_WALKS)), _report_adaptive),
+    "fig6": (ExperimentSpec(
+        command="evolve", cells=[(8, k, b) for k in range(0, 5) for b in range(2, 6)]),
+        _report_success_rate),
+    "fig7": (ExperimentSpec(
+        command="evolve", cells=[(10, k, 4) for k in range(0, 6)],
+        ea={"stop_on_success": False}), _report_block_traces),
+    "fig8": (ExperimentSpec(
+        command="evolve", cells=[(16, k, b) for k in range(0, 9) for b in range(2, 6)]),
+        _report_mean_blocks),
+    "corr-study": (ExperimentSpec(
+        command="evolve",
+        cells=[(n, k, b) for n in (8, 10, 16) for k in range(0, n // 2 + 1) for b in range(2, 6)],
+        campaigns=CampaignSettings(random_walks=_RANDOM_WALKS, adaptive_walks=_ADAPTIVE_WALKS)),
+        _report_corr_study),
+}
+PRESET_NAMES = tuple(PRESETS)
+
+
+def build_preset(name: str, scale: float, seed: int) -> ExperimentSpec:
+    if name not in PRESETS:
+        raise SpecError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    return apply_scale(replace(copy.deepcopy(PRESETS[name][0]), seed=seed), scale)
+
+
+def cmd_reproduce(name: str, out_dir: Path, seed: int, scale: float, jobs: int) -> int:
+    """gen, then analyze if the preset has campaigns and evolve if it evolves, then its report."""
+    spec = build_preset(name, scale, seed)
+    report = PRESETS[name][1]
+    rc = cmd_gen(spec, out_dir, jobs)
+    tables: dict = {}
+    if rc == 0 and _campaign_sections(spec, defaults=False):
+        rc, tables = cmd_analyze(spec, out_dir, jobs)
+    if rc == 0 and spec.command == "evolve":
+        # only the trace report reads per-generation rows
+        rc, evolved = cmd_evolve(spec, out_dir, jobs, traces=report is _report_block_traces)
+        tables.update(evolved)
+    if rc == 0:
+        report(tables)
+    return rc
 
 
 # ---------------------------------------------------------------------------
@@ -859,8 +788,8 @@ def main(argv=None) -> int:
         if args.cmd == "gen":
             return cmd_gen(spec, out_dir, args.jobs)
         if args.cmd == "analyze":
-            return cmd_analyze(spec, out_dir, args.jobs, raw=getattr(args, "raw", False))
-        return cmd_evolve(spec, out_dir, args.jobs, traces=getattr(args, "traces", False))
+            return cmd_analyze(spec, out_dir, args.jobs, raw=args.raw)[0]
+        return cmd_evolve(spec, out_dir, args.jobs, traces=args.traces)[0]
     except SpecError as exc:
         print(f"{args.cmd}: {exc}", file=sys.stderr)
         return 2

@@ -47,7 +47,6 @@ class EaConfig:
     max_program_size: int = 100
     elitism: bool = True
     runs: int = 35
-    landscape_instances: int = 10
     seed: int = 0
     independent_mutation_gate: bool = False
     stop_on_success: bool = True
@@ -69,8 +68,8 @@ class EaConfig:
             )
         if self.population < 1 or self.generations < 0 or self.tournament_size < 1:
             raise ValueError("population, generations and tournament_size must be positive")
-        if self.runs < 1 or self.landscape_instances < 1:
-            raise ValueError("runs and landscape_instances must be >= 1")
+        if self.runs < 1:
+            raise ValueError(f"runs must be >= 1, got {self.runs}")
         if self.max_creation_size < 0 or self.seed < 0:
             raise ValueError("max_creation_size and seed must be >= 0")
 

@@ -303,7 +303,7 @@ def test_criterion_8_property_suites_fast():
            f"determinism, translocation invariance in {elapsed:.1f}s (< 60s)")
 
 
-def test_criterion_9_corr_study_reports_without_threshold(tmp_path, capsys):
+def test_criterion_9_corr_study_reports_without_threshold(tmp_path, capsys, monkeypatch):
     # the headline correlation needs the full 35x10-run grid; at desk scale
     # the study must report coefficients and sample sizes only
     from epiroad import cli as cli_mod
@@ -320,8 +320,10 @@ def test_criterion_9_corr_study_reports_without_threshold(tmp_path, capsys):
             "max_creation_size": 20, "max_program_size": 100},
     )
     out = tmp_path / "corr"
-    assert cli_mod.cmd_gen(spec, out, jobs=1) == 0
-    assert cli_mod._reproduce_corr_study(spec, out, jobs=1) == 0
+    # the desk-scale spec replaces the preset's, so reproduce runs gen, analyze,
+    # evolve and the corr-study report on it
+    monkeypatch.setitem(cli_mod.PRESETS, "corr-study", (spec, cli_mod.PRESETS["corr-study"][1]))
+    assert cli_mod.cmd_reproduce("corr-study", out, MASTER, scale=1.0, jobs=1) == 0
     text = capsys.readouterr().out
     ok = ("corr(adaptive walk length, mean blocks found)" in text
           and "corr(random-walk correlation length, mean blocks found)" in text

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from epiroad import nk
 from epiroad.analysis import (
     AdaptiveWalkCampaign,
+    NeutralityCampaign,
     RandomWalkCampaign,
     _class_counts_batch,
     adaptive_walk,
@@ -205,6 +206,31 @@ def test_campaign_cap_cannot_exceed_landscape():
         run_random_walk_campaign(L, RandomWalkCampaign(walks=2, length=2, lambda_max=9))
     with pytest.raises(ValueError):
         run_adaptive_walk_campaign(L, AdaptiveWalkCampaign(walks=2, lambda_max=9))
+
+
+@pytest.mark.parametrize("cls, kw, error", [
+    (RandomWalkCampaign, {"walks": True}, TypeError),
+    (RandomWalkCampaign, {"length": 3.0}, TypeError),
+    (RandomWalkCampaign, {"lambda_max": "x"}, TypeError),
+    (RandomWalkCampaign, {"lambda_max": -1}, ValueError),
+    (AdaptiveWalkCampaign, {"lambda_max": None}, TypeError),
+    (AdaptiveWalkCampaign, {"lambda_max": -1}, ValueError),
+    (AdaptiveWalkCampaign, {"walks": 0}, ValueError),
+    (NeutralityCampaign, {"walks": "many"}, TypeError),
+    (NeutralityCampaign, {"seed": 1.5}, TypeError),
+    (NeutralityCampaign, {"length": -1}, ValueError),
+    (NeutralityCampaign, {"lambda_max": -2}, ValueError),
+])
+def test_campaigns_reject_wrong_types_and_ranges(cls, kw, error):
+    with pytest.raises(error):
+        cls(**kw)
+
+
+def test_campaign_defaults_and_integer_types():
+    assert (RandomWalkCampaign().walks, RandomWalkCampaign().s_max) == (20000, 20)
+    assert AdaptiveWalkCampaign().lambda_max == 50
+    assert NeutralityCampaign() == NeutralityCampaign(walks=2000, length=20, lambda_max=None)
+    assert NeutralityCampaign(walks=np.int64(3), lambda_max=0).walks == 3
 
 
 def test_neutrality_constant_landscape_is_all_equal():

@@ -321,7 +321,7 @@ def test_missing_landscape_fails_only_its_unit(tmp_path, capsys, command, extra)
     ({"ea": {"populaton": 10}}, "unexpected keyword argument 'populaton'"),
     ({"ea": {"population": "10"}}, "population must be int, got '10'"),
     ({"ea": {"mutation_rate": 2.0}}, "mutation_rate must lie in [0, 1]"),
-    ({"ea": {"runs": 0}}, "runs and landscape_instances must be >= 1"),
+    ({"ea": {"runs": 0}}, "runs must be >= 1, got 0"),
     ({"ea": [1, 2]}, "ea must be a JSON object"),
     ({"landscape_lambda_max": "abc"}, "landscape_lambda_max must be an integer >= 1, got 'abc'"),
     ({"landscape_lambda_max": 0}, "landscape_lambda_max must be an integer >= 1, got 0"),
@@ -413,3 +413,137 @@ def test_fig6_preset_matches_reported_grid():
     assert {c[0] for c in spec.cells} == {8}
     assert {c[1] for c in spec.cells} == {0, 1, 2, 3, 4}
     assert {c[2] for c in spec.cells} == {2, 3, 4, 5}
+
+
+@pytest.mark.parametrize("section, settings, message", [
+    ("neutrality", {"walk": 5}, "unexpected keyword argument 'walk'"),
+    ("random_walks", {"walks": 5, "lenght": 3}, "unexpected keyword argument 'lenght'"),
+    ("adaptive_walks", {"lambda": 5}, "unexpected keyword argument 'lambda'"),
+    ("random_walks", {"lambda_max": "x"}, "lambda_max must be int, got 'x'"),
+    ("neutrality", {"lambda_max": -1}, "lambda_max must be >= 0, got -1"),
+    ("adaptive_walks", {"walks": True}, "walks must be int, got True"),
+    ("neutrality", {"length": 2.0}, "length must be int, got 2.0"),
+    ("neutrality", [5], "must be a mapping"),
+])
+@pytest.mark.parametrize("command", ["gen", "analyze"])
+def test_campaign_key_typos_and_types_exit_2(tmp_path, capsys, command, section, settings,
+                                             message):
+    spec = write_spec(tmp_path / "spec.json", command="analyze", **{section: settings})
+    assert run_cli([command, "--spec", spec, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert f"{command}: spec file: {section}: " in err and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"adaptive_walks": {"lambda_max": 500}},
+     "adaptive_walks walk bound 500 exceeds the landscape lambda_max=100 (n=6, k=0, b=2)"),
+    ({"neutrality": {"lambda_max": 101}},
+     "neutrality walk bound 101 exceeds the landscape lambda_max=100 (n=6, k=0, b=2)"),
+    ({"random_walks": {"lambda_max": 30}, "landscape_lambda_max": 20},
+     "random_walks walk bound 30 exceeds the landscape lambda_max=20 (n=6, k=0, b=2)"),
+    # without its own lambda_max a random walk is bounded by 2 * n * b = 24
+    ({"random_walks": {}, "landscape_lambda_max": 20},
+     "random_walks walk bound 24 exceeds the landscape lambda_max=20 (n=6, k=0, b=2)"),
+    # analyze with no campaign section runs all three at their defaults
+    ({"landscape_lambda_max": 40},
+     "adaptive_walks walk bound 50 exceeds the landscape lambda_max=40 (n=6, k=0, b=2)"),
+])
+@pytest.mark.parametrize("command", ["gen", "analyze"])
+def test_walk_bound_above_landscape_cap_exits_2(tmp_path, capsys, command, settings, message):
+    spec = write_spec(tmp_path / "spec.json", command="analyze", **settings)
+    assert run_cli([command, "--spec", spec, "--out", tmp_path / "out"]) == 2
+    # one message, after the note when the command differs from the spec's
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == f"{command}: invalid cell: {message}"
+    assert len(err) == 1 + (command != "analyze")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("settings", [
+    {"landscape_lambda_max": 50, "ea": {"max_program_size": 100}},
+    {"landscape_lambda_max": 50},  # the default max_program_size is 100
+])
+@pytest.mark.parametrize("command", ["gen", "analyze", "evolve"])
+def test_program_size_above_landscape_cap_exits_2(tmp_path, capsys, command, settings):
+    spec = write_spec(tmp_path / "spec.json", command="evolve", **settings)
+    assert run_cli([command, "--spec", spec, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == (f"{command}: invalid cell: ea max_program_size 100 exceeds the "
+                       "landscape lambda_max=50 (n=6, k=0, b=2)")
+    assert len(err) == 1 + (command != "evolve")
+    assert not (tmp_path / "out").exists()
+
+
+def test_program_size_is_not_checked_for_a_spec_that_does_not_evolve(tmp_path):
+    spec = write_spec(tmp_path / "spec.json", command="analyze", landscape_lambda_max=50,
+                      neutrality={"walks": 2, "length": 2})
+    out = tmp_path / "out"
+    assert run_cli(["gen", "--spec", spec, "--out", out, "--jobs", 1]) == 0
+    assert run_cli(["analyze", "--spec", spec, "--out", out, "--jobs", 1]) == 0
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "0", "-3"])
+@pytest.mark.parametrize("argv", [["gen"], ["reproduce", "--preset", "table1"]])
+def test_bad_scale_exits_2(tmp_path, capsys, argv, scale):
+    spec = write_spec(tmp_path / "spec.json")
+    args = argv + ["--spec", spec, "--out", tmp_path / "out", "--jobs", 1, f"--scale={scale}"]
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert f"{argv[0]}: --scale must be a finite number > 0, got {float(scale)!r}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def _body_lines(rows, fields):
+    from epiroad.cli import fmt
+
+    return [",".join(fields)] + [",".join(fmt(row[f]) for f in fields) for row in rows]
+
+
+def test_returned_tables_match_the_written_csv(tmp_path):
+    from epiroad import cli as cli_mod
+
+    spec = cli_mod.load_spec(write_spec(tmp_path / "spec.json", **{**ANALYZE_SPEC, **EVOLVE_SPEC}))
+    out = tmp_path / "out"
+    assert cli_mod.cmd_gen(spec, out) == 0
+    rc, tables = cli_mod.cmd_analyze(spec, out)
+    assert rc == 0 and list(tables) == ["analysis_summary"]
+    body = csv_body(out / "analysis_summary.csv")
+    assert body == _body_lines(tables["analysis_summary"], body[0].split(","))
+    rc, tables = cli_mod.cmd_evolve(spec, out, traces=True)
+    assert rc == 0 and list(tables) == ["ea_summary", "ea_traces"]
+    for name in tables:
+        body = csv_body(out / f"{name}.csv")
+        assert body == _body_lines(tables[name], body[0].split(","))
+    assert cli_mod.cmd_evolve(spec, out)[1]["ea_traces"] == []
+
+
+# the first line each preset's report prints
+REPORT_HEADS = {
+    "table1": "neutral-neighbor proportions, percent (observed | reference), n=8 k=4:",
+    "fig1": "mean correlation length tau by (k, b), n=10",
+    "fig3": "autocorrelation rho(s), s=1..5 shown, n=10:",
+    "fig5": "adaptive walks, n=10",
+    "fig6": "EA success rate by (k, b), n=8",
+    "fig7": "mean best-blocks trace by generation, n=10 b=4",
+    "fig8": "EA mean blocks of best individual, n=16",
+    "corr-study": "correlation study (no pass threshold applied):",
+}
+
+
+@pytest.mark.parametrize("name", list(REPORT_HEADS))
+def test_every_preset_reproduces_and_reports(tmp_path, capsys, monkeypatch, name):
+    from dataclasses import replace
+
+    from epiroad import cli as cli_mod
+
+    assert set(cli_mod.PRESETS) == set(REPORT_HEADS)
+    spec, report = cli_mod.PRESETS[name]
+    monkeypatch.setitem(cli_mod.PRESETS, name, (replace(spec, cells=spec.cells[:2]), report))
+    assert run_cli(["reproduce", "--preset", name, "--scale", 0.005,
+                    "--out", tmp_path / name, "--jobs", 1]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    head = max(i for i, line in enumerate(lines) if ": wrote " in line) + 1
+    assert lines[head].startswith(REPORT_HEADS[name])
+    assert len(lines) > head + 1 and lines[-1].startswith("  ")

@@ -35,7 +35,7 @@ class ScriptedRng:
 
 
 def small_cfg(**kw):
-    defaults = dict(population=30, generations=10, runs=2, landscape_instances=1,
+    defaults = dict(population=30, generations=10, runs=2,
                     max_creation_size=10, max_program_size=20, seed=1)
     defaults.update(kw)
     return EaConfig(**defaults)
@@ -47,7 +47,7 @@ def test_config_defaults_and_validation():
     assert (cfg.mutation_rate, cfg.crossover_rate) == (0.9, 0.3)
     assert cfg.tournament_size == 4
     assert (cfg.max_creation_size, cfg.max_program_size) == (50, 100)
-    assert cfg.elitism and cfg.runs == 35 and cfg.landscape_instances == 10
+    assert cfg.elitism and cfg.runs == 35
     with pytest.raises(ValueError):
         EaConfig(mutation_rate=1.5)
     with pytest.raises(ValueError):
