@@ -149,10 +149,8 @@ def random_walk(
     return series
 
 
-def autocorrelation(
-    series_pool, lag: int, per_walk: bool = False, centering: str = "walk"
-) -> float:
-    """Autocorrelation of pooled fitness series at the given lag.
+def autocorrelation(series, lag: int, centering: str = "walk") -> float:
+    """Autocorrelation at the given lag of a ``(walks, steps)`` matrix of fitness series.
 
     With the default walk centering, each series is centered by its own mean
     and the centered lag products and squares are pooled:
@@ -160,56 +158,45 @@ def autocorrelation(
         rho(s) = sum_w sum_t c_w(t) c_w(t+s) / sum_w sum_t c_w(t)^2
 
     so lag 0 yields exactly 1 and the estimate ignores fitness-level
-    differences between walks. ``centering="pool"`` instead centers by the
-    grand mean and scales by the pooled variance; on short walks that drift
-    (variable-length spaces grow under insertion pressure) that estimator
-    can exceed 1 and leave the correlation length undefined, so it is kept
-    for diagnostics only. A pool with no variation yields nan. ``per_walk``
-    averages per-walk estimates, skipping constant walks.
+    differences between walks; constant walks carry no signal and are
+    dropped. ``centering="pool"`` instead centers by the grand mean and scales
+    by the pooled variance; on short walks that drift (variable-length spaces
+    grow under insertion pressure) that estimator can exceed 1 and leave the
+    correlation length undefined, so it is kept for diagnostics only. A pool
+    with no variation, or a lag the walks do not reach, yields nan.
+
+    Sums are taken per walk, then across walks left to right.
     """
-    arrs = [np.asarray(s, dtype=np.float64) for s in series_pool]
-    if per_walk:
-        vals = [autocorrelation([a], lag, centering=centering) for a in arrs]
-        vals = [v for v in vals if not math.isnan(v)]
-        return float(np.mean(vals)) if vals else math.nan
+    x = np.asarray(series, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"series must form a (walks, steps) matrix, got shape {x.shape}")
+    if lag < 0:
+        raise ValueError(f"lag must be >= 0, got {lag}")
     if centering not in ("walk", "pool"):
         raise ValueError(f"centering must be 'walk' or 'pool', got {centering!r}")
+    steps = x.shape[1]
+    if lag >= steps:
+        return math.nan
+
+    def lagged_sum(a: np.ndarray, s: int) -> float:
+        row_sums = (a[:, : steps - s] * a[:, s:]).sum(axis=1)
+        return float(np.cumsum(row_sums)[-1]) if row_sums.size else 0.0
 
     if centering == "pool":
-        flat = np.concatenate(arrs)
-        if flat.size == 0 or np.all(flat == flat[0]):
+        if x.size == 0 or np.all(x == x.flat[0]):
             return math.nan
-        mu = float(flat.mean())
-
-        def lag_product_mean(s: int) -> float:
-            num = 0.0
-            count = 0
-            for a in arrs:
-                if a.size > s:
-                    num += float((a[: a.size - s] * a[s:]).sum())
-                    count += a.size - s
-            return num / count if count else math.nan
-
-        var = lag_product_mean(0) - mu * mu
+        mu = float(x.ravel().mean())
+        var = lagged_sum(x, 0) / x.size - mu * mu
         if not var > 0.0:
             return math.nan
-        num = lag_product_mean(lag)
-        return math.nan if math.isnan(num) else (num - mu * mu) / var
+        return (lagged_sum(x, lag) / (x.shape[0] * (steps - lag)) - mu * mu) / var
 
-    num = 0.0
-    den = 0.0
-    valid = 0
-    for a in arrs:
-        if a.size == 0 or np.all(a == a[0]):
-            continue  # constant walks carry no correlation signal
-        c = a - a.mean()
-        den += float((c * c).sum())
-        if a.size > lag:
-            num += float((c[: c.size - lag] * c[lag:]).sum())
-            valid += a.size - lag
-    if den <= 0.0 or valid == 0:
+    walks = x[np.any(x != x[:, :1], axis=1)]
+    c = walks - walks.mean(axis=1, keepdims=True)
+    den = lagged_sum(c, 0)
+    if den <= 0.0:
         return math.nan
-    return num / den
+    return lagged_sum(c, lag) / den
 
 
 def correlation_length(rho1: float) -> float:

@@ -126,15 +126,22 @@ def _parse_seed(value, source: str) -> int:
     return seed
 
 
-def _cells_from_grid(grid: dict) -> list[tuple[int, int, int]]:
-    try:
-        ns, ks, bs = grid["n"], grid["k"], grid["b"]
-    except KeyError as e:
-        raise SpecError(f"grid is missing key {e}") from None
-    try:
-        return [(int(n), int(k), int(b)) for n in ns for k in ks for b in bs]
-    except (TypeError, ValueError):
-        raise SpecError(f"grid values must be lists of integers, got {grid!r}") from None
+def _cells_from_grid(grid) -> list[tuple[int, int, int]]:
+    """Every (n, k, b) of a grid whose ``n``, ``k`` and ``b`` are lists of integers."""
+    if not isinstance(grid, dict):
+        raise SpecError(f"grid must be a JSON object, got {grid!r}")
+
+    def axis(key: str) -> list[int]:
+        if key not in grid:
+            raise SpecError(f"grid is missing key {key!r}")
+        values = grid[key]
+        if not isinstance(values, list) or \
+                any(isinstance(v, bool) or not isinstance(v, int) for v in values):
+            raise SpecError(f"grid values must be lists of integers, got {key}: {values!r}")
+        return values
+
+    ns, ks, bs = axis("n"), axis("k"), axis("b")
+    return [(n, k, b) for n in ns for k in ks for b in bs]
 
 
 def _campaign_sections(spec: ExperimentSpec, defaults: bool) -> dict[str, dict]:

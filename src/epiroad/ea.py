@@ -8,9 +8,8 @@ best is never the replacement victim, so the best fitness in the population
 never decreases.
 
 Mutation is gated by a single Bernoulli(mutation_rate) draw that enables one
-insertion, one deletion and one substitution together, in that order;
-``independent_mutation_gate`` switches to one draw per operation. Whether an
-operation applies is decided against the incoming genotype: deletion and
+insertion, one deletion and one substitution together, in that order. Whether
+an operation applies is decided against the incoming genotype: deletion and
 substitution are skipped when it is empty, insertion when it already sits at
 ``max_program_size``.
 
@@ -48,7 +47,6 @@ class EaConfig:
     elitism: bool = True
     runs: int = 35
     seed: int = 0
-    independent_mutation_gate: bool = False
     stop_on_success: bool = True
 
     def __post_init__(self):
@@ -87,24 +85,16 @@ def init_population(cfg: EaConfig, n_letters: int, rng: np.random.Generator) -> 
 
 
 def mutate(g: Genotype, cfg: EaConfig, n_letters: int, rng: np.random.Generator) -> Genotype:
-    if cfg.independent_mutation_gate:
-        do_ins = rng.random() < cfg.mutation_rate
-        do_del = rng.random() < cfg.mutation_rate
-        do_sub = rng.random() < cfg.mutation_rate
-    else:
-        do_ins = do_del = do_sub = rng.random() < cfg.mutation_rate
-    if not (do_ins or do_del or do_sub):
+    if not rng.random() < cfg.mutation_rate:
         return g
-    was_empty = len(g) == 0
-    at_cap = len(g) >= cfg.max_program_size
     out = list(g)
-    if do_ins and not at_cap:
+    if len(g) < cfg.max_program_size:
         gap = int(rng.integers(len(out) + 1))
         out.insert(gap, int(rng.integers(n_letters)))
-    if do_del and not was_empty and out:
+    if g:  # deletion and substitution act on a non-empty incoming genotype
         del out[int(rng.integers(len(out)))]
-    if do_sub and not was_empty and out:
-        out[int(rng.integers(len(out)))] = int(rng.integers(n_letters))
+        if out:
+            out[int(rng.integers(len(out)))] = int(rng.integers(n_letters))
     return tuple(out)
 
 

@@ -18,10 +18,8 @@ length, local-optima statistics), and one-bit-flip random walks.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -267,11 +265,3 @@ def instance_from_dict(d: dict) -> NkInstance:
         n=n, k=k, kind=d["kind"], seed=d["seed"],
         links=links, tables=tables, mask=d.get("mask", 0),
     )
-
-
-def save_instance(inst: NkInstance, path) -> None:
-    Path(path).write_text(json.dumps(instance_to_dict(inst)))
-
-
-def load_instance(path) -> NkInstance:
-    return instance_from_dict(json.loads(Path(path).read_text()))

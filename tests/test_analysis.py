@@ -94,13 +94,132 @@ def test_autocorrelation_nk_walks_match_closed_form():
             pool.append(nk.random_walk(inst, start, 500, rng))
     rho1 = autocorrelation(pool, 1)
     assert abs(rho1 - 0.5) < 0.03  # 1 - (k+1)/n
-    per_walk = autocorrelation(pool, 1, per_walk=True)
-    assert abs(per_walk - 0.5) < 0.05
 
 
 def test_autocorrelation_zero_variance_undefined():
     assert math.isnan(autocorrelation([np.full(10, 0.3)], 1))
     assert math.isnan(autocorrelation([np.full(10, 0.3)], 0))
+
+
+@pytest.mark.parametrize("series", [
+    np.arange(10.0),  # one series is not a pool
+    [np.arange(10.0), np.arange(9.0)],  # ragged
+    np.zeros((2, 3, 4)),
+])
+def test_autocorrelation_rejects_non_matrix_input(series):
+    with pytest.raises(ValueError):
+        autocorrelation(series, 1)
+
+
+@pytest.mark.parametrize("centering", ["walk", "pool"])
+def test_autocorrelation_lag_beyond_walks_undefined(centering):
+    pool = make_rng(7, 0).random((4, 6))
+    assert not math.isnan(autocorrelation(pool, 5, centering=centering))
+    assert math.isnan(autocorrelation(pool, 6, centering=centering))
+    assert math.isnan(autocorrelation(np.empty((3, 0)), 0, centering=centering))
+    with pytest.raises(ValueError, match="lag must be >= 0"):
+        autocorrelation(pool, -1, centering=centering)
+
+
+def loop_autocorrelation(pool, lag, centering):
+    """Reference: one Python pass per walk, sums accumulated across walks in order."""
+    rows = [np.asarray(a, dtype=np.float64) for a in pool]
+    if centering == "pool":
+        flat = np.concatenate(rows)
+        if np.all(flat == flat[0]):
+            return math.nan
+        mu = float(flat.mean())
+        lag_mean = [sum(float((a[: a.size - s] * a[s:]).sum()) for a in rows)
+                    / (len(rows) * (rows[0].size - s)) for s in (0, lag)]
+        var = lag_mean[0] - mu * mu
+        return (lag_mean[1] - mu * mu) / var if var > 0.0 else math.nan
+    num = den = 0.0
+    for a in rows:
+        if np.all(a == a[0]):
+            continue
+        c = a - a.mean()
+        den += float((c * c).sum())
+        num += float((c[: c.size - lag] * c[lag:]).sum())
+    return num / den if den > 0.0 else math.nan
+
+
+@given(st.integers(1, 40), st.integers(2, 12), st.integers(0, 5), st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_autocorrelation_equals_walk_loop(walks, steps, constant, seed):
+    rng = make_rng(seed, 2)
+    pool = rng.random((walks, steps)) * rng.integers(1, 4, size=(walks, 1))
+    pool[: min(constant, walks)] = 0.25  # constant walks carry no signal
+    for centering in ("walk", "pool"):
+        for lag in range(steps):
+            expected = loop_autocorrelation(pool, lag, centering)
+            got = autocorrelation(pool, lag, centering=centering)
+            assert got == expected or math.isnan(got) and math.isnan(expected)
+
+
+# rho(0..20) of run_random_walk_campaign(er_build(n, k, b, lambda_max, seed),
+# RandomWalkCampaign(walks=300, length=35, seed=seed)), as the per-walk loop
+# computed it: walk centering from the campaign, pool centering over its raw
+# series. 101 and 244 of the walks of the first and last cell are constant.
+GOLDEN_RHO = {
+    (10, 5, 3, 100, 211): {
+        "walk": (1.0, 0.777974944387385, 0.5954723831014156, 0.4592132367903026,
+                 0.348284701650343, 0.24680961586977293, 0.16104451648104684,
+                 0.08477430582750008, 0.024368723916616795, -0.025954630244696665,
+                 -0.07848130552522874, -0.12563692400922874, -0.165916841839821,
+                 -0.1914708514804391, -0.1976904263870816, -0.2014931770617889,
+                 -0.20293224448809094, -0.19709006795968592, -0.1909103803226239,
+                 -0.1809588495387353, -0.1746617492742393),
+        "pool": (1.0, 0.8724147485236969, 0.7695752101684195, 0.6963569991964224,
+                 0.6296555665957745, 0.5605073064359392, 0.49999532320100654,
+                 0.4231305992509433, 0.3711618525834348, 0.3438363031106638,
+                 0.30639835766786555, 0.2761047634609608, 0.23843906826655925,
+                 0.2168113607087856, 0.22354163665114224, 0.23380951292797994,
+                 0.25034286138513434, 0.28551443943092597, 0.32584941007951335,
+                 0.3748265099093352, 0.4248723613242502),
+    },
+    (8, 0, 1, 60, 212): {
+        "walk": (1.0, 0.812678947622577, 0.6552186250968178, 0.5255138454045484,
+                 0.4140541856796899, 0.3163939666028835, 0.2346366985505142,
+                 0.1658004689371165, 0.10624979005215779, 0.054900837076449646,
+                 0.009782197929689606, -0.03144884201082441, -0.06944776831791151,
+                 -0.09905538768670678, -0.1259558203014561, -0.1464727725944556,
+                 -0.16434778040657347, -0.18047771219287492, -0.1935643715030226,
+                 -0.20480459124837758, -0.21565876393195743),
+        "pool": (1.0, 1.0276926637598836, 1.0650430770246222, 1.0954872943292597,
+                 1.1162255620023473, 1.114093740664755, 1.0910198989017026,
+                 1.07986279181794, 1.0388856722147477, 0.9894391108133945,
+                 0.9461552234470356, 0.8934723590570196, 0.8235714657103236,
+                 0.7282529458340629, 0.6686561340967702, 0.5532978383250818,
+                 0.41613308260853493, 0.24342546090799247, 0.028074879608690484,
+                 -0.20987135345161473, -0.4457696095532595),
+    },
+    (8, 7, 4, 100, 213): {
+        "walk": (1.0, 0.7609002253715601, 0.5620905303779657, 0.4074098681086274,
+                 0.2785260396510369, 0.1641649888249655, 0.08874927541794345,
+                 0.02687603741615479, -0.00969173814243152, -0.03756177522585497,
+                 -0.06256654376022625, -0.08763907672418131, -0.10843535039579788,
+                 -0.127164398321493, -0.1414239481616805, -0.15334843256759462,
+                 -0.16782886173118636, -0.17692844825245457, -0.18260904245904297,
+                 -0.1882896366656314, -0.19481896527815068),
+        "pool": (1.0, 0.9217029527569207, 0.8766523529189821, 0.8453640698136912,
+                 0.8261746230148369, 0.8260473592148525, 0.8358559197937623,
+                 0.8077593308394578, 0.7929596977114187, 0.7769981184035453,
+                 0.7705478380696612, 0.7634500446851086, 0.7163461359371531,
+                 0.6713124829853635, 0.6002560080953778, 0.5000058557818131,
+                 0.41740803809113575, 0.3519514746351977, 0.2828141373409165,
+                 0.2055429956619479, 0.11760976937840333),
+    },
+}
+
+
+@pytest.mark.parametrize("cell", list(GOLDEN_RHO))
+def test_random_campaign_rho_is_bit_identical_to_golden(cell):
+    n, k, b, lambda_max, seed = cell
+    L = er_build(n, k, b, lambda_max, seed=seed)
+    stats, raw = run_random_walk_campaign(L, RandomWalkCampaign(walks=300, length=35, seed=seed))
+    assert stats.rho == GOLDEN_RHO[cell]["walk"]
+    pool = tuple(autocorrelation(raw["series"], s, centering="pool") for s in range(21))
+    assert pool == GOLDEN_RHO[cell]["pool"]
 
 
 def test_correlation_length_values():

@@ -111,6 +111,21 @@ def test_analyze_rerun_bodies_identical(tmp_path):
     assert csv_body(out / "analysis_instances.csv") == body1
 
 
+# sha256 of the analysis_instances.csv body below the '#' lines for ANALYZE_SPEC,
+# as the per-walk loop of the walk autocorrelation computed it
+ANALYSIS_INSTANCES_SHA256 = "e307e9ecf6331c798c22277c448ec0f466009f4951270ee31909b412b4b7d6bb"
+
+
+def test_analyze_instances_body_is_pinned(tmp_path):
+    spec = write_spec(tmp_path / "spec.json", **ANALYZE_SPEC)
+    out = tmp_path / "out"
+    run_cli(["gen", "--spec", spec, "--out", out, "--jobs", 1])
+    assert run_cli(["analyze", "--spec", spec, "--out", out, "--jobs", 1]) == 0
+    lines = (out / "analysis_instances.csv").read_bytes().splitlines(keepends=True)
+    body = b"".join(line for line in lines if not line.startswith(b"#"))
+    assert hashlib.sha256(body).hexdigest() == ANALYSIS_INSTANCES_SHA256
+
+
 EVOLVE_SPEC = dict(
     command="evolve",
     ea={"population": 30, "generations": 10, "runs": 2,
@@ -211,6 +226,24 @@ def test_unreadable_spec_file_exits_2(tmp_path, capsys, text, message):
     spec.write_text(text)
     assert run_cli(["gen", "--spec", spec, "--out", tmp_path / "out"]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("grid, message", [
+    ({"n": "16", "k": [0], "b": [1]}, "grid values must be lists of integers, got n: '16'"),
+    ({"n": [6.9], "k": [0], "b": [2]}, "grid values must be lists of integers, got n: [6.9]"),
+    ({"n": [6], "k": [True], "b": [2]}, "grid values must be lists of integers, got k: [True]"),
+    ({"n": [6], "k": [0], "b": ["2"]}, "grid values must be lists of integers, got b: ['2']"),
+    ({"n": [6], "k": [0], "b": 2}, "grid values must be lists of integers, got b: 2"),
+    ({"n": [6], "k": [0], "b": [None]}, "grid values must be lists of integers, got b: [None]"),
+    ({"n": [6], "k": [0]}, "grid is missing key 'b'"),
+    ([6, 0, 2], "grid must be a JSON object, got [6, 0, 2]"),
+])
+def test_bad_grid_in_spec_file_exits_2(tmp_path, capsys, grid, message):
+    spec = write_spec(tmp_path / "spec.json", grid=grid)
+    assert run_cli(["gen", "--spec", spec, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -327,6 +360,8 @@ def test_missing_landscape_fails_only_its_unit(tmp_path, capsys, command, extra)
     ({"landscape_lambda_max": 0}, "landscape_lambda_max must be an integer >= 1, got 0"),
     ({"landscape_lambda_max": 2.5}, "landscape_lambda_max must be an integer >= 1, got 2.5"),
     ({"landscape_lambda_max": True}, "landscape_lambda_max must be an integer >= 1, got True"),
+    ({"ea": {"independent_mutation_gate": True}},
+     "unexpected keyword argument 'independent_mutation_gate'"),
 ])
 @pytest.mark.parametrize("command", ["gen", "evolve"])
 def test_bad_ea_and_lambda_max_settings_exit_2(tmp_path, capsys, command, settings, message):

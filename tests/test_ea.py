@@ -97,13 +97,6 @@ def test_mutate_respects_cap():
         assert len(mutate(g, cfg, 4, make_rng(9, i))) <= 5
 
 
-def test_mutate_independent_gate_mode():
-    cfg = EaConfig(independent_mutation_gate=True, mutation_rate=0.5)
-    lengths = Counter(len(mutate((0, 1, 2), cfg, 4, make_rng(10, i))) for i in range(2000))
-    # with independent gates a lone insertion (or lone deletion) is possible
-    assert lengths[4] > 0 and lengths[2] > 0 and lengths[3] > 0
-
-
 @given(
     st.lists(st.integers(0, 7), max_size=30).map(tuple),
     st.lists(st.integers(0, 7), max_size=30).map(tuple),
