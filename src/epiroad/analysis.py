@@ -6,11 +6,13 @@ spacing; neutrality scans classify every neighbor of every visited genotype
 as lower, equal or higher in fitness.
 
 All walks draw uniformly from the operation neighborhood (insertions,
-substitutions, deletions). Moves that would exceed the walk's length cap are
-re-drawn, so the step distribution stays uniform over feasible moves.
-Campaigns give each walk its own child random stream derived from
-(campaign seed, walk index); pooled results are therefore identical no
-matter how walks are scheduled.
+substitutions, deletions) within the walk's length cap. A random-walk
+campaign steps all its walks together as rows of one padded matrix and picks
+each move directly among the feasible ones; the scalar ``random_walk`` and
+the neutrality scan re-draw a move that would exceed the cap, which leaves
+the same uniform distribution. Campaigns give each walk its own child random
+stream derived from (campaign seed, walk index); pooled results are
+therefore identical no matter how walks are scheduled.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from itertools import chain
 import numpy as np
 
 from .genotype import (
+    PAD,
     Genotype,
     neighbor_matrix,
     random_genotype,
@@ -207,17 +210,71 @@ def correlation_length(rho1: float) -> float:
 
 
 def run_random_walk_campaign(landscape, campaign: RandomWalkCampaign):
-    """(WalkStats, raw) with rho for lags 0..s_max and tau from rho(1)."""
+    """(WalkStats, raw) with rho for lags 0..s_max and tau from rho(1).
+
+    Walk w reads one block ``u = rng.random(1 + cap + length)`` from its
+    stream: its start length lam is ``int(u[0] * (cap + 1))``, its letters
+    are ``int(u[i] * n)`` for i in 1..lam (u[lam + 1..cap] go unused), and
+    step t takes move ``int(u[cap + 1 + t] * F)`` of its F feasible moves
+    (see ``_step_rows``). The walks advance in lockstep as the rows of one
+    ``(walks, cap + 2)`` matrix padded with PAD.
+    """
     cap = _walk_cap(landscape, campaign.lambda_max)
-    series = np.empty((campaign.walks, campaign.length + 1))
-    for w in range(campaign.walks):
-        rng = make_rng(campaign.seed, STREAM_RANDOM_WALK, w)
-        start = random_genotype(cap, landscape.n_letters, rng)
-        series[w] = random_walk(landscape, start, campaign.length, rng, lambda_max=cap)
+    n, walks, length = landscape.n_letters, campaign.walks, campaign.length
+    if cap == 0 and length > 0:
+        raise ValueError("the empty genotype has no feasible neighbor under lambda_max=0")
+    u = np.empty((walks, 1 + cap + length))
+    for w in range(walks):
+        make_rng(campaign.seed, STREAM_RANDOM_WALK, w).random(out=u[w])
+    lams = (u[:, 0] * (cap + 1)).astype(np.int64)
+    rows = np.full((walks, cap + 2), PAD, np.int16)
+    letters = (u[:, 1 : cap + 1] * n).astype(np.int16)
+    rows[:, :cap] = np.where(np.arange(cap) < lams[:, None], letters, PAD)
+    series = np.empty((walks, length + 1))
+    series[:, 0] = landscape.evaluate_rows(rows)
+    for t in range(length):
+        _step_rows(rows, lams, u[:, cap + 1 + t], n, cap)
+        series[:, t + 1] = landscape.evaluate_rows(rows)
     rho = tuple(autocorrelation(series, s) for s in range(campaign.s_max + 1))
     tau = correlation_length(rho[1]) if campaign.s_max >= 1 else math.nan
     stats = WalkStats(rho=rho, tau=tau)
     return stats, {"series": series}
+
+
+def _step_rows(rows: np.ndarray, lams: np.ndarray, u: np.ndarray, n: int, cap: int):
+    """Apply one feasible move to every row of a padded genotype matrix, in place.
+
+    ``rows`` is ``(W, cap + 2)`` with each row's ``lams[w] <= cap`` letters
+    followed by PAD, and ``lams`` is updated with it. A row below the cap has
+    F = (2 * lam + 1) * n feasible moves, one at the cap F = lam * n. Move
+    ``m = int(u * F)`` is ``random_neighbor``'s operation m, counted past the
+    (lam + 1) * n insertions at the cap. That order lists the insertions
+    gap-major, letter-minor, then per position its n - 1 substitutions in
+    letter order and its deletion. Returns the moves as (kind, position,
+    letter) arrays: kind 0 is an insertion, 1 a substitution and 2 a deletion
+    (whose letter is PAD).
+    """
+    ins_ops = (lams + 1) * n
+    at_cap = lams >= cap
+    op = (u * np.where(at_cap, lams * n, ins_ops + lams * n)).astype(np.int64)
+    op += at_cap * ins_ops  # random_neighbor's operation index
+    ins = op < ins_ops
+    pos, r = np.divmod(np.where(ins, op, op - ins_ops), n)
+    dele = ~ins & (r == n - 1)
+    incumbent = rows[np.arange(len(lams)), pos]
+    letter = np.where(ins | (r < incumbent), r, r + 1).astype(np.int16)
+    # an insertion moves the columns right of its gap one right, a deletion
+    # the columns from its position one left; the last column stays PAD
+    old = rows.copy()
+    cols = np.arange(cap + 1)
+    np.copyto(rows[:, 1 : cap + 1], old[:, :cap], where=(cols[1:] > pos[:, None]) & ins[:, None])
+    np.copyto(rows[:, : cap + 1], old[:, 1:], where=(cols >= pos[:, None]) & dele[:, None])
+    keep = np.flatnonzero(~dele)
+    rows[keep, pos[keep]] = letter[keep]
+    lams += ins
+    lams -= dele
+    kind = np.where(ins, 0, np.where(dele, 2, 1))
+    return kind, pos, np.where(dele, PAD, letter)
 
 
 def adaptive_walk(

@@ -109,18 +109,16 @@ class SpecError(ValueError):
 
 
 def _integer(value) -> int | None:
-    """``value`` as an int if it is an integer or an integer string, else None."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        return None
-    try:
-        return int(value)
-    except ValueError:
-        return None
+    """``value`` if it is an int (a bool is not one), else None."""
+    return value if isinstance(value, int) and not isinstance(value, bool) else None
 
 
 def _parse_seed(value, source: str) -> int:
     """A master seed: an integer in [0, 2**64), given as a number or a string."""
-    seed = _integer(value)
+    try:
+        seed = _integer(int(value) if isinstance(value, str) else value)
+    except ValueError:
+        seed = None
     if seed is None or not 0 <= seed < 1 << 64:
         raise SpecError(f"{source}: seed must be an integer in [0, 2**64), got {value!r}")
     return seed
@@ -135,8 +133,7 @@ def _cells_from_grid(grid) -> list[tuple[int, int, int]]:
         if key not in grid:
             raise SpecError(f"grid is missing key {key!r}")
         values = grid[key]
-        if not isinstance(values, list) or \
-                any(isinstance(v, bool) or not isinstance(v, int) for v in values):
+        if not isinstance(values, list) or any(_integer(v) is None for v in values):
             raise SpecError(f"grid values must be lists of integers, got {key}: {values!r}")
         return values
 

@@ -12,6 +12,7 @@ from epiroad.analysis import (
     NeutralityCampaign,
     RandomWalkCampaign,
     _class_counts_batch,
+    _step_rows,
     adaptive_walk,
     autocorrelation,
     classify_neighbors,
@@ -23,9 +24,9 @@ from epiroad.analysis import (
     run_adaptive_walk_campaign,
     run_random_walk_campaign,
 )
-from epiroad.genotype import BlockParams, random_genotype, row_to_genotype
+from epiroad.genotype import PAD, BlockParams, random_genotype, random_neighbor, row_to_genotype
 from epiroad.landscapes import BlockLandscape, er_build, royal_road
-from epiroad.seeds import make_rng
+from epiroad.seeds import STREAM_RANDOM_WALK, make_rng
 
 
 class ConstantLandscape:
@@ -156,9 +157,9 @@ def test_autocorrelation_equals_walk_loop(walks, steps, constant, seed):
             assert got == expected or math.isnan(got) and math.isnan(expected)
 
 
-# rho(0..20) of run_random_walk_campaign(er_build(n, k, b, lambda_max, seed),
-# RandomWalkCampaign(walks=300, length=35, seed=seed)), as the per-walk loop
-# computed it: walk centering from the campaign, pool centering over its raw
+# rho(0..20) of the format-2 campaign on er_build(n, k, b, lambda_max, seed) with
+# walks=300, length=35 and the campaign seed = seed, as the per-walk loop of the
+# autocorrelation computed it: walk centering, and pool centering over the raw
 # series. 101 and 244 of the walks of the first and last cell are constant.
 GOLDEN_RHO = {
     (10, 5, 3, 100, 211): {
@@ -212,14 +213,212 @@ GOLDEN_RHO = {
 }
 
 
+def format2_campaign_series(landscape, walks, length, seed, cap):
+    """Stream format 2's random-walk campaign: per walk a start genotype, then scalar moves."""
+    series = np.empty((walks, length + 1))
+    for w in range(walks):
+        rng = make_rng(seed, STREAM_RANDOM_WALK, w)
+        start = random_genotype(cap, landscape.n_letters, rng)
+        series[w] = random_walk(landscape, start, length, rng, lambda_max=cap)
+    return series
+
+
+def rho_by_centering(series):
+    return {centering: tuple(autocorrelation(series, s, centering=centering) for s in range(21))
+            for centering in ("walk", "pool")}
+
+
 @pytest.mark.parametrize("cell", list(GOLDEN_RHO))
 def test_random_campaign_rho_is_bit_identical_to_golden(cell):
+    # the scalar oracles random_genotype and random_walk still draw format 2
+    n, k, b, lambda_max, seed = cell
+    L = er_build(n, k, b, lambda_max, seed=seed)
+    series = format2_campaign_series(L, 300, 35, seed, cap=2 * n * b)
+    assert rho_by_centering(series) == GOLDEN_RHO[cell]
+
+
+# the same cells and campaigns under stream format 3, as the lockstep campaign
+# computes them; 99 and 244 of the walks of the first and last cell are constant
+GOLDEN_RHO_FORMAT_3 = {
+    (10, 5, 3, 100, 211): {
+        "walk": (1.0, 0.8041345698415403, 0.6388489218232299, 0.50900788166195,
+                 0.3991229125984624, 0.29872373018255394, 0.21642405798714812,
+                 0.13928345212866808, 0.06529185863249239, 0.0032852449065162615,
+                 -0.05285513102945892, -0.09680848846275811, -0.1337938227590753,
+                 -0.15862138569479342, -0.1790858352316097, -0.1924640594287153,
+                 -0.20399967772697128, -0.21041902041841531, -0.21519390987230344,
+                 -0.21257938652421635, -0.20574066552828532),
+        "pool": (1.0, 0.9180077180139457, 0.8490848384220413, 0.7957154354914237,
+                 0.7402100949341398, 0.69625321720723, 0.6566257042091844, 0.6073921696714838,
+                 0.5640973782122913, 0.5358985003013897, 0.5144267708387875,
+                 0.4879465687041579, 0.46138665454397815, 0.4592008636524252,
+                 0.4428176981944219, 0.4280026031686178, 0.40086106638403285,
+                 0.3608579823833656, 0.274003078644335, 0.18487221795239767,
+                 0.13900987041202847),
+    },
+    (8, 0, 1, 60, 212): {
+        "walk": (1.0, 0.8059330348295078, 0.6450157705492143, 0.5139916935133142,
+                 0.4016109167911802, 0.3069600284590143, 0.22552771534844757,
+                 0.14709522073158043, 0.08527675133228993, 0.036716588697231364,
+                 -0.004954367944185974, -0.04158386040595855, -0.07891492685549609,
+                 -0.10776232378551784, -0.1306415626438044, -0.14990119123962944,
+                 -0.1623197164394425, -0.17232326320970717, -0.18026563998725895,
+                 -0.18534315267150092, -0.19397432979873044),
+        "pool": (1.0, 1.0440299844295822, 1.0831134893509784, 1.116146049626284,
+                 1.1327976507006774, 1.1496711056337419, 1.1515092735343282,
+                 1.1366024380381992, 1.0943145696977445, 1.0617303476295208,
+                 1.009588814550522, 0.9465117546203123, 0.8635859801067094,
+                 0.7830268747213913, 0.6836594103374651, 0.5392945903741907,
+                 0.384790868794876, 0.23115753742275275, 0.061479329974674125,
+                 -0.12397604407759559, -0.3360835113848378),
+    },
+    (8, 7, 4, 100, 213): {
+        "walk": (1.0, 0.7897889733468519, 0.6178487110229441, 0.46212074693962646,
+                 0.3354738342331443, 0.23166121759247044, 0.14555270985053767,
+                 0.06819756207725532, 0.00515953635312697, -0.03300769425942032,
+                 -0.06610105829701932, -0.10378757768798905, -0.1331455695031577,
+                 -0.16165285910807822, -0.17634808132756008, -0.18080342977230135,
+                 -0.185799045059948, -0.18890821159638288, -0.19515371667346537,
+                 -0.1906305118795317, -0.18793240816046808),
+        "pool": (1.0, 0.8888611796289125, 0.8118971260244972, 0.7365595976147802,
+                 0.6581132279295618, 0.5952624040080607, 0.5376632586222835,
+                 0.49070915127270415, 0.4139413643464197, 0.37517538946010887,
+                 0.32304417871823043, 0.26618300580396903, 0.24040127510347065,
+                 0.22252390879873316, 0.20289630606437709, 0.17364718852527822,
+                 0.17867771134071242, 0.1695805726121652, 0.15086318264123547,
+                 0.1438715968532858, 0.1388737022308109),
+    },
+}
+
+
+@pytest.mark.parametrize("cell", list(GOLDEN_RHO_FORMAT_3))
+def test_lockstep_campaign_rho_is_bit_identical_to_golden(cell):
     n, k, b, lambda_max, seed = cell
     L = er_build(n, k, b, lambda_max, seed=seed)
     stats, raw = run_random_walk_campaign(L, RandomWalkCampaign(walks=300, length=35, seed=seed))
-    assert stats.rho == GOLDEN_RHO[cell]["walk"]
-    pool = tuple(autocorrelation(raw["series"], s, centering="pool") for s in range(21))
-    assert pool == GOLDEN_RHO[cell]["pool"]
+    assert stats.rho == GOLDEN_RHO_FORMAT_3[cell]["walk"]
+    assert rho_by_centering(raw["series"]) == GOLDEN_RHO_FORMAT_3[cell]
+
+
+def feasible_moves(g, n, cap):
+    """(kind, position, letter) of every feasible move, in the campaign's move order.
+
+    Insertions gap-major and letter-minor (none at the cap), then at each
+    position its substitutions in letter order and its deletion.
+    """
+    moves = [] if len(g) >= cap else [(0, gap, c) for gap in range(len(g) + 1) for c in range(n)]
+    for p in range(len(g)):
+        moves += [(1, p, c) for c in range(n) if c != g[p]] + [(2, p, PAD)]
+    return moves
+
+
+def apply_move(g, move):
+    kind, p, c = move
+    return g[:p] + ((c,) if kind < 2 else ()) + g[p + (kind > 0):]
+
+
+def tuple_campaign_series(landscape, walks, length, seed, cap):
+    """Stream format 3's campaign, one tuple walk at a time from the same draw blocks."""
+    n = landscape.n_letters
+    series = np.empty((walks, length + 1))
+    for w in range(walks):
+        u = make_rng(seed, STREAM_RANDOM_WALK, w).random(1 + cap + length).tolist()
+        g = tuple(int(x * n) for x in u[1 : 1 + int(u[0] * (cap + 1))])
+        series[w, 0] = landscape.evaluate(g)
+        for t in range(length):
+            moves = feasible_moves(g, n, cap)
+            g = apply_move(g, moves[int(u[cap + 1 + t] * len(moves))])
+            assert len(g) <= cap
+            series[w, t + 1] = landscape.evaluate(g)
+    return series
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 8), st.integers(1, 6),
+       st.integers(0, 25), st.integers(0, 10_000), st.booleans())
+@example(1, 1, 1, 3, 20, 0, False)  # one letter; every walk keeps reaching the cap
+@example(3, 2, 2, 4, 20, 1, True)
+@example(2, 5, 0, 3, 0, 2, False)  # lambda_max = 0 allows walks of length 0 only
+@settings(max_examples=120, deadline=None)
+def test_lockstep_campaign_equals_tuple_walks(n, b, cap, walks, length, seed, royal):
+    params = BlockParams(n, b, max(n * b, cap))
+    L = royal_road(params) if royal else er_build(n, n // 2, b, params.lambda_max, seed=seed)
+    campaign = RandomWalkCampaign(walks=walks, length=length, lambda_max=cap, s_max=0, seed=seed)
+    if cap == 0 and length > 0:
+        with pytest.raises(ValueError, match="no feasible neighbor"):
+            run_random_walk_campaign(L, campaign)
+        return
+    _, raw = run_random_walk_campaign(L, campaign)
+    assert np.array_equal(raw["series"], tuple_campaign_series(L, walks, length, seed, cap))
+
+
+def chi_square_bound(df):
+    """Upper 1e-4 quantile of the chi-square distribution (Wilson-Hilferty)."""
+    h = 2.0 / (9.0 * df)
+    return df * (1.0 - h + 3.719 * math.sqrt(h)) ** 3
+
+
+def assert_uniform(drawn, moves):
+    counts = np.array([drawn.count(m) for m in moves])
+    assert counts.sum() == len(drawn)  # every drawn move is feasible
+    expected = len(drawn) / len(moves)
+    stat = float(((counts - expected) ** 2 / expected).sum())
+    assert stat < chi_square_bound(len(moves) - 1)
+
+
+class RecordingRng:
+    """Passes draws through and keeps the last one."""
+
+    def __init__(self, rng):
+        self.rng, self.last = rng, None
+
+    def integers(self, high):
+        self.last = int(self.rng.integers(high))
+        return self.last
+
+
+# a mid-length genotype, the empty one and one at the cap, each with its cap
+MOVE_CASES = [((0, 2, 2, 1, 0), 9), ((), 9), ((1, 1, 0, 2, 0, 2), 6)]
+
+
+@pytest.mark.parametrize("g, cap", MOVE_CASES)
+def test_lockstep_moves_are_uniform_over_feasible_moves(g, cap):
+    n, draws = 3, 12_000
+    rows = np.full((draws, cap + 2), PAD, np.int16)
+    rows[:, : len(g)] = g
+    lams = np.full(draws, len(g), np.int64)
+    kind, pos, letter = _step_rows(rows, lams, make_rng(31, len(g)).random(draws), n, cap)
+    drawn = list(zip(kind.tolist(), pos.tolist(), letter.tolist()))
+    assert_uniform(drawn, feasible_moves(g, n, cap))
+    for row, lam, move in zip(rows[:50], lams[:50], drawn[:50]):
+        assert row_to_genotype(row) == apply_move(g, move) and len(apply_move(g, move)) == lam
+
+
+@pytest.mark.parametrize("g, cap", MOVE_CASES)
+def test_scalar_random_neighbor_is_uniform_over_feasible_moves(g, cap):
+    # random_neighbor draws an operation index over all moves and re-draws
+    # insertions at the cap; the accepted index is the move's place in the
+    # full (uncapped) move order
+    n, draws = 3, 12_000
+    rng = RecordingRng(make_rng(32, len(g)))
+    skip = (len(g) + 1) * n if len(g) >= cap else 0
+    moves = feasible_moves(g, n, cap)
+    drawn = []
+    for _ in range(draws):
+        neighbor = random_neighbor(g, n, rng, lambda_max=cap)
+        drawn.append(moves[rng.last - skip])
+        assert neighbor == apply_move(g, drawn[-1])
+    assert_uniform(drawn, moves)
+
+
+def test_lockstep_campaign_with_zero_cap_rejects_steps():
+    L = er_build(4, 1, 2, 8, seed=15)
+    with pytest.raises(ValueError, match="no feasible neighbor"):
+        random_neighbor((), 4, make_rng(0, 0), lambda_max=0)
+    with pytest.raises(ValueError, match="no feasible neighbor"):
+        run_random_walk_campaign(L, RandomWalkCampaign(walks=3, length=1, lambda_max=0, s_max=0))
+    _, raw = run_random_walk_campaign(L, RandomWalkCampaign(walks=3, length=0, lambda_max=0,
+                                                            s_max=0))
+    assert np.array_equal(raw["series"], np.full((3, 1), L.evaluate(())))
 
 
 def test_correlation_length_values():

@@ -112,18 +112,27 @@ def test_analyze_rerun_bodies_identical(tmp_path):
 
 
 # sha256 of the analysis_instances.csv body below the '#' lines for ANALYZE_SPEC,
-# as the per-walk loop of the walk autocorrelation computed it
-ANALYSIS_INSTANCES_SHA256 = "e307e9ecf6331c798c22277c448ec0f466009f4951270ee31909b412b4b7d6bb"
+# at stream format 3 (the lockstep random-walk campaign). At format 2 it was
+# e307e9ecf6331c798c22277c448ec0f466009f4951270ee31909b412b4b7d6bb.
+ANALYSIS_INSTANCES_SHA256 = "e8d989209803b7602d1dfb0dc2612a7f6c2ab1fb851d774a174d9a7166ac1bc5"
+
+
+def csv_bytes_body(path):
+    lines = path.read_bytes().splitlines(keepends=True)
+    return b"".join(line for line in lines if not line.startswith(b"#"))
 
 
 def test_analyze_instances_body_is_pinned(tmp_path):
     spec = write_spec(tmp_path / "spec.json", **ANALYZE_SPEC)
-    out = tmp_path / "out"
-    run_cli(["gen", "--spec", spec, "--out", out, "--jobs", 1])
-    assert run_cli(["analyze", "--spec", spec, "--out", out, "--jobs", 1]) == 0
-    lines = (out / "analysis_instances.csv").read_bytes().splitlines(keepends=True)
-    body = b"".join(line for line in lines if not line.startswith(b"#"))
-    assert hashlib.sha256(body).hexdigest() == ANALYSIS_INSTANCES_SHA256
+    bodies = []
+    for jobs in (1, 2):
+        out = tmp_path / f"o{jobs}"
+        run_cli(["gen", "--spec", spec, "--out", out, "--jobs", jobs])
+        assert run_cli(["analyze", "--spec", spec, "--out", out, "--jobs", jobs]) == 0
+        bodies.append([csv_bytes_body(out / name)
+                       for name in ("analysis_instances.csv", "analysis_summary.csv")])
+    assert bodies[0] == bodies[1]
+    assert hashlib.sha256(bodies[0][0]).hexdigest() == ANALYSIS_INSTANCES_SHA256
 
 
 EVOLVE_SPEC = dict(
@@ -216,6 +225,14 @@ def test_bad_seed_in_spec_file_exits_2(tmp_path, capsys, seed):
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["18446744073709551615", 18446744073709551615, "0", 7])
+def test_seed_in_spec_file_may_be_an_integer_string(tmp_path, seed):
+    spec = write_spec(tmp_path / "spec.json", seed=seed, instances=1)
+    assert run_cli(["gen", "--spec", spec, "--out", tmp_path / "out", "--jobs", 1]) == 0
+    doc = json.loads(next((tmp_path / "out" / "landscapes").glob("*.json")).read_text())
+    assert doc["provenance"]["master_seed"] == int(seed)
+
+
 @pytest.mark.parametrize("text, message", [
     ("{not json", "cannot read spec file"),
     ("[1, 2]", "must hold a JSON object"),
@@ -247,7 +264,7 @@ def test_bad_grid_in_spec_file_exits_2(tmp_path, capsys, grid, message):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("instances", ["abc", 2.5, 0, True, None])
+@pytest.mark.parametrize("instances", ["abc", 2.5, 0, True, None, "2", "10"])
 def test_bad_instances_in_spec_file_exits_2(tmp_path, capsys, instances):
     spec = write_spec(tmp_path / "spec.json", instances=instances)
     assert run_cli(["gen", "--spec", spec, "--out", tmp_path / "out"]) == 2
@@ -299,9 +316,9 @@ def test_outputs_record_the_stream_format(tmp_path):
     out = tmp_path / "out"
     run_cli(["gen", "--spec", spec, "--out", out, "--jobs", 1])
     doc = json.loads(next(iter(sorted((out / "landscapes").glob("*.json")))).read_text())
-    assert doc["provenance"]["stream_format"] == 2
+    assert doc["provenance"]["stream_format"] == 3
     run_cli(["evolve", "--spec", spec, "--out", out, "--jobs", 1])
-    assert "# stream_format: 2" in (out / "ea_runs.csv").read_text().splitlines()
+    assert "# stream_format: 3" in (out / "ea_runs.csv").read_text().splitlines()
 
 
 # sha256 of the ea_runs.csv body below the '#' lines, at stream format 2
@@ -362,6 +379,7 @@ def test_missing_landscape_fails_only_its_unit(tmp_path, capsys, command, extra)
     ({"landscape_lambda_max": True}, "landscape_lambda_max must be an integer >= 1, got True"),
     ({"ea": {"independent_mutation_gate": True}},
      "unexpected keyword argument 'independent_mutation_gate'"),
+    ({"landscape_lambda_max": "20"}, "landscape_lambda_max must be an integer >= 1, got '20'"),
 ])
 @pytest.mark.parametrize("command", ["gen", "evolve"])
 def test_bad_ea_and_lambda_max_settings_exit_2(tmp_path, capsys, command, settings, message):
