@@ -6,13 +6,13 @@ spacing; neutrality scans classify every neighbor of every visited genotype
 as lower, equal or higher in fitness.
 
 All walks draw uniformly from the operation neighborhood (insertions,
-substitutions, deletions) within the walk's length cap. A random-walk
-campaign steps all its walks together as rows of one padded matrix and picks
-each move directly among the feasible ones; the scalar ``random_walk`` and
-the neutrality scan re-draw a move that would exceed the cap, which leaves
-the same uniform distribution. Campaigns give each walk its own child random
-stream derived from (campaign seed, walk index); pooled results are
-therefore identical no matter how walks are scheduled.
+substitutions, deletions) within the walk's length cap. Random-walk
+campaigns and neutrality scans step their walks together, block by block,
+as rows of a padded matrix and pick each move directly among the feasible
+ones; the scalar ``random_walk`` re-draws a move that would exceed the cap,
+which leaves the same uniform distribution. Campaigns give each walk its own
+child random stream derived from (campaign seed, walk index); pooled results
+are therefore identical no matter how walks are scheduled.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, fields
-from itertools import chain
 
 import numpy as np
 
@@ -34,6 +33,9 @@ from .genotype import (
     row_to_genotype,
 )
 from .seeds import STREAM_ADAPTIVE_WALK, STREAM_NEUTRALITY, STREAM_RANDOM_WALK, make_rng
+
+# Walks stepped together; a campaign's peak memory grows with this, not with its walk count.
+WALK_BLOCK = 256
 
 
 def check_walk_sizes(walks: int, length: int) -> None:
@@ -210,35 +212,43 @@ def correlation_length(rho1: float) -> float:
 
 
 def run_random_walk_campaign(landscape, campaign: RandomWalkCampaign):
-    """(WalkStats, raw) with rho for lags 0..s_max and tau from rho(1).
-
-    Walk w reads one block ``u = rng.random(1 + cap + length)`` from its
-    stream: its start length lam is ``int(u[0] * (cap + 1))``, its letters
-    are ``int(u[i] * n)`` for i in 1..lam (u[lam + 1..cap] go unused), and
-    step t takes move ``int(u[cap + 1 + t] * F)`` of its F feasible moves
-    (see ``_step_rows``). The walks advance in lockstep as the rows of one
-    ``(walks, cap + 2)`` matrix padded with PAD.
-    """
+    """(WalkStats, raw) with rho for lags 0..s_max and tau from rho(1)."""
     cap = _walk_cap(landscape, campaign.lambda_max)
-    n, walks, length = landscape.n_letters, campaign.walks, campaign.length
-    if cap == 0 and length > 0:
-        raise ValueError("the empty genotype has no feasible neighbor under lambda_max=0")
-    u = np.empty((walks, 1 + cap + length))
-    for w in range(walks):
-        make_rng(campaign.seed, STREAM_RANDOM_WALK, w).random(out=u[w])
-    lams = (u[:, 0] * (cap + 1)).astype(np.int64)
-    rows = np.full((walks, cap + 2), PAD, np.int16)
-    letters = (u[:, 1 : cap + 1] * n).astype(np.int16)
-    rows[:, :cap] = np.where(np.arange(cap) < lams[:, None], letters, PAD)
-    series = np.empty((walks, length + 1))
-    series[:, 0] = landscape.evaluate_rows(rows)
-    for t in range(length):
-        _step_rows(rows, lams, u[:, cap + 1 + t], n, cap)
-        series[:, t + 1] = landscape.evaluate_rows(rows)
+    series = np.empty((campaign.walks, campaign.length + 1))
+    for block, t, _, _, fits in _lockstep_walks(landscape, campaign.walks, campaign.length, cap,
+                                                campaign.seed, STREAM_RANDOM_WALK):
+        series[block, t] = fits
     rho = tuple(autocorrelation(series, s) for s in range(campaign.s_max + 1))
     tau = correlation_length(rho[1]) if campaign.s_max >= 1 else math.nan
-    stats = WalkStats(rho=rho, tau=tau)
-    return stats, {"series": series}
+    return WalkStats(rho=rho, tau=tau), {"series": series}
+
+
+def _lockstep_walks(landscape, walks: int, length: int, cap: int, seed: int, stream: int):
+    """Yield ``(walk slice, t, rows, lams, fitness)`` of uniform walks, WALK_BLOCK at a time.
+
+    Walk w reads ``u = make_rng(seed, stream, w).random(1 + cap + length)``:
+    start length ``lam = int(u[0] * (cap + 1))``, letters ``int(u[i] * n)``
+    for i in 1..lam, and at step t move ``int(u[cap + t] * F)`` of its F
+    feasible moves (see ``_step_rows``). A block's walks step in lockstep as
+    the rows of one ``(block, cap + 2)`` matrix padded with PAD; t runs over
+    0..length, and the next step changes ``rows`` and ``lams`` in place.
+    """
+    n = landscape.n_letters
+    if cap == 0 and length > 0:
+        raise ValueError("the empty genotype has no feasible neighbor under lambda_max=0")
+    for lo in range(0, walks, WALK_BLOCK):
+        block = slice(lo, min(lo + WALK_BLOCK, walks))
+        u = np.empty((block.stop - lo, 1 + cap + length))
+        for i, w in enumerate(range(lo, block.stop)):
+            make_rng(seed, stream, w).random(out=u[i])
+        lams = (u[:, 0] * (cap + 1)).astype(np.int64)
+        rows = np.full((len(u), cap + 2), PAD, np.int16)
+        letters = (u[:, 1 : cap + 1] * n).astype(np.int16)
+        rows[:, :cap] = np.where(np.arange(cap) < lams[:, None], letters, PAD)
+        for t in range(length + 1):
+            if t:
+                _step_rows(rows, lams, u[:, cap + t], n, cap)
+            yield block, t, rows, lams, landscape.evaluate_rows(rows)
 
 
 def _step_rows(rows: np.ndarray, lams: np.ndarray, u: np.ndarray, n: int, cap: int):
@@ -356,42 +366,33 @@ def run_adaptive_walk_campaign(landscape, campaign: AdaptiveWalkCampaign):
     return stats, raw
 
 
-def classify_neighbors(landscape, g: Genotype, f: float, lambda_max: int):
-    """(lower, equal, higher) neighbor counts plus the neighbor batch itself.
-
-    Evaluates the full neighbor matrix; the oracle for the run-structure kernel.
-    """
-    mat = neighbor_matrix(g, landscape.n_letters, lambda_max=lambda_max)
-    fits = evaluate_rows(landscape, mat)
-    lower = int((fits < f).sum())
-    higher = int((fits > f).sum())
-    equal = len(fits) - lower - higher
-    return (lower, equal, higher), mat, fits
-
-
 def neighbor_class_counts(landscape, g: Genotype, f: float, lambda_max: int):
     """(lower, equal, higher) counts over all within-cap operation-neighbors."""
-    return tuple(int(v) for v in _class_counts_batch(landscape, [g], [f], lambda_max)[0])
+    row = np.array([(*g, PAD)], np.int16)
+    counts = _class_counts_batch(landscape, row, np.array([len(g)]), [f], lambda_max)[0]
+    return tuple(int(v) for v in counts)
 
 
-def _class_counts_batch(landscape, genotypes, fits, cap: int) -> np.ndarray:
+def _class_counts_batch(landscape, rows: np.ndarray, lams: np.ndarray, fits, cap: int):
     """(M, 3) lower/equal/higher counts for the operation-neighbors of M genotypes.
 
-    Edits with one outcome form a group that costs one lookup in the
-    landscape's block-vector fitness table; all groups share one gather.
+    Row i of ``rows`` starts with genotype i's ``lams[i]`` letters; the
+    matrix is wider than every genotype. Edits with one outcome form a group
+    that costs one lookup in the landscape's block-vector fitness table; all
+    groups share one gather.
     """
-    owner, nb, mult = _edit_groups(genotypes, landscape.n_letters, landscape.b, cap)
+    owner, nb, mult = _edit_groups(rows, lams, landscape.n_letters, landscape.b, cap)
     fv = landscape.bv_fitness[nb]
     fp = np.asarray(fits, dtype=np.float64)[owner]
     moved = np.flatnonzero(fv != fp)
-    m = len(genotypes)
+    m = len(lams)
     lower, higher = np.bincount(2 * owner[moved] + (fv[moved] > fp[moved]), weights=mult[moved],
                                 minlength=2 * m).astype(np.int64).reshape(-1, 2).T
     total = np.bincount(owner, weights=mult, minlength=m).astype(np.int64)
     return np.stack([lower, total - lower - higher, higher], axis=1)
 
 
-def _edit_groups(genotypes, n: int, b: int, cap: int):
+def _edit_groups(rows: np.ndarray, lams: np.ndarray, n: int, b: int, cap: int):
     """(genotype index, block vector, multiplicity) of each group of edits.
 
     An edit only changes the runs at its site: it splits or shortens the run
@@ -405,9 +406,9 @@ def _edit_groups(genotypes, n: int, b: int, cap: int):
     holds n insertions before it and n substitutions of it, the incumbent
     letter's column holding the deletion. Insertions drop out at the cap.
     """
-    lams = np.fromiter(map(len, genotypes), np.int64, len(genotypes))
-    size = int(lams.sum()) + len(lams)
-    flat = np.fromiter(chain.from_iterable(tuple(g) + (n,) for g in genotypes), np.int16, size)
+    cols = np.arange(rows.shape[1])
+    flat = np.where(cols < lams[:, None], rows, n)[cols <= lams[:, None]]
+    size = len(flat)
     heads = np.cumsum(lams + 1) - lams - 1
     gid = np.repeat(np.arange(len(lams)), lams + 1)
 
@@ -478,23 +479,14 @@ def neutrality_scan(
     Every genotype visited by every walk contributes all its within-cap
     operation-neighbors, compared against the current fitness with exact
     floating equality (safe because fitness factors through block vectors).
-    Unlike the correlation campaign, the walks here roam the full search
-    space: the cap defaults to the landscape's own lambda_max.
+    The walks step as in the correlation campaign (``_lockstep_walks``) but
+    roam the full search space: the cap defaults to the landscape's own lambda_max.
     """
     check_walk_sizes(walks, length)
     cap = _walk_cap(landscape, landscape.lambda_max if lambda_max is None else lambda_max)
     counts = np.zeros(3, np.int64)
-    for w in range(walks):
-        rng = make_rng(seed, STREAM_NEUTRALITY, w)
-        g = random_genotype(cap, landscape.n_letters, rng)
-        visited, fits = [g], [landscape.evaluate(g)]
-        for _ in range(length):
-            g = random_neighbor(g, landscape.n_letters, rng, lambda_max=cap)
-            visited.append(g)
-            fits.append(landscape.evaluate(g))
-        # one kernel pass per walk: the pass's arrays, and so the scan's peak
-        # memory, grow with the number of genotypes it classifies
-        counts += _class_counts_batch(landscape, visited, fits, cap).sum(axis=0)
-    lower, equal, higher = (int(c) for c in counts)
-    total = lower + equal + higher
-    return lower / total, equal / total, higher / total
+    for _, _, rows, lams, fits in _lockstep_walks(landscape, walks, length, cap, seed,
+                                                  STREAM_NEUTRALITY):
+        counts += _class_counts_batch(landscape, rows, lams, fits, cap).sum(axis=0)
+    total = int(counts.sum())  # 0 only when lambda_max = 0: no genotype has a neighbor
+    return tuple(int(c) / total if total else math.nan for c in counts)

@@ -23,8 +23,10 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +67,8 @@ CAMPAIGNS = {
     "adaptive_walks": AdaptiveWalkCampaign,
     "neutrality": NeutralityCampaign,
 }
+SPEC_KEYS = {"command", "grid", "instances", "seed", "out", "landscape_lambda_max", "ea",
+             *CAMPAIGNS}
 
 
 @dataclass
@@ -187,6 +191,14 @@ def load_spec(path) -> ExperimentSpec:
         raise SpecError(f"cannot read spec file {path}: {exc}") from None
     if not isinstance(data, dict):
         raise SpecError(f"spec file {path} must hold a JSON object")
+    if set(data) - SPEC_KEYS:
+        raise SpecError(f"spec file: unknown keys {sorted(set(data) - SPEC_KEYS)}; "
+                        f"known: {sorted(SPEC_KEYS)}")
+    if data.get("command") not in (None, "gen", "analyze", "evolve"):
+        raise SpecError(f"spec file: command must be gen, analyze or evolve, "
+                        f"got {data['command']!r}")
+    if not isinstance(data.get("out", ""), (str, type(None))):
+        raise SpecError(f"spec file: out must be a string, got {data['out']!r}")
     instances = _integer(data.get("instances", 10))
     if instances is None or instances < 1:
         raise SpecError(
@@ -443,23 +455,15 @@ def _landscape_units(command, spec, out_dir, failures) -> list[tuple] | None:
 
 def _map_units_collect(fn, units, jobs, failures) -> list:
     """fn over units (path, n, k, b, instance, ...); failures are collected per cell."""
+    serial = jobs <= 1 or len(units) <= 1
     out = []
-    if jobs <= 1 or len(units) <= 1:
-        for u in units:
+    with nullcontext() if serial else ProcessPoolExecutor(max_workers=jobs) as pool:
+        calls = [partial(fn, u) if serial else pool.submit(fn, u).result for u in units]
+        for u, call in zip(units, calls):
             try:
-                out.append(fn(u))
-            except Exception as exc:  # campaign failure must not abort siblings
-                cell = (u[1], u[2], u[3])
-                failures.setdefault(cell, []).append(f"instance {u[4]}: {exc}")
-        return out
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [(u, pool.submit(fn, u)) for u in units]
-        for u, fut in futures:
-            try:
-                out.append(fut.result())
-            except Exception as exc:
-                cell = (u[1], u[2], u[3])
-                failures.setdefault(cell, []).append(f"instance {u[4]}: {exc}")
+                out.append(call())
+            except Exception as exc:  # a failed unit must not abort its siblings
+                failures.setdefault((u[1], u[2], u[3]), []).append(f"instance {u[4]}: {exc}")
     return out
 
 
@@ -767,6 +771,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.jobs < 1:
+            raise SpecError(f"--jobs must be an integer >= 1, got {args.jobs}")
         if args.cmd == "reproduce":
             if not args.preset:
                 print(f"reproduce: --preset required; available: {', '.join(PRESET_NAMES)}",

@@ -13,9 +13,11 @@ initialising its population, an EA run draws its scalars from a
 ``UniformPool`` over its stream instead of one ``Generator`` call each.
 Format 3: each walk of a random-walk campaign draws one block
 ``random(1 + cap + length)`` from its stream and takes its start length, its
-letters and every move from it (see ``analysis.run_random_walk_campaign``);
-moves are picked among the feasible ones directly, with no re-draw at the
-cap. Everything else draws as in format 2.
+letters and every move from it (see ``analysis._lockstep_walks``); moves are
+picked among the feasible ones directly, with no re-draw at the cap.
+Format 4: the walks of a neutrality scan draw and step the same way, each
+from its own neutrality stream, instead of one ``integers`` call per start
+length, letter and move. Everything else draws as in format 2.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ STREAM_NEUTRALITY = 4
 STREAM_EA_RUN = 5
 STREAM_LANDSCAPE_SEED = 6
 
-STREAM_FORMAT = 3
+STREAM_FORMAT = 4
 
 
 def seed_sequence(master_seed: int, *path: int) -> np.random.SeedSequence:

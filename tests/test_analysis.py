@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from epiroad import nk
+from epiroad import analysis, nk
 from epiroad.analysis import (
     AdaptiveWalkCampaign,
     NeutralityCampaign,
@@ -15,7 +15,6 @@ from epiroad.analysis import (
     _step_rows,
     adaptive_walk,
     autocorrelation,
-    classify_neighbors,
     correlation_length,
     local_optima_stats,
     neighbor_class_counts,
@@ -24,9 +23,16 @@ from epiroad.analysis import (
     run_adaptive_walk_campaign,
     run_random_walk_campaign,
 )
-from epiroad.genotype import PAD, BlockParams, random_genotype, random_neighbor, row_to_genotype
+from epiroad.genotype import (
+    PAD,
+    BlockParams,
+    neighbor_matrix,
+    random_genotype,
+    random_neighbor,
+    row_to_genotype,
+)
 from epiroad.landscapes import BlockLandscape, er_build, royal_road
-from epiroad.seeds import STREAM_RANDOM_WALK, make_rng
+from epiroad.seeds import STREAM_NEUTRALITY, STREAM_RANDOM_WALK, make_rng
 
 
 class ConstantLandscape:
@@ -317,20 +323,24 @@ def apply_move(g, move):
     return g[:p] + ((c,) if kind < 2 else ()) + g[p + (kind > 0):]
 
 
-def tuple_campaign_series(landscape, walks, length, seed, cap):
-    """Stream format 3's campaign, one tuple walk at a time from the same draw blocks."""
-    n = landscape.n_letters
-    series = np.empty((walks, length + 1))
+def tuple_walks(n, walks, length, seed, cap, stream):
+    """Each walk's visited genotypes, one tuple walk at a time from its lockstep draw block."""
     for w in range(walks):
-        u = make_rng(seed, STREAM_RANDOM_WALK, w).random(1 + cap + length).tolist()
+        u = make_rng(seed, stream, w).random(1 + cap + length).tolist()
         g = tuple(int(x * n) for x in u[1 : 1 + int(u[0] * (cap + 1))])
-        series[w, 0] = landscape.evaluate(g)
+        visited = [g]
         for t in range(length):
             moves = feasible_moves(g, n, cap)
             g = apply_move(g, moves[int(u[cap + 1 + t] * len(moves))])
             assert len(g) <= cap
-            series[w, t + 1] = landscape.evaluate(g)
-    return series
+            visited.append(g)
+        yield visited
+
+
+def tuple_campaign_series(landscape, walks, length, seed, cap):
+    """Stream format 3's campaign, one tuple walk at a time from the same draw blocks."""
+    visits = tuple_walks(landscape.n_letters, walks, length, seed, cap, STREAM_RANDOM_WALK)
+    return np.array([[landscape.evaluate(g) for g in visited] for visited in visits])
 
 
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 8), st.integers(1, 6),
@@ -571,6 +581,13 @@ def test_neutrality_scan_deterministic():
     assert a == b
 
 
+def classify_neighbors(landscape, g, f, cap):
+    """(lower, equal, higher) counts from the full neighbor matrix; the classifier's oracle."""
+    fits = landscape.evaluate_rows(neighbor_matrix(g, landscape.n_letters, lambda_max=cap))
+    lower, higher = int((fits < f).sum()), int((fits > f).sum())
+    return lower, len(fits) - lower - higher, higher
+
+
 def test_fast_class_counts_match_matrix_oracle():
     rng = make_rng(21, 0)
     for trial in range(150):
@@ -583,7 +600,7 @@ def test_fast_class_counts_match_matrix_oracle():
         g = random_genotype(14, n, rng)
         cap = max(len(g), int(rng.integers(1, 16)))
         f = L.evaluate(g)
-        (oracle, _, _) = classify_neighbors(L, g, f, cap)
+        oracle = classify_neighbors(L, g, f, cap)
         assert neighbor_class_counts(L, g, f, cap) == oracle
 
 
@@ -597,6 +614,16 @@ def test_fast_class_counts_cover_operation_multiset():
         assert lo + eq + hi == (2 * len(g) + 1) * 6
         lo, eq, hi = neighbor_class_counts(L, g, f, len(g))  # at the cap
         assert lo + eq + hi == len(g) * 6
+
+
+def padded(genotypes, width=None):
+    """(rows, lengths): the genotypes as rows of a PAD-padded matrix with width + 1 columns."""
+    lams = np.array([len(g) for g in genotypes], np.int64)
+    rows = np.full((len(genotypes), (int(lams.max()) if width is None else width) + 1), PAD,
+                   np.int16)
+    for row, g in zip(rows, genotypes):
+        row[: len(g)] = g
+    return rows, lams
 
 
 @st.composite
@@ -630,18 +657,36 @@ def test_class_counts_batch_matches_matrix_oracle(batch, k, seed, royal):
     L = royal_road(params) if royal else er_build(n, min(k, n - 1), b, params.lambda_max,
                                                    seed=seed)
     fits = [L.evaluate(g) for g in genotypes]
-    rows = _class_counts_batch(L, genotypes, fits, cap)
+    rows = _class_counts_batch(L, *padded(genotypes, cap + 1), fits, cap)
     assert rows.shape == (len(genotypes), 3)
     for g, f, row in zip(genotypes, fits, rows):
-        (oracle, _, _) = classify_neighbors(L, g, f, cap)
+        oracle = classify_neighbors(L, g, f, cap)
         assert tuple(row) == oracle
         lam = len(g)
         assert row.sum() == (lam * n if lam >= cap else (2 * lam + 1) * n)
 
 
-# neutrality_scan(er_build(n, k, b, lambda_max, seed), walks=40, length=20, seed=7), as
-# the scalar classifier computed it; with lambda_max = 8 about a third of the visited
-# genotypes sit at the cap
+def proportions(counts):
+    total = int(sum(counts))
+    return tuple(int(c) / total if total else math.nan for c in counts)
+
+
+def format3_scan(landscape, walks, length, seed, cap):
+    """Stream format 3's neutrality scan: per walk a start genotype, then scalar moves."""
+    n, counts = landscape.n_letters, np.zeros(3, np.int64)
+    for w in range(walks):
+        rng = make_rng(seed, STREAM_NEUTRALITY, w)
+        visited = [random_genotype(cap, n, rng)]
+        for _ in range(length):
+            visited.append(random_neighbor(visited[-1], n, rng, lambda_max=cap))
+        fits = [landscape.evaluate(g) for g in visited]
+        counts += _class_counts_batch(landscape, *padded(visited), fits, cap).sum(axis=0)
+    return proportions(counts)
+
+
+# neutrality_scan(er_build(n, k, b, lambda_max, seed), walks=40, length=20, seed=7) under
+# stream format 3, as the scalar classifier computed it; with lambda_max = 8 about a third
+# of the visited genotypes sit at the cap
 GOLDEN_NEUTRALITY = {
     (8, 4, 2, 100, 101): (0.07402531334205437, 0.8548060689408423, 0.07116861771710328),
     (8, 4, 4, 100, 102): (0.0051361822023949285, 0.9895641163250931, 0.005299701472511992),
@@ -652,16 +697,76 @@ GOLDEN_NEUTRALITY = {
 
 @pytest.mark.parametrize("cell", list(GOLDEN_NEUTRALITY))
 def test_neutrality_scan_is_bit_identical_to_golden(cell):
+    # the scalar oracles random_genotype and random_neighbor still draw format 3
     n, k, b, lambda_max, seed = cell
     L = er_build(n, k, b, lambda_max, seed=seed)
-    assert neutrality_scan(L, walks=40, length=20, seed=7) == GOLDEN_NEUTRALITY[cell]
+    assert format3_scan(L, 40, 20, 7, cap=lambda_max) == GOLDEN_NEUTRALITY[cell]
 
 
 def test_royal_road_neutrality_scan_is_bit_identical_to_golden():
-    # as the neighbor-matrix classifier computed it
+    # format 3, as the neighbor-matrix classifier computed it
     L = royal_road(BlockParams(6, 2, 100))
-    assert neutrality_scan(L, walks=40, length=20, seed=301) == \
+    assert format3_scan(L, 40, 20, 301, cap=100) == \
         (0.049258015080466094, 0.8963514138414679, 0.05439057107806606)
+
+
+# the same scans under stream format 4, as the lockstep scan computes them
+GOLDEN_NEUTRALITY_FORMAT_4 = {
+    (8, 4, 2, 100, 101): (0.05857007012956139, 0.8683409334039311, 0.07308899646650746),
+    (8, 4, 4, 100, 102): (0.007420874620446711, 0.9866291885934106, 0.005949936786142658),
+    (6, 2, 1, 60, 103): (0.006127046450888074, 0.9826381046694117, 0.011234848879700249),
+    (4, 1, 2, 8, 104): (0.2053688475747825, 0.6014479799785485, 0.19318317244666905),
+}
+GOLDEN_ROYAL_NEUTRALITY_FORMAT_4 = (0.038365524311009834, 0.9137407169775142,
+                                    0.047893758711475914)
+
+
+@pytest.mark.parametrize("cell", list(GOLDEN_NEUTRALITY_FORMAT_4))
+def test_lockstep_neutrality_scan_is_bit_identical_to_golden(cell):
+    n, k, b, lambda_max, seed = cell
+    L = er_build(n, k, b, lambda_max, seed=seed)
+    assert neutrality_scan(L, walks=40, length=20, seed=7) == GOLDEN_NEUTRALITY_FORMAT_4[cell]
+
+
+def test_royal_road_lockstep_neutrality_scan_is_bit_identical_to_golden():
+    L = royal_road(BlockParams(6, 2, 100))
+    assert neutrality_scan(L, walks=40, length=20, seed=301) == GOLDEN_ROYAL_NEUTRALITY_FORMAT_4
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 8), st.integers(1, 6),
+       st.integers(0, 25), st.integers(0, 10_000), st.booleans())
+@example(1, 1, 1, 3, 20, 0, False)  # one letter; every walk keeps reaching the cap
+@example(3, 2, 2, 4, 20, 1, True)
+@example(2, 5, 0, 3, 0, 2, False)  # lambda_max = 0: no neighbors, so no proportions
+@settings(max_examples=120, deadline=None)
+def test_neutrality_scan_equals_classified_tuple_walks(n, b, cap, walks, length, seed, royal):
+    params = BlockParams(n, b, max(n * b, cap))
+    L = royal_road(params) if royal else er_build(n, n // 2, b, params.lambda_max, seed=seed)
+    if cap == 0 and length > 0:
+        with pytest.raises(ValueError, match="no feasible neighbor"):
+            neutrality_scan(L, walks=walks, length=length, seed=seed, lambda_max=cap)
+        return
+    counts = np.zeros(3, np.int64)
+    for visited in tuple_walks(n, walks, length, seed, cap, STREAM_NEUTRALITY):
+        for g in visited:
+            counts += classify_neighbors(L, g, L.evaluate(g), cap)
+    expected = proportions(counts)
+    got = neutrality_scan(L, walks=walks, length=length, seed=seed, lambda_max=cap)
+    assert got == expected or cap == 0 and all(map(math.isnan, got + expected))
+
+
+def test_walk_block_size_does_not_change_results(monkeypatch):
+    # 300 walks span two blocks of the default size and 100 blocks of 3
+    L = er_build(8, 4, 2, 40, seed=5)
+    campaign = RandomWalkCampaign(walks=300, length=12, s_max=3, seed=6)
+
+    def run():
+        _, raw = run_random_walk_campaign(L, campaign)
+        return raw["series"].tobytes(), neutrality_scan(L, walks=300, length=12, seed=7)
+
+    default = run()
+    monkeypatch.setattr(analysis, "WALK_BLOCK", 3)
+    assert run() == default
 
 
 @pytest.mark.parametrize("walks, length", [(0, 5), (-1, 5), (3, -1)])

@@ -112,9 +112,11 @@ def test_analyze_rerun_bodies_identical(tmp_path):
 
 
 # sha256 of the analysis_instances.csv body below the '#' lines for ANALYZE_SPEC,
-# at stream format 3 (the lockstep random-walk campaign). At format 2 it was
-# e307e9ecf6331c798c22277c448ec0f466009f4951270ee31909b412b4b7d6bb.
-ANALYSIS_INSTANCES_SHA256 = "e8d989209803b7602d1dfb0dc2612a7f6c2ab1fb851d774a174d9a7166ac1bc5"
+# at stream format 4 (lockstep neutrality walks). At format 2 it was
+# e307e9ecf6331c798c22277c448ec0f466009f4951270ee31909b412b4b7d6bb, at format 3
+# e8d989209803b7602d1dfb0dc2612a7f6c2ab1fb851d774a174d9a7166ac1bc5; from format 3
+# to 4 only the frac_* columns changed.
+ANALYSIS_INSTANCES_SHA256 = "b24a180e25b301d9706cc201bd2b26326923a36e701f6e9188eaf9d2aad10333"
 
 
 def csv_bytes_body(path):
@@ -316,9 +318,9 @@ def test_outputs_record_the_stream_format(tmp_path):
     out = tmp_path / "out"
     run_cli(["gen", "--spec", spec, "--out", out, "--jobs", 1])
     doc = json.loads(next(iter(sorted((out / "landscapes").glob("*.json")))).read_text())
-    assert doc["provenance"]["stream_format"] == 3
+    assert doc["provenance"]["stream_format"] == 4
     run_cli(["evolve", "--spec", spec, "--out", out, "--jobs", 1])
-    assert "# stream_format: 3" in (out / "ea_runs.csv").read_text().splitlines()
+    assert "# stream_format: 4" in (out / "ea_runs.csv").read_text().splitlines()
 
 
 # sha256 of the ea_runs.csv body below the '#' lines, at stream format 2
@@ -380,6 +382,10 @@ def test_missing_landscape_fails_only_its_unit(tmp_path, capsys, command, extra)
     ({"ea": {"independent_mutation_gate": True}},
      "unexpected keyword argument 'independent_mutation_gate'"),
     ({"landscape_lambda_max": "20"}, "landscape_lambda_max must be an integer >= 1, got '20'"),
+    # a misspelt section would otherwise leave analyze running all three at full scale
+    ({"neutrallity": {"walks": 5}}, "unknown keys ['neutrallity']"),
+    ({"out": 5}, "out must be a string, got 5"),
+    ({"command": "analyse"}, "command must be gen, analyze or evolve, got 'analyse'"),
 ])
 @pytest.mark.parametrize("command", ["gen", "evolve"])
 def test_bad_ea_and_lambda_max_settings_exit_2(tmp_path, capsys, command, settings, message):
@@ -387,6 +393,15 @@ def test_bad_ea_and_lambda_max_settings_exit_2(tmp_path, capsys, command, settin
     assert run_cli([command, "--spec", spec, "--out", tmp_path / "out"]) == 2
     err = capsys.readouterr().err
     assert f"{command}: spec file: " in err and message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+@pytest.mark.parametrize("argv", [["gen"], ["reproduce", "--preset", "table1"]])
+def test_jobs_below_one_exits_2(tmp_path, capsys, argv, jobs):
+    spec = write_spec(tmp_path / "spec.json")
+    assert run_cli(argv + ["--spec", spec, "--out", tmp_path / "out", "--jobs", jobs]) == 2
+    assert f"{argv[0]}: --jobs must be an integer >= 1, got {jobs}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
