@@ -484,9 +484,11 @@ def neutrality_scan(
     """
     check_walk_sizes(walks, length)
     cap = _walk_cap(landscape, landscape.lambda_max if lambda_max is None else lambda_max)
+    if cap == 0:  # every walk stays at the empty genotype, which has no neighbor to classify
+        raise ValueError("the empty genotype has no feasible neighbor under lambda_max=0")
     counts = np.zeros(3, np.int64)
     for _, _, rows, lams, fits in _lockstep_walks(landscape, walks, length, cap, seed,
                                                   STREAM_NEUTRALITY):
         counts += _class_counts_batch(landscape, rows, lams, fits, cap).sum(axis=0)
-    total = int(counts.sum())  # 0 only when lambda_max = 0: no genotype has a neighbor
-    return tuple(int(c) / total if total else math.nan for c in counts)
+    total = int(counts.sum())
+    return tuple(int(c) / total for c in counts)

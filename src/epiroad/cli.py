@@ -23,10 +23,8 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -98,13 +96,8 @@ class ExperimentSpec:
         # walks and the default max_program_size=100 EA cap
         return max(2 * n * b, 100)
 
-    def to_canonical_dict(self) -> dict:
-        d = asdict(self)
-        d["cells"] = [list(c) for c in self.cells]
-        return d
-
     def sha256(self) -> str:
-        payload = json.dumps(self.to_canonical_dict(), sort_keys=True).encode()
+        payload = json.dumps(asdict(self), sort_keys=True).encode()  # tuples dump as lists
         return hashlib.sha256(payload).hexdigest()
 
 
@@ -418,13 +411,9 @@ def cmd_analyze(spec: ExperimentSpec, out_dir: Path, jobs: int = 1,
     header = provenance_lines(spec, "analyze")
     write_csv(out_dir / "analysis_instances.csv", header, fieldnames, rows)
 
-    summary = _aggregate_rows(rows, fieldnames, spec)
-    summary_fields = ["n", "k", "b", "instances_ok", "instances_failed"] + [
-        f for f in fieldnames if f not in ("n", "k", "b", "instance_seed")
-    ]
-    for row in summary:
-        cell = (row["n"], row["k"], row["b"])
-        row["instances_failed"] = len(failures.get(cell, []))
+    metric_fields = [f for f in fieldnames if f not in ("n", "k", "b", "instance_seed")]
+    summary = _aggregate_rows(rows, metric_fields, spec, failures)
+    summary_fields = ["n", "k", "b", "instances_ok", "instances_failed"] + metric_fields
     write_csv(out_dir / "analysis_summary.csv", header, summary_fields, summary)
     print(f"analyze: wrote {out_dir / 'analysis_instances.csv'} and analysis_summary.csv "
           f"({len(rows)} instance rows)")
@@ -455,15 +444,23 @@ def _landscape_units(command, spec, out_dir, failures) -> list[tuple] | None:
 
 def _map_units_collect(fn, units, jobs, failures) -> list:
     """fn over units (path, n, k, b, instance, ...); failures are collected per cell."""
-    serial = jobs <= 1 or len(units) <= 1
     out = []
-    with nullcontext() if serial else ProcessPoolExecutor(max_workers=jobs) as pool:
-        calls = [partial(fn, u) if serial else pool.submit(fn, u).result for u in units]
-        for u, call in zip(units, calls):
+    if jobs <= 1 or len(units) <= 1:
+        for u in units:
             try:
-                out.append(call())
-            except Exception as exc:  # a failed unit must not abort its siblings
-                failures.setdefault((u[1], u[2], u[3]), []).append(f"instance {u[4]}: {exc}")
+                out.append(fn(u))
+            except Exception as exc:  # campaign failure must not abort siblings
+                cell = (u[1], u[2], u[3])
+                failures.setdefault(cell, []).append(f"instance {u[4]}: {exc}")
+        return out
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        futures = [(u, pool.submit(fn, u)) for u in units]
+        for u, fut in futures:
+            try:
+                out.append(fut.result())
+            except Exception as exc:
+                cell = (u[1], u[2], u[3])
+                failures.setdefault(cell, []).append(f"instance {u[4]}: {exc}")
     return out
 
 
@@ -481,12 +478,12 @@ def _report_failures(command, spec, failures) -> int:
     return 1 if dead else 0
 
 
-def _aggregate_rows(rows, fieldnames, spec) -> list[dict]:
-    metric_fields = [f for f in fieldnames if f not in ("n", "k", "b", "instance_seed")]
+def _aggregate_rows(rows, metric_fields, spec, failures) -> list[dict]:
     out = []
     for n, k, b in spec.cells:
         cell_rows = [r for r in rows if (r["n"], r["k"], r["b"]) == (n, k, b)]
-        agg: dict = {"n": n, "k": k, "b": b, "instances_ok": len(cell_rows)}
+        agg: dict = {"n": n, "k": k, "b": b, "instances_ok": len(cell_rows),
+                     "instances_failed": len(failures.get((n, k, b), []))}
         for f in metric_fields:
             vals = [r[f] for r in cell_rows if f in r]
             agg[f] = float(np.mean(vals)) if vals else float("nan")
