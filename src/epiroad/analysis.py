@@ -6,13 +6,18 @@ spacing; neutrality scans classify every neighbor of every visited genotype
 as lower, equal or higher in fitness.
 
 All walks draw uniformly from the operation neighborhood (insertions,
-substitutions, deletions) within the walk's length cap. Random-walk
-campaigns and neutrality scans step their walks together, block by block,
-as rows of a padded matrix and pick each move directly among the feasible
-ones; the scalar ``random_walk`` re-draws a move that would exceed the cap,
-which leaves the same uniform distribution. Campaigns give each walk its own
-child random stream derived from (campaign seed, walk index); pooled results
-are therefore identical no matter how walks are scheduled.
+substitutions, deletions) within the walk's length cap. Every campaign steps
+its walks together, WALK_BLOCK at a time, as the rows of a padded matrix.
+Random-walk campaigns and neutrality scans pick each move directly among the
+feasible ones; the scalar ``random_walk`` re-draws a move that would exceed
+the cap, which leaves the same uniform distribution. Adaptive-walk campaigns
+score every neighbor of every row from the run structure around each edit
+site, with no neighbor matrix, and draw exactly as the scalar
+``adaptive_walk`` does, so their outputs are unchanged; a walk leaves the
+matrix when it stops. The scalar walks are kept as test oracles.
+Campaigns give each walk its own child random stream derived from (campaign
+seed, walk index); pooled results are therefore identical no matter how
+walks are scheduled.
 """
 
 from __future__ import annotations
@@ -85,8 +90,8 @@ class AdaptiveWalkCampaign:
 
     def __post_init__(self):
         _check_campaign(self)
-        if self.walks < 1:
-            raise ValueError("walks must be >= 1")
+        if self.walks < 2:  # local_optima_stats needs two endpoints
+            raise ValueError(f"walks must be >= 2, got {self.walks}")
 
 
 @dataclass(frozen=True)
@@ -273,8 +278,21 @@ def _step_rows(rows: np.ndarray, lams: np.ndarray, u: np.ndarray, n: int, cap: i
     dele = ~ins & (r == n - 1)
     incumbent = rows[np.arange(len(lams)), pos]
     letter = np.where(ins | (r < incumbent), r, r + 1).astype(np.int16)
+    _apply_edits(rows, lams, ins, dele, pos, letter)
+    kind = np.where(ins, 0, np.where(dele, 2, 1))
+    return kind, pos, np.where(dele, PAD, letter)
+
+
+def _apply_edits(rows: np.ndarray, lams: np.ndarray, ins, dele, pos, letter) -> None:
+    """Apply one edit per row of a ``(W, cap + 2)`` padded matrix, in place, with ``lams``.
+
+    Row w inserts ``letter[w]`` before column ``pos[w]`` where ``ins``,
+    deletes column ``pos[w]`` where ``dele``, and otherwise writes
+    ``letter[w]`` over it.
+    """
     # an insertion moves the columns right of its gap one right, a deletion
     # the columns from its position one left; the last column stays PAD
+    cap = rows.shape[1] - 2
     old = rows.copy()
     cols = np.arange(cap + 1)
     np.copyto(rows[:, 1 : cap + 1], old[:, :cap], where=(cols[1:] > pos[:, None]) & ins[:, None])
@@ -283,8 +301,6 @@ def _step_rows(rows: np.ndarray, lams: np.ndarray, u: np.ndarray, n: int, cap: i
     rows[keep, pos[keep]] = letter[keep]
     lams += ins
     lams -= dele
-    kind = np.where(ins, 0, np.where(dele, 2, 1))
-    return kind, pos, np.where(dele, PAD, letter)
 
 
 def adaptive_walk(
@@ -343,17 +359,53 @@ def local_optima_stats(final_fitnesses, lengths) -> WalkStats:
 
 
 def run_adaptive_walk_campaign(landscape, campaign: AdaptiveWalkCampaign):
-    """(WalkStats, raw) over greedy walks from random starts."""
+    """(WalkStats, raw) over greedy walks from random starts.
+
+    Walk w draws its start with ``random_genotype`` and its ties with
+    ``integers``, both from ``make_rng(seed, STREAM_ADAPTIVE_WALK, w)``, and
+    moves exactly as ``adaptive_walk`` would on that stream. The walks of a
+    block of WALK_BLOCK step in lockstep as the rows of a padded
+    ``(block, cap + 2)`` matrix: each step scores every neighbor of every
+    row in one pass (``_neighbor_fitness``), and a walk leaves the matrix
+    when it stops.
+    """
+    cap = _walk_cap(landscape, campaign.lambda_max)
+    n = landscape.n_letters
     finals = np.empty(campaign.walks)
-    lengths = np.empty(campaign.walks, dtype=np.int64)
+    lengths = np.zeros(campaign.walks, dtype=np.int64)
     endpoints: list[Genotype] = []
-    for w in range(campaign.walks):
-        rng = make_rng(campaign.seed, STREAM_ADAPTIVE_WALK, w)
-        start = random_genotype(campaign.lambda_max, landscape.n_letters, rng)
-        g, f, steps = adaptive_walk(landscape, start, rng, lambda_max=campaign.lambda_max)
-        finals[w] = f
-        lengths[w] = steps
-        endpoints.append(g)
+    for lo in range(0, campaign.walks, WALK_BLOCK):
+        walk = np.arange(lo, min(lo + WALK_BLOCK, campaign.walks))
+        rngs = [make_rng(campaign.seed, STREAM_ADAPTIVE_WALK, w) for w in walk]
+        endpoints += [random_genotype(cap, n, rng) for rng in rngs]
+        rows = np.full((len(walk), cap + 2), PAD, np.int16)
+        for row, g in zip(rows, endpoints[lo:]):
+            row[: len(g)] = g
+        lams = np.array([len(g) for g in endpoints[lo:]], np.int64)
+        fit = landscape.evaluate_rows(rows)
+        finals[walk] = fit
+        while cap and len(walk):  # at cap 0 every walk is the empty genotype: no neighbor
+            fits, counts = _neighbor_fitness(landscape, rows, lams, cap)
+            first = np.cumsum(counts) - counts
+            best = np.maximum.reduceat(fits, first)
+            moves = best > fit
+            for i in np.flatnonzero(~moves & (lengths[walk] > 0)):
+                endpoints[walk[i]] = tuple(rows[i, : lams[i]].tolist())
+            # each moving walk picks among its maximal neighbors, drawing only on a tie
+            cand = np.flatnonzero(np.repeat(moves, counts) & (fits == np.repeat(best, counts)))
+            ties = np.bincount(np.searchsorted(first, cand, "right") - 1, minlength=len(walk))
+            pick = np.cumsum(ties) - ties
+            for i in np.flatnonzero(ties > 1):
+                pick[i] += rngs[walk[i] - lo].integers(int(ties[i]))
+            pick = cand[pick[moves]] - first[moves]  # its row in neighbor_matrix's order
+            walk, rows, lams, fit = walk[moves], rows[moves], lams[moves], best[moves]
+            finals[walk] = fit
+            lengths[walk] += 1
+            n_ins = np.where(lams < cap, (lams + 1) * n, 0)
+            ins = pick < n_ins
+            pos, letter = np.divmod(np.where(ins, pick, pick - n_ins), n)
+            dele = ~ins & (letter == rows[np.arange(len(walk)), pos])
+            _apply_edits(rows, lams, ins, dele, pos, letter)
     heuristic = landscape.n_letters * (landscape.b + 2)
     if lengths.max() > heuristic:
         warnings.warn(
@@ -392,8 +444,13 @@ def _class_counts_batch(landscape, rows: np.ndarray, lams: np.ndarray, fits, cap
     return np.stack([lower, total - lower - higher, higher], axis=1)
 
 
-def _edit_groups(rows: np.ndarray, lams: np.ndarray, n: int, b: int, cap: int):
-    """(genotype index, block vector, multiplicity) of each group of edits.
+def _letter_bits(n: int) -> np.ndarray:
+    """Each letter's bit in a packed block vector, and 0 for the sentinel letter n."""
+    return np.append(1 << np.arange(n - 1, -1, -1, dtype=np.int32), 0)
+
+
+def _slot_edits(rows: np.ndarray, lams: np.ndarray, n: int, b: int):
+    """(letters, owner, base, gains, deletion): the block vector of every edit, per slot.
 
     An edit only changes the runs at its site: it splits or shortens the run
     of the letter it removes, and extends, bridges or opens a run of the
@@ -401,10 +458,15 @@ def _edit_groups(rows: np.ndarray, lams: np.ndarray, n: int, b: int, cap: int):
     with the removed letter's bit recounted and, when its new run reaches b,
     the written letter's bit set.
 
-    The genotypes are laid out in one flat array, each followed by the
-    bit-less sentinel letter n, whose slot stands for the end gap. Each slot
-    holds n insertions before it and n substitutions of it, the incumbent
-    letter's column holding the deletion. Insertions drop out at the cap.
+    Row i of ``rows`` starts with genotype i's ``lams[i]`` letters; the
+    matrix is wider than every genotype. The genotypes are laid out in one
+    flat array of ``size`` slots, each followed by the bit-less sentinel
+    letter n, whose slot stands for the end gap; ``owner`` gives each slot's
+    genotype. Each slot holds n insertions before it and n substitutions of
+    it. Writing letter c gives the block vector ``base | (gains & bit[c])``,
+    where ``base`` and ``gains`` hold the insertions' ``size`` values, then
+    the substitutions'; the incumbent letter's substitution column holds the
+    deletion instead, whose block vector is ``deletion``.
     """
     cols = np.arange(rows.shape[1])
     flat = np.where(cols < lams[:, None], rows, n)[cols <= lams[:, None]]
@@ -426,7 +488,7 @@ def _edit_groups(rows: np.ndarray, lams: np.ndarray, n: int, b: int, cap: int):
     left_len = np.where(first, 0, np.roll(rlen, 1))
     qualifying = np.bincount((gid[starts] * (n + 1) + rlet)[rlen >= b],
                              minlength=len(lams) * (n + 1)).reshape(-1, n + 1)
-    bit = np.append(1 << np.arange(n - 1, -1, -1, dtype=np.int32), 0)  # bit[n] = bit[-1] = 0
+    bit = _letter_bits(n)  # bit[n] = bit[-1] = 0
     every = (1 << n) - 1 if b == 1 else 0  # with b = 1 any written letter is a block
 
     ln, fl, fr = rlen[run], left[run], np.roll(rlet, -1)[run]
@@ -453,18 +515,48 @@ def _edit_groups(rows: np.ndarray, lams: np.ndarray, n: int, b: int, cap: int):
                               joins_left | gain(fr, (rest == 0) & (nr + 1 + bridge * nl >= b))])
     gains = (written | every) & ~base
     gains[size:] &= ~bit[flat]  # the incumbent letter's column holds the deletion
+    dele = recount(others + (ln - 1 >= b) > 0) | gain(fl, bridge & (nl + nr >= b))
+    return flat, gid, base, gains, dele
 
-    # a letter that gains no bit leaves the kind's base vector, so each slot
-    # looks up one base per kind, its deletion and one vector per gaining letter
+
+def _edit_groups(rows: np.ndarray, lams: np.ndarray, n: int, b: int, cap: int):
+    """(genotype index, block vector, multiplicity) of each group of edits.
+
+    A letter that gains no bit leaves its kind's base vector (``_slot_edits``),
+    so each slot looks up one base per kind, its deletion and one vector per
+    gaining letter. Insertions drop out at the cap.
+    """
+    flat, gid, base, gains, dele = _slot_edits(rows, lams, n, b)
+    size = len(flat)
+    bit = _letter_bits(n)
     at = np.flatnonzero(gains)
     letter, which = np.divmod(np.flatnonzero(bit[:n, None] & gains[at]), len(at))
     at = at[which]
     valid = np.concatenate([lams[gid] < cap, flat < n])  # no capped insertions or end-slot edits
     mult = (np.repeat([n, n - 1], size) - np.bincount(at, minlength=2 * size)) * valid
-    dele = recount(others + (ln - 1 >= b) > 0) | gain(fl, bridge & (nl + nr >= b))
     return (np.concatenate([gid, gid, gid, gid[at % size]]),
             np.concatenate([base, dele, base[at] | bit[letter]]),
             np.concatenate([mult, valid[size:], valid[at]]))
+
+
+def _neighbor_fitness(landscape, rows: np.ndarray, lams: np.ndarray, cap: int):
+    """(fitness, counts): every within-cap operation-neighbor's fitness, genotype by genotype.
+
+    Genotype i's ``counts[i]`` neighbors follow those of genotypes 0..i-1, in
+    ``neighbor_matrix``'s row order: insertions gap-major and letter-minor
+    (none at the cap), then per position one column per letter, the
+    incumbent letter's holding the deletion. Their block vectors come from
+    the run structure (``_slot_edits``); no neighbor is built.
+    """
+    n = landscape.n_letters
+    flat, owner, base, gains, dele = _slot_edits(rows, lams, n, landscape.b)
+    size = len(flat)
+    bv = base[:, None] | (gains[:, None] & _letter_bits(n)[:n])
+    np.copyto(bv[size:], dele[:, None], where=flat[:, None] == np.arange(n))
+    keep = np.concatenate([lams[owner] < cap, flat < n])  # no capped insertions or end-slot edits
+    order = np.argsort(np.concatenate([2 * owner, 2 * owner + 1]), kind="stable")
+    counts = n * (np.where(lams < cap, lams + 1, 0) + lams)
+    return landscape.bv_fitness[bv[order[keep[order]]]].ravel(), counts
 
 
 def neutrality_scan(

@@ -238,7 +238,9 @@ def apply_scale(spec: ExperimentSpec, scale: float) -> ExperimentSpec:
         raise SpecError(f"--scale must be a finite number > 0, got {scale!r}")
     if scale == 1.0:
         return spec
-    campaigns = {name: {**section, "walks": _scaled(CAMPAIGNS[name](**section).walks, scale)}
+    # local-optima statistics need two adaptive walks
+    campaigns = {name: {**section, "walks": _scaled(CAMPAIGNS[name](**section).walks, scale,
+                                                     floor=2 if name == "adaptive_walks" else 1)}
                  for name, section in _campaign_sections(spec, defaults=False).items()}
     cfg = ea.EaConfig(**spec.ea)
     ea_cfg = dict(spec.ea)

@@ -1,5 +1,6 @@
 import math
 import statistics
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from epiroad.analysis import (
     NeutralityCampaign,
     RandomWalkCampaign,
     _class_counts_batch,
+    _neighbor_fitness,
     _step_rows,
     adaptive_walk,
     autocorrelation,
@@ -32,7 +34,7 @@ from epiroad.genotype import (
     row_to_genotype,
 )
 from epiroad.landscapes import BlockLandscape, er_build, royal_road
-from epiroad.seeds import STREAM_NEUTRALITY, STREAM_RANDOM_WALK, make_rng
+from epiroad.seeds import STREAM_ADAPTIVE_WALK, STREAM_NEUTRALITY, STREAM_RANDOM_WALK, make_rng
 
 
 class ConstantLandscape:
@@ -518,6 +520,41 @@ def test_adaptive_campaign_deterministic_and_raw_consistent():
     assert s1.mean_walk_length == float(np.mean(raw1["lengths"]))
 
 
+def scalar_adaptive_campaign(landscape, campaign):
+    """(endpoints, finals, lengths) of scalar walks: random_genotype, then adaptive_walk."""
+    walks = []
+    for w in range(campaign.walks):
+        rng = make_rng(campaign.seed, STREAM_ADAPTIVE_WALK, w)
+        start = random_genotype(campaign.lambda_max, landscape.n_letters, rng)
+        walks.append(adaptive_walk(landscape, start, rng, lambda_max=campaign.lambda_max))
+    ends, finals, lengths = zip(*walks)
+    return list(ends), np.array(finals), np.array(lengths)
+
+
+def lockstep_adaptive_campaign(landscape, campaign):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the walk-length review bound
+        _, raw = run_adaptive_walk_campaign(landscape, campaign)
+    return raw["endpoints"], raw["final_fitness"], raw["lengths"]
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 12), st.integers(2, 6),
+       st.integers(0, 10_000), st.booleans())
+@example(1, 1, 3, 4, 0, False)  # one letter; walks climb to the cap
+@example(2, 3, 0, 3, 2, False)  # lambda_max = 0: every walk is the empty genotype and stays
+@example(4, 1, 12, 6, 5, True)  # Royal Road with b = 1: every missing letter ties
+@settings(max_examples=120, deadline=None)
+def test_lockstep_adaptive_campaign_equals_scalar_walks(n, b, cap, walks, seed, royal):
+    params = BlockParams(n, b, max(n * b, cap))
+    L = royal_road(params) if royal else er_build(n, n // 2, b, params.lambda_max, seed=seed)
+    campaign = AdaptiveWalkCampaign(walks=walks, lambda_max=cap, seed=seed)
+    ends, finals, lengths = lockstep_adaptive_campaign(L, campaign)
+    oracle_ends, oracle_finals, oracle_lengths = scalar_adaptive_campaign(L, campaign)
+    assert ends == oracle_ends
+    assert np.array_equal(finals, oracle_finals)
+    assert np.array_equal(lengths, oracle_lengths)
+
+
 def test_random_campaign_deterministic():
     L = er_build(8, 2, 2, 100, seed=13)
     campaign = RandomWalkCampaign(walks=50, length=20, s_max=5, seed=14)
@@ -544,6 +581,7 @@ def test_campaign_cap_cannot_exceed_landscape():
     (AdaptiveWalkCampaign, {"lambda_max": None}, TypeError),
     (AdaptiveWalkCampaign, {"lambda_max": -1}, ValueError),
     (AdaptiveWalkCampaign, {"walks": 0}, ValueError),
+    (AdaptiveWalkCampaign, {"walks": 1}, ValueError),
     (NeutralityCampaign, {"walks": "many"}, TypeError),
     (NeutralityCampaign, {"seed": 1.5}, TypeError),
     (NeutralityCampaign, {"length": -1}, ValueError),
@@ -666,6 +704,22 @@ def test_class_counts_batch_matches_matrix_oracle(batch, k, seed, royal):
         assert row.sum() == (lam * n if lam >= cap else (2 * lam + 1) * n)
 
 
+@given(run_batches(), st.integers(0, 4), st.integers(0, 3), st.booleans())
+@example((3, 3, [(0, 0, 1, 0, 0, 0), (), (2, 1, 2, 0, 1, 0), (1, 1, 0, 1)], 7), 2, 0, False)
+@example((1, 1, [(0, 0), (), (0,)], 2), 0, 0, True)  # one letter, b = 1, one at the cap
+@example((2, 2, [()], 0), 0, 0, False)  # cap 0: no neighbor at all
+@settings(max_examples=150, deadline=None)
+def test_neighbor_fitness_matches_neighbor_matrix(batch, k, seed, royal):
+    n, b, genotypes, cap = batch
+    params = BlockParams(n, b, max(n * b, cap))
+    L = royal_road(params) if royal else er_build(n, min(k, n - 1), b, params.lambda_max,
+                                                   seed=seed)
+    fits, counts = _neighbor_fitness(L, *padded(genotypes, cap + 1), cap)
+    oracle = [L.evaluate_rows(neighbor_matrix(g, n, lambda_max=cap)) for g in genotypes]
+    assert counts.tolist() == [len(f) for f in oracle]
+    assert np.array_equal(fits, np.concatenate(oracle))  # row for row, order included
+
+
 def proportions(counts):
     total = int(sum(counts))
     return tuple(int(c) / total for c in counts)
@@ -762,7 +816,10 @@ def test_walk_block_size_does_not_change_results(monkeypatch):
 
     def run():
         _, raw = run_random_walk_campaign(L, campaign)
-        return raw["series"].tobytes(), neutrality_scan(L, walks=300, length=12, seed=7)
+        ends, finals, lengths = lockstep_adaptive_campaign(
+            L, AdaptiveWalkCampaign(walks=300, lambda_max=40, seed=8))
+        return (raw["series"].tobytes(), neutrality_scan(L, walks=300, length=12, seed=7),
+                ends, finals.tobytes(), lengths.tobytes())
 
     default = run()
     monkeypatch.setattr(analysis, "WALK_BLOCK", 3)

@@ -280,6 +280,7 @@ def test_bad_instances_in_spec_file_exits_2(tmp_path, capsys, instances):
     ("random_walks", {"walks": 0, "length": 10, "s_max": 3}),
     ("random_walks", {"walks": 5, "length": -1, "s_max": 0}),
     ("adaptive_walks", {"walks": 0}),
+    ("adaptive_walks", {"walks": 1}),
     ("neutrality", {"walks": "many"}),
 ])
 def test_bad_campaign_sizes_exit_2(tmp_path, capsys, section, settings):
@@ -472,6 +473,13 @@ def test_fig1_preset_grid():
     scaled = build_preset("fig1", 0.01, 0)
     assert scaled.campaigns.random_walks["walks"] == 200
     assert scaled.instances == 1
+
+
+def test_scaled_preset_keeps_two_adaptive_walks():
+    from epiroad.cli import build_preset
+
+    scaled = build_preset("fig5", 1e-4, 0)
+    assert scaled.campaigns.adaptive_walks["walks"] == 2
 
 
 def test_fig6_preset_matches_reported_grid():
