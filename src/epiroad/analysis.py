@@ -7,14 +7,15 @@ as lower, equal or higher in fitness.
 
 All walks draw uniformly from the operation neighborhood (insertions,
 substitutions, deletions) within the walk's length cap. Every campaign steps
-its walks together, WALK_BLOCK at a time, as the rows of a padded matrix.
+its walks together, a bounded number at a time, as the rows of a padded
+matrix.
 Random-walk campaigns and neutrality scans pick each move directly among the
 feasible ones; the scalar ``random_walk`` re-draws a move that would exceed
 the cap, which leaves the same uniform distribution. Adaptive-walk campaigns
 score every neighbor of every row from the run structure around each edit
 site, with no neighbor matrix, and draw exactly as the scalar
 ``adaptive_walk`` does, so their outputs are unchanged; a walk leaves the
-matrix when it stops. The scalar walks are kept as test oracles.
+matrix when it stops and the campaign's next walk takes its row. The scalar walks are kept as test oracles.
 Campaigns give each walk its own child random stream derived from (campaign
 seed, walk index); pooled results are therefore identical no matter how
 walks are scheduled.
@@ -41,6 +42,9 @@ from .seeds import STREAM_ADAPTIVE_WALK, STREAM_NEUTRALITY, STREAM_RANDOM_WALK, 
 
 # Walks stepped together; a campaign's peak memory grows with this, not with its walk count.
 WALK_BLOCK = 256
+# An adaptive walk scores all its (2 * lam + 1) * n neighbors at each step, so
+# fewer of them step together.
+ADAPTIVE_BLOCK = 64
 
 
 def check_walk_sizes(walks: int, length: int) -> None:
@@ -363,49 +367,63 @@ def run_adaptive_walk_campaign(landscape, campaign: AdaptiveWalkCampaign):
 
     Walk w draws its start with ``random_genotype`` and its ties with
     ``integers``, both from ``make_rng(seed, STREAM_ADAPTIVE_WALK, w)``, and
-    moves exactly as ``adaptive_walk`` would on that stream. The walks of a
-    block of WALK_BLOCK step in lockstep as the rows of a padded
-    ``(block, cap + 2)`` matrix: each step scores every neighbor of every
+    moves exactly as ``adaptive_walk`` would on that stream. Up to
+    ADAPTIVE_BLOCK walks step in lockstep as the rows of a padded
+    ``(walks, cap + 2)`` matrix: each step scores every neighbor of every
     row in one pass (``_neighbor_fitness``), and a walk leaves the matrix
-    when it stops.
+    when it stops, making room for the campaign's next walk.
     """
     cap = _walk_cap(landscape, campaign.lambda_max)
     n = landscape.n_letters
     finals = np.empty(campaign.walks)
     lengths = np.zeros(campaign.walks, dtype=np.int64)
     endpoints: list[Genotype] = []
-    for lo in range(0, campaign.walks, WALK_BLOCK):
-        walk = np.arange(lo, min(lo + WALK_BLOCK, campaign.walks))
-        rngs = [make_rng(campaign.seed, STREAM_ADAPTIVE_WALK, w) for w in walk]
-        endpoints += [random_genotype(cap, n, rng) for rng in rngs]
-        rows = np.full((len(walk), cap + 2), PAD, np.int16)
-        for row, g in zip(rows, endpoints[lo:]):
-            row[: len(g)] = g
-        lams = np.array([len(g) for g in endpoints[lo:]], np.int64)
-        fit = landscape.evaluate_rows(rows)
-        finals[walk] = fit
-        while cap and len(walk):  # at cap 0 every walk is the empty genotype: no neighbor
-            fits, counts = _neighbor_fitness(landscape, rows, lams, cap)
-            first = np.cumsum(counts) - counts
-            best = np.maximum.reduceat(fits, first)
-            moves = best > fit
-            for i in np.flatnonzero(~moves & (lengths[walk] > 0)):
+    rngs: dict[int, np.random.Generator] = {}
+    walk = np.empty(0, np.int64)
+    rows = np.empty((0, cap + 2), np.int16)
+    lams = np.empty(0, np.int64)
+    fit = np.empty(0)
+    while True:
+        lo = len(endpoints)
+        new = np.arange(lo, min(lo + ADAPTIVE_BLOCK - len(walk), campaign.walks))
+        if len(new):  # the next walks take the places of those that stopped
+            for w in new:
+                rngs[w] = make_rng(campaign.seed, STREAM_ADAPTIVE_WALK, w)
+                endpoints.append(random_genotype(cap, n, rngs[w]))
+            starts = np.full((len(new), cap + 2), PAD, np.int16)
+            for row, g in zip(starts, endpoints[lo:]):
+                row[: len(g)] = g
+            finals[new] = landscape.evaluate_rows(starts)
+            walk = np.concatenate([walk, new])
+            rows = np.concatenate([rows, starts])
+            lams = np.concatenate([lams, [len(g) for g in endpoints[lo:]]])
+            fit = np.concatenate([fit, finals[new]])
+        if not len(walk):
+            break
+        fits, counts = _neighbor_fitness(landscape, rows, lams, cap)
+        first = np.cumsum(counts) - counts
+        # a walk with no neighbor (cap 0) reads the -inf after the last one
+        best = np.maximum.reduceat(np.append(fits, -np.inf), first)
+        moves = best > fit
+        for i in np.flatnonzero(~moves):
+            if lengths[walk[i]]:
                 endpoints[walk[i]] = tuple(rows[i, : lams[i]].tolist())
-            # each moving walk picks among its maximal neighbors, drawing only on a tie
-            cand = np.flatnonzero(np.repeat(moves, counts) & (fits == np.repeat(best, counts)))
-            ties = np.bincount(np.searchsorted(first, cand, "right") - 1, minlength=len(walk))
-            pick = np.cumsum(ties) - ties
-            for i in np.flatnonzero(ties > 1):
-                pick[i] += rngs[walk[i] - lo].integers(int(ties[i]))
-            pick = cand[pick[moves]] - first[moves]  # its row in neighbor_matrix's order
-            walk, rows, lams, fit = walk[moves], rows[moves], lams[moves], best[moves]
-            finals[walk] = fit
-            lengths[walk] += 1
-            n_ins = np.where(lams < cap, (lams + 1) * n, 0)
-            ins = pick < n_ins
-            pos, letter = np.divmod(np.where(ins, pick, pick - n_ins), n)
-            dele = ~ins & (letter == rows[np.arange(len(walk)), pos])
-            _apply_edits(rows, lams, ins, dele, pos, letter)
+            del rngs[walk[i]]
+        # each moving walk picks among its maximal neighbors, drawing only on a tie
+        cand = np.flatnonzero(np.repeat(moves, counts) & (fits == np.repeat(best, counts)))
+        ties = np.bincount(np.searchsorted(first, cand, "right") - 1, minlength=len(walk))
+        pick = np.cumsum(ties) - ties
+        for i in np.flatnonzero(ties > 1):
+            pick[i] += rngs[walk[i]].integers(int(ties[i]))
+        pick = cand[pick[moves]] - first[moves]  # its row in neighbor_matrix's order
+        walk, rows, lams, fit = walk[moves], rows[moves], lams[moves], best[moves]
+        finals[walk] = fit
+        lengths[walk] += 1
+        n_ins = np.where(lams < cap, (lams + 1) * n, 0)
+        ins = pick < n_ins
+        pos, letter = np.divmod(np.where(ins, pick, pick - n_ins), n)
+        dele = ~ins & (letter == rows[np.arange(len(walk)), pos])
+        _apply_edits(rows, lams, ins, dele, pos, letter)
     heuristic = landscape.n_letters * (landscape.b + 2)
     if lengths.max() > heuristic:
         warnings.warn(

@@ -538,17 +538,20 @@ def lockstep_adaptive_campaign(landscape, campaign):
     return raw["endpoints"], raw["final_fitness"], raw["lengths"]
 
 
-@given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 12), st.integers(2, 6),
-       st.integers(0, 10_000), st.booleans())
-@example(1, 1, 3, 4, 0, False)  # one letter; walks climb to the cap
-@example(2, 3, 0, 3, 2, False)  # lambda_max = 0: every walk is the empty genotype and stays
-@example(4, 1, 12, 6, 5, True)  # Royal Road with b = 1: every missing letter ties
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 12), st.integers(2, 8),
+       st.integers(1, 4), st.integers(0, 10_000), st.booleans())
+@example(1, 1, 3, 4, 2, 0, False)  # one letter; walks climb to the cap
+@example(2, 3, 0, 3, 2, 2, False)  # lambda_max = 0: every walk is the empty genotype and stays
+@example(4, 1, 12, 6, 4, 5, True)  # Royal Road with b = 1: every missing letter ties
 @settings(max_examples=120, deadline=None)
-def test_lockstep_adaptive_campaign_equals_scalar_walks(n, b, cap, walks, seed, royal):
+def test_lockstep_adaptive_campaign_equals_scalar_walks(n, b, cap, walks, block, seed, royal):
+    # with fewer places than walks, later walks join as earlier ones stop
     params = BlockParams(n, b, max(n * b, cap))
     L = royal_road(params) if royal else er_build(n, n // 2, b, params.lambda_max, seed=seed)
     campaign = AdaptiveWalkCampaign(walks=walks, lambda_max=cap, seed=seed)
-    ends, finals, lengths = lockstep_adaptive_campaign(L, campaign)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "ADAPTIVE_BLOCK", block)
+        ends, finals, lengths = lockstep_adaptive_campaign(L, campaign)
     oracle_ends, oracle_finals, oracle_lengths = scalar_adaptive_campaign(L, campaign)
     assert ends == oracle_ends
     assert np.array_equal(finals, oracle_finals)
@@ -810,7 +813,7 @@ def test_neutrality_scan_equals_classified_tuple_walks(n, b, cap, walks, length,
 
 
 def test_walk_block_size_does_not_change_results(monkeypatch):
-    # 300 walks span two blocks of the default size and 100 blocks of 3
+    # 300 walks span several blocks of the default sizes and 100 blocks of 3
     L = er_build(8, 4, 2, 40, seed=5)
     campaign = RandomWalkCampaign(walks=300, length=12, s_max=3, seed=6)
 
@@ -823,6 +826,7 @@ def test_walk_block_size_does_not_change_results(monkeypatch):
 
     default = run()
     monkeypatch.setattr(analysis, "WALK_BLOCK", 3)
+    monkeypatch.setattr(analysis, "ADAPTIVE_BLOCK", 3)
     assert run() == default
 
 
