@@ -584,11 +584,11 @@ def test_campaign_cap_cannot_exceed_landscape():
     (AdaptiveWalkCampaign, {"lambda_max": None}, TypeError),
     (AdaptiveWalkCampaign, {"lambda_max": -1}, ValueError),
     (AdaptiveWalkCampaign, {"walks": 0}, ValueError),
-    (AdaptiveWalkCampaign, {"walks": 1}, ValueError),
     (NeutralityCampaign, {"walks": "many"}, TypeError),
     (NeutralityCampaign, {"seed": 1.5}, TypeError),
     (NeutralityCampaign, {"length": -1}, ValueError),
     (NeutralityCampaign, {"lambda_max": -2}, ValueError),
+    (AdaptiveWalkCampaign, {"walks": 1}, ValueError),
 ])
 def test_campaigns_reject_wrong_types_and_ranges(cls, kw, error):
     with pytest.raises(error):

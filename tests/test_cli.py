@@ -280,8 +280,8 @@ def test_bad_instances_in_spec_file_exits_2(tmp_path, capsys, instances):
     ("random_walks", {"walks": 0, "length": 10, "s_max": 3}),
     ("random_walks", {"walks": 5, "length": -1, "s_max": 0}),
     ("adaptive_walks", {"walks": 0}),
-    ("adaptive_walks", {"walks": 1}),
     ("neutrality", {"walks": "many"}),
+    ("adaptive_walks", {"walks": 1}),  # local-optima statistics need two walks
 ])
 def test_bad_campaign_sizes_exit_2(tmp_path, capsys, section, settings):
     spec = write_spec(tmp_path / "spec.json", command="analyze", **{section: settings})
