@@ -406,8 +406,7 @@ def run_adaptive_walk_campaign(landscape, campaign: AdaptiveWalkCampaign):
         best = np.maximum.reduceat(np.append(fits, -np.inf), first)
         moves = best > fit
         for i in np.flatnonzero(~moves):
-            if lengths[walk[i]]:
-                endpoints[walk[i]] = tuple(rows[i, : lams[i]].tolist())
+            endpoints[walk[i]] = tuple(rows[i, : lams[i]].tolist())
             del rngs[walk[i]]
         # each moving walk picks among its maximal neighbors, drawing only on a tie
         cand = np.flatnonzero(np.repeat(moves, counts) & (fits == np.repeat(best, counts)))
