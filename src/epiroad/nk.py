@@ -7,8 +7,10 @@ Fitness is the average of the per-locus components:
     f(x) = (1/n) * sum_i tables[i][index(x_i; x_links[i])]
 
 where the table index packs the bits big-endian with the locus's own bit
-most significant. Instances are immutable and fully determined by
-(n, k, kind, seed).
+most significant. Every path (``fitness``, ``all_fitness_values``) adds the
+components to 0.0 in locus order 0..n-1 and then divides by n, so a string's
+value is bit-identical whichever path computes it. Instances are immutable
+and fully determined by (n, k, kind, seed).
 
 Also provided: exhaustive optimum search with a lexicographic tie-break, a
 relabeling that moves the optimum to the all-ones string by permuting table
@@ -27,8 +29,6 @@ from .seeds import STREAM_NK_INSTANCE, make_rng
 
 # Largest n for which 2**n enumeration is considered practical.
 EXHAUSTIVE_BOUND = 24
-
-_CHUNK = 1 << 20
 
 KINDS = ("adjacent", "random")
 
@@ -106,45 +106,38 @@ def unpack_bits(v: int, n: int) -> tuple[int, ...]:
 def all_fitness_values(inst: NkInstance) -> np.ndarray:
     """Fitness of every bit string, indexed by :func:`pack_bits`.
 
-    Element-wise identical to :func:`fitness` (same addition order).
+    Element-wise identical to :func:`fitness`: every element starts at 0.0,
+    adds its locus components in locus order 0..n-1 and is divided by n.
     """
     n = inst.n
     if n > EXHAUSTIVE_BOUND:
         raise ValueError(f"n={n} exceeds the exhaustive bound {EXHAUSTIVE_BOUND}")
-    out = np.empty(1 << n)
-    for lo in range(0, 1 << n, _CHUNK):
-        hi = min(lo + _CHUNK, 1 << n)
-        out[lo:hi] = _chunk_values(inst, lo, hi)
-    return out
+    return _chunk_values(inst, 0, 1 << n)
 
 
 def _chunk_values(inst: NkInstance, lo: int, hi: int) -> np.ndarray:
-    xs = np.arange(lo, hi, dtype=np.int64)
-    acc = np.zeros(hi - lo)
-    n = inst.n
+    """Elements [lo, hi) of the table; the benchmark recorder counts passes here.
+
+    Locus i's term reads only the bits of i and its links, so its table, axes
+    in ascending locus order, is added over the (2,) * n view in one broadcast.
+    """
+    n, k = inst.n, inst.k
+    out = np.zeros(1 << n)
+    view = out.reshape((2,) * n)
     for i in range(n):
-        idx = (xs >> (n - 1 - i)) & 1
-        for l in inst.links[i]:
-            idx = (idx << 1) | ((xs >> (n - 1 - int(l))) & 1)
-        acc += inst.tables[i, idx]
-    return acc / n
+        loci = [i, *inst.links[i].tolist()]
+        shape = [2 if j in loci else 1 for j in range(n)]
+        table = inst.tables[i].reshape((2,) * (k + 1))
+        view += table.transpose(sorted(range(k + 1), key=loci.__getitem__)).reshape(shape)
+    out /= n
+    return out[lo:hi]
 
 
 def exhaustive_optimum(inst: NkInstance) -> tuple[tuple[int, ...], float]:
-    """Argmax over all 2**n strings; ties resolved to the lexicographic smallest."""
-    n = inst.n
-    if n > EXHAUSTIVE_BOUND:
-        raise ValueError(f"n={n} exceeds the exhaustive bound {EXHAUSTIVE_BOUND}")
-    best_val = -math.inf
-    best_x = 0
-    for lo in range(0, 1 << n, _CHUNK):
-        hi = min(lo + _CHUNK, 1 << n)
-        vals = _chunk_values(inst, lo, hi)
-        m = int(np.argmax(vals))
-        if vals[m] > best_val:
-            best_val = float(vals[m])
-            best_x = lo + m
-    return unpack_bits(best_x, n), best_val
+    """Argmax over all 2**n strings; the first maximum is the lexicographic smallest."""
+    vals = all_fitness_values(inst)
+    best = int(np.argmax(vals))
+    return unpack_bits(best, inst.n), float(vals[best])
 
 
 def normalize_to_one(inst: NkInstance) -> NkInstance:
@@ -176,11 +169,10 @@ def relabel(inst: NkInstance, m: int) -> NkInstance:
 
 def count_local_optima(inst: NkInstance) -> int:
     """Strings strictly fitter than all n one-bit-flip neighbors."""
-    vals = all_fitness_values(inst)
-    ids = np.arange(1 << inst.n)
-    lo = np.ones(1 << inst.n, dtype=bool)
-    for j in range(inst.n):
-        lo &= vals > vals[ids ^ (1 << j)]
+    view = all_fitness_values(inst).reshape((2,) * inst.n)
+    lo = np.ones(view.shape, dtype=bool)
+    for j in range(inst.n):  # reversing axis j flips locus j's bit
+        lo &= view > np.flip(view, j)
     return int(lo.sum())
 
 
@@ -251,7 +243,7 @@ def instance_to_dict(inst: NkInstance) -> dict:
 
 def instance_from_dict(d: dict) -> NkInstance:
     n, k = d["n"], d["k"]
-    links = np.asarray(d["links"], dtype=np.int64).reshape(n, k)
+    links = np.asarray(d["links"]).reshape(n, k)  # no int cast yet: it would truncate 2.5
     for i, row in enumerate(links.tolist()):
         if len((set(row) - {i}) & set(range(n))) != k or row != sorted(row):
             raise ValueError(f"links row {i} must hold {k} distinct loci in [0, {n}) "
@@ -261,7 +253,12 @@ def instance_from_dict(d: dict) -> NkInstance:
         raise ValueError(f"table shape {tables.shape} inconsistent with n={n}, k={k}")
     if not ((tables >= 0.0) & (tables < 1.0)).all():
         raise ValueError("tables must hold values in [0, 1)")
-    return NkInstance(
-        n=n, k=k, kind=d["kind"], seed=d["seed"],
-        links=links, tables=tables, mask=d.get("mask", 0),
-    )
+    if d["kind"] not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}, got {d['kind']!r}")
+    seed, mask = d["seed"], d.get("mask", 0)
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"seed must be a non-negative int, got {seed!r}")
+    if type(mask) is not int or not 0 <= mask < 1 << n:
+        raise ValueError(f"mask must be an int in [0, 2**{n}), got {mask!r}")
+    return NkInstance(n=n, k=k, kind=d["kind"], seed=seed, links=links.astype(np.int64),
+                      tables=tables, mask=mask)

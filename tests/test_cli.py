@@ -623,3 +623,20 @@ def test_every_preset_reproduces_and_reports(tmp_path, capsys, monkeypatch, name
     head = max(i for i, line in enumerate(lines) if ": wrote " in line) + 1
     assert lines[head].startswith(REPORT_HEADS[name])
     assert len(lines) > head + 1 and lines[-1].startswith("  ")
+
+
+def test_landscape_with_bad_mask_fails_its_unit(tmp_path, capsys):
+    spec = write_spec(tmp_path / "spec.json", **ANALYZE_SPEC)
+    out = tmp_path / "out"
+    run_cli(["gen", "--spec", spec, "--out", out, "--jobs", 1])
+    for i in range(2):
+        path = out / "landscapes" / f"n06_k02_b2_i{i:02d}.json"
+        doc = json.loads(path.read_text())
+        doc["nk"]["mask"] = "x"
+        path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli(["analyze", "--spec", spec, "--out", out, "--jobs", 1]) == 1
+    err = capsys.readouterr().err
+    assert "analyze: cell n=6 k=2 b=2 instance 1: mask must be an int" in err
+    assert "cell n=6 k=2 b=2 failed entirely" in err
+    assert "k=0 b=2 failed entirely" not in err

@@ -170,9 +170,10 @@ def test_landscape_load_rejects_wrong_format():
         landscape_from_dict({"format": "something-else"})
 
 
-@pytest.mark.parametrize("row", [[0, 0], [0, 3], [1, 1], [2, 6], [-1, 2]])
+@pytest.mark.parametrize("row", [[0, 0], [0, 3], [1, 1], [2, 6], [-1, 2], [1, 2.5]])
 def test_landscape_load_rejects_bad_links(row):
-    # locus 0 with k=2: a self-link, a duplicate or a locus outside [0, n)
+    # locus 0 with k=2: a self-link, a duplicate, a locus outside [0, n), or
+    # a non-integer that a cast would truncate to a valid row
     doc = landscape_to_dict(er_build(6, 2, 2, 100, seed=24))
     doc["nk"]["links"][0] = row
     with pytest.raises(ValueError, match="links"):
@@ -201,6 +202,17 @@ def test_landscape_load_rejects_unsorted_links():
     doc = landscape_to_dict(er_build(6, 2, 2, 100, seed=27))
     doc["nk"]["links"][0] = doc["nk"]["links"][0][::-1]
     with pytest.raises(ValueError, match="sorted"):
+        landscape_from_dict(doc)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("kind", "ring"), ("seed", -1), ("seed", 2.5), ("seed", "7"),
+    ("mask", "x"), ("mask", -3), ("mask", 1 << 40), ("mask", 1 << 6), ("mask", True),
+])
+def test_landscape_load_rejects_bad_instance_field(field, value):
+    doc = landscape_to_dict(er_build(6, 2, 2, 100, seed=28))
+    doc["nk"][field] = value
+    with pytest.raises(ValueError, match=field):
         landscape_from_dict(doc)
 
 

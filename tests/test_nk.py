@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from epiroad import nk
 from epiroad.seeds import make_rng
@@ -27,6 +29,20 @@ def oracle_fitness(inst, x):
         idx = int("".join(str(int(v)) for v in pattern), 2)
         total += inst.tables[i, idx]
     return float(total / inst.n)
+
+
+def gather_oracle_values(inst):
+    # vectorised reference: per locus, pack every string's bits of the locus
+    # and its links into table indices with int64 shifts, then gather
+    n = inst.n
+    xs = np.arange(1 << n, dtype=np.int64)
+    acc = np.zeros(1 << n)
+    for i in range(n):
+        idx = (xs >> (n - 1 - i)) & 1
+        for l in inst.links[i]:
+            idx = (idx << 1) | ((xs >> (n - 1 - int(l))) & 1)
+        acc += inst.tables[i, idx]
+    return acc / n
 
 
 def test_generate_k0_has_no_links():
@@ -107,6 +123,34 @@ def test_all_fitness_values_bit_exact():
             assert vals[nk.pack_bits(x)] == nk.fitness(inst, x)
 
 
+@st.composite
+def instances(draw):
+    n = draw(st.integers(1, 10))
+    inst = nk.generate(n, draw(st.integers(0, n - 1)),
+                       draw(st.sampled_from(nk.KINDS)), draw(st.integers(0, 2**32)))
+    return nk.relabel(inst, draw(st.integers(0, (1 << n) - 1)))  # mask 0: the raw instance
+
+
+@given(instances())
+@example(nk.generate(10, 9, "random", seed=0))
+@example(nk.relabel(nk.generate(10, 9, "adjacent", seed=1), 0b1011001110))
+@settings(max_examples=60, deadline=None)
+def test_all_fitness_values_matches_scalar_fitness(inst):
+    vals = nk.all_fitness_values(inst)
+    for packed in range(1 << inst.n):
+        assert vals[packed] == nk.fitness(inst, nk.unpack_bits(packed, inst.n))
+
+
+@pytest.mark.parametrize("kind", nk.KINDS)
+@pytest.mark.parametrize("k", [0, 4, 15])
+def test_all_fitness_values_bytes_match_gather_oracle(k, kind):
+    inst = nk.generate(16, k, kind, seed=30 + k)
+    for m in (0, 0b1010011100001101):
+        relabeled = nk.relabel(inst, m)
+        assert nk.all_fitness_values(relabeled).tobytes() == \
+            gather_oracle_values(relabeled).tobytes()
+
+
 def test_exhaustive_optimum_matches_naive_loop():
     inst = nk.generate(10, 4, "random", seed=13)
     best_x, best_f = None, -1.0
@@ -184,6 +228,10 @@ def test_count_local_optima_matches_double_loop():
                 break
         count += not fitter
     assert nk.count_local_optima(inst) == count
+
+
+def test_count_local_optima_is_strict_on_plateaus():
+    assert nk.count_local_optima(make_instance(np.full((6, 2), 0.5))) == 0
 
 
 def test_k0_has_single_local_optimum():
