@@ -35,6 +35,9 @@ FORMAT_VERSION = 1
 # decimals, so exact-match semantics effectively hold.
 SUCCESS_EPS = 1e-12
 
+# Row length of er_build's in-place relabeling: the copies it makes hold 2 rows.
+_ROW = 1 << 16
+
 
 @dataclass(frozen=True, eq=False)
 class BlockLandscape:
@@ -87,17 +90,32 @@ def er_build(n: int, k: int, b: int, lambda_max: int, seed: int) -> BlockLandsca
 
     One pass over the 2**n strings: the relabeled table is a permutation of
     the raw one, f'(x) = f(x xor m), which adds the same summands in the same
-    order as the relabeled instance would.
+    order as the relabeled instance would. The permutation is done in place,
+    so only one 2**n table is ever alive.
     """
     params = BlockParams(n_letters=n, b=b, lambda_max=lambda_max)
     raw = nk.generate(n, k, kind="random", seed=seed)
-    vals = nk.all_fitness_values(raw)
-    m = ((1 << n) - 1) ^ int(np.argmax(vals))  # first max: the lexicographic tie-break
-    # reversing axis i of the (2,) * n view flips locus i's bit
-    axes = tuple(i for i in range(n) if m >> (n - 1 - i) & 1)
-    table = np.flip(vals.reshape((2,) * n), axes).ravel()
+    table = nk.all_fitness_values(raw)
+    m = ((1 << n) - 1) ^ int(np.argmax(table))  # first max: the lexicographic tie-break
+    _xor_permute(table, m)
     return BlockLandscape(params=params, bv_fitness=table, optimum_value=float(table[-1]),
                           nk=nk.relabel(raw, m))
+
+
+def _xor_permute(vals: np.ndarray, m: int) -> None:
+    """In place, vals[x] becomes vals[x xor m] for every x in [0, len(vals)).
+
+    vals is viewed as rows of at most 2**16: row h takes row h xor m_hi, read
+    through columns l xor m_lo, where m_hi and m_lo are m's row and column bits.
+    The gathers of a pair of rows are copies, so the pair is swapped safely.
+    """
+    width = min(len(vals), _ROW)
+    rows = vals.reshape(-1, width)
+    cols = np.arange(width) ^ (m % width)
+    for h in range(len(rows)):
+        g = h ^ (m // width)
+        if h <= g:  # h == g when m_hi == 0: both sides gather the same row
+            rows[h], rows[g] = rows[g][cols], rows[h][cols]
 
 
 def is_success(landscape, f: float) -> bool:
@@ -126,6 +144,9 @@ def landscape_from_dict(d: dict) -> BlockLandscape:
     if d.get("format") != FORMAT_NAME:
         raise ValueError(f"not a {FORMAT_NAME} document: format={d.get('format')!r}")
     p = d["params"]
+    for name in ("n_letters", "b", "lambda_max"):
+        if type(p[name]) is not int:
+            raise ValueError(f"params.{name} must be an int, got {p[name]!r}")
     params = BlockParams(n_letters=p["n_letters"], b=p["b"], lambda_max=p["lambda_max"])
     inst = nk.instance_from_dict(d["nk"])
     if inst.n != params.n_letters:

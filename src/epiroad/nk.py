@@ -32,6 +32,10 @@ EXHAUSTIVE_BOUND = 24
 
 KINDS = ("adjacent", "random")
 
+# Trailing loci a table add expands its term over (see _chunk_values): inner
+# loops of 2**8 contiguous elements, at most 2**(k + 1 + 8) float64s per term.
+_INNER = 8
+
 
 @dataclass(frozen=True, eq=False)
 class NkInstance:
@@ -119,16 +123,30 @@ def _chunk_values(inst: NkInstance, lo: int, hi: int) -> np.ndarray:
     """Elements [lo, hi) of the table; the benchmark recorder counts passes here.
 
     Locus i's term reads only the bits of i and its links, so its table, axes
-    in ascending locus order, is added over the (2,) * n view in one broadcast.
+    in ascending locus order, is added over all strings in one broadcast. A
+    term that is broadcast along a late locus would give the add inner loops
+    of 2 elements, so the table is viewed as (2,) * (n - m) + (2**m,) with
+    m = min(_INNER, n) and the term is first expanded over the last m loci:
+    every add then runs inner loops of 2**m contiguous elements. A term that
+    already spans the last m loci (k close to n) is added as it is over the
+    (2,) * n view; expanding it would only copy it. Either way, loci are added
+    in order 0..n-1 and the sum is then divided by n.
     """
     n, k = inst.n, inst.k
+    m = min(_INNER, n)
     out = np.zeros(1 << n)
-    view = out.reshape((2,) * n)
+    bits = out.reshape((2,) * n)
+    rows = out.reshape((2,) * (n - m) + (1 << m,))
     for i in range(n):
         loci = [i, *inst.links[i].tolist()]
         shape = [2 if j in loci else 1 for j in range(n)]
         table = inst.tables[i].reshape((2,) * (k + 1))
-        view += table.transpose(sorted(range(k + 1), key=loci.__getitem__)).reshape(shape)
+        term = table.transpose(sorted(range(k + 1), key=loci.__getitem__)).reshape(shape)
+        high = shape[:n - m]
+        if 1 in shape[n - m:]:
+            rows += np.broadcast_to(term, high + [2] * m).reshape(high + [1 << m])
+        else:
+            bits += term
     out /= n
     return out[lo:hi]
 
@@ -243,6 +261,10 @@ def instance_to_dict(inst: NkInstance) -> dict:
 
 def instance_from_dict(d: dict) -> NkInstance:
     n, k = d["n"], d["k"]
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be a positive int, got {n!r}")
+    if type(k) is not int or not 0 <= k < n:
+        raise ValueError(f"k must be an int in [0, {n - 1}], got {k!r}")
     links = np.asarray(d["links"]).reshape(n, k)  # no int cast yet: it would truncate 2.5
     for i, row in enumerate(links.tolist()):
         if len((set(row) - {i}) & set(range(n))) != k or row != sorted(row):

@@ -8,6 +8,7 @@ from epiroad import nk
 from epiroad.genotype import BlockParams, block_vector, from_text, random_genotype
 from epiroad.genotype import block_bits
 from epiroad.landscapes import (
+    _xor_permute,
     er_build,
     is_success,
     landscape_from_dict,
@@ -208,11 +209,23 @@ def test_landscape_load_rejects_unsorted_links():
 @pytest.mark.parametrize("field,value", [
     ("kind", "ring"), ("seed", -1), ("seed", 2.5), ("seed", "7"),
     ("mask", "x"), ("mask", -3), ("mask", 1 << 40), ("mask", 1 << 6), ("mask", True),
+    ("n", 6.0), ("n", 0), ("k", True), ("k", 2.0), ("k", 6),
 ])
 def test_landscape_load_rejects_bad_instance_field(field, value):
     doc = landscape_to_dict(er_build(6, 2, 2, 100, seed=28))
     doc["nk"][field] = value
     with pytest.raises(ValueError, match=field):
+        landscape_from_dict(doc)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n_letters", 6.0), ("b", 2.5), ("b", True), ("lambda_max", 100.0), ("lambda_max", "100"),
+])
+def test_landscape_load_rejects_bad_param_field(field, value):
+    # BlockParams would accept 2.5 or 6.0; the file must hold plain ints
+    doc = landscape_to_dict(er_build(6, 2, 2, 100, seed=28))
+    doc["params"][field] = value
+    with pytest.raises(ValueError, match=f"params.{field}"):
         landscape_from_dict(doc)
 
 
@@ -230,6 +243,18 @@ def test_er_build_table_is_bit_identical_to_golden(cell):
     L = er_build(n, k, b, 100, seed=seed)
     assert hashlib.sha256(np.ascontiguousarray(L.bv_fitness)).hexdigest() == \
         GOLDEN_TABLE_SHA[cell]
+
+
+@pytest.mark.parametrize("n,m", [
+    (1, 1), (5, 0b10110), (16, 0), (16, 0xbeef),
+    (17, 0x1beef), (17, 0x10000), (17, 0x0beef),  # row and column bits; no column bits; no row bits
+    (18, 0x2f00d), (18, 0x30000), (18, 0x0ffff),
+])
+def test_xor_permute_matches_gather(n, m):
+    vals = make_rng(29, n).random(1 << n)
+    out = vals.copy()
+    _xor_permute(out, m)
+    assert out.tobytes() == vals[np.arange(1 << n) ^ m].tobytes()
 
 
 def test_er_build_matches_normalize_then_tabulate():

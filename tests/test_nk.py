@@ -132,6 +132,8 @@ def instances(draw):
 
 
 @given(instances())
+@example(nk.generate(8, 3, "random", seed=2))  # m == n: the whole table is one inner block
+@example(nk.relabel(nk.generate(9, 4, "random", seed=3), 0b101100111))  # one high locus
 @example(nk.generate(10, 9, "random", seed=0))
 @example(nk.relabel(nk.generate(10, 9, "adjacent", seed=1), 0b1011001110))
 @settings(max_examples=60, deadline=None)
@@ -149,6 +151,20 @@ def test_all_fitness_values_bytes_match_gather_oracle(k, kind):
         relabeled = nk.relabel(inst, m)
         assert nk.all_fitness_values(relabeled).tobytes() == \
             gather_oracle_values(relabeled).tobytes()
+
+
+@pytest.mark.parametrize("k", [2, 10])
+def test_all_fitness_values_bytes_match_gather_oracle_at_n20(k):
+    # the benchmark's build shapes: the random links put late loci in most terms
+    inst = nk.generate(20, k, "random", seed=40 + k)
+    assert nk.all_fitness_values(inst).tobytes() == gather_oracle_values(inst).tobytes()
+
+
+def test_chunk_values_is_a_slice_of_the_table():
+    inst = nk.relabel(nk.generate(10, 3, "random", seed=41), 0b0110010111)
+    full = nk.all_fitness_values(inst)
+    for lo, hi in [(0, 1), (5, 300), (256, 512), (1000, 1024), (0, 1024)]:
+        assert nk._chunk_values(inst, lo, hi).tobytes() == full[lo:hi].tobytes()
 
 
 def test_exhaustive_optimum_matches_naive_loop():
