@@ -35,8 +35,8 @@ FORMAT_VERSION = 1
 # decimals, so exact-match semantics effectively hold.
 SUCCESS_EPS = 1e-12
 
-# Row length of er_build's in-place relabeling. Its temporaries are 3 rows;
-# at 2**12 (32 KiB) they stay in cache, which was faster than 2**10 or 2**16.
+# Row length of er_build's in-place relabeling. Its temporaries are 3 rows,
+# which at 2**12 (32 KiB each) stay in cache and out of the process's peak.
 _ROW = 1 << 12
 
 

@@ -142,8 +142,8 @@ def _chunk_values(inst: NkInstance, lo: int, hi: int) -> np.ndarray:
         shape = [2 if j in loci else 1 for j in range(n)]
         table = inst.tables[i].reshape((2,) * (k + 1))
         term = table.transpose(sorted(range(k + 1), key=loci.__getitem__)).reshape(shape)
-        high = shape[:n - m]
         if 1 in shape[n - m:]:
+            high = shape[:n - m]
             rows += np.broadcast_to(term, high + [2] * m).reshape(high + [1 << m])
         else:
             bits += term
