@@ -32,9 +32,12 @@ EXHAUSTIVE_BOUND = 24
 
 KINDS = ("adjacent", "random")
 
-# Trailing loci a table add expands its term over (see _chunk_values): inner
-# loops of 2**8 contiguous elements, at most 2**(k + 1 + 8) float64s per term.
+# A table add expands its term over at most the last _INNER loci (inner loops of
+# up to 2**8 contiguous elements), and only as far as leaves _UNREAD loci that
+# the term does not read before them: an expanded term then holds at most
+# 2**(n - _UNREAD) float64s, an eighth of the table (see _chunk_values).
 _INNER = 8
+_UNREAD = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,28 +128,26 @@ def _chunk_values(inst: NkInstance, lo: int, hi: int) -> np.ndarray:
     Locus i's term reads only the bits of i and its links, so its table, axes
     in ascending locus order, is added over all strings in one broadcast. A
     term that is broadcast along a late locus would give the add inner loops
-    of 2 elements, so the table is viewed as (2,) * (n - m) + (2**m,) with
-    m = min(_INNER, n) and the term is first expanded over the last m loci:
-    every add then runs inner loops of 2**m contiguous elements. A term that
-    already spans the last m loci (k close to n) is added as it is over the
-    (2,) * n view; expanding it would only copy it. Either way, loci are added
-    in order 0..n-1 and the sum is then divided by n.
+    of 2 elements, so the table is viewed as (2,) * (n - t) + (2**t,) and the
+    term is first expanded over the last t loci: the add then runs inner loops
+    of 2**t contiguous elements. t is the largest value up to _INNER that
+    leaves _UNREAD loci the term does not read among the first n - t, so the
+    expanded term holds at most an eighth of the table; a term that leaves
+    fewer than _UNREAD loci unread (k close to n) gets t = 0 and is added as
+    it is. Loci are added in order 0..n-1 and the sum is then divided by n.
     """
     n, k = inst.n, inst.k
-    m = min(_INNER, n)
     out = np.zeros(1 << n)
-    bits = out.reshape((2,) * n)
-    rows = out.reshape((2,) * (n - m) + (1 << m,))
     for i in range(n):
         loci = [i, *inst.links[i].tolist()]
         shape = [2 if j in loci else 1 for j in range(n)]
         table = inst.tables[i].reshape((2,) * (k + 1))
         term = table.transpose(sorted(range(k + 1), key=loci.__getitem__)).reshape(shape)
-        if 1 in shape[n - m:]:
-            high = shape[:n - m]
-            rows += np.broadcast_to(term, high + [2] * m).reshape(high + [1 << m])
-        else:
-            bits += term
+        unread = [j for j in range(n) if j not in loci][:_UNREAD]
+        t = min(_INNER, n - 1 - unread[-1]) if len(unread) == _UNREAD else 0
+        high = shape[:n - t]
+        rows = out.reshape((2,) * (n - t) + (1 << t,))
+        rows += np.broadcast_to(term, high + [2] * t).reshape(high + [1 << t])
     out /= n
     return out[lo:hi]
 

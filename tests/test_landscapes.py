@@ -215,7 +215,7 @@ def test_landscape_load_rejects_unsorted_links():
 def test_landscape_load_rejects_bad_instance_field(field, value):
     doc = landscape_to_dict(er_build(6, 2, 2, 100, seed=28))
     doc["nk"][field] = value
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(ValueError, match=rf"^{field} must"):
         landscape_from_dict(doc)
 
 
@@ -226,7 +226,7 @@ def test_landscape_load_rejects_bad_param_field(field, value):
     # BlockParams would accept 2.5 or 6.0; the file must hold plain ints
     doc = landscape_to_dict(er_build(6, 2, 2, 100, seed=28))
     doc["params"][field] = value
-    with pytest.raises(ValueError, match=f"params.{field}"):
+    with pytest.raises(ValueError, match=rf"^params\.{field} must"):
         landscape_from_dict(doc)
 
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,9 +133,10 @@ def instances(draw):
 
 
 @given(instances())
-@example(nk.generate(8, 3, "random", seed=2))  # m == n: the whole table is one inner block
-@example(nk.relabel(nk.generate(9, 4, "random", seed=3), 0b101100111))  # one high locus
-@example(nk.generate(10, 9, "random", seed=0))
+@example(nk.generate(8, 3, "random", seed=2))  # terms expanded over 1 to 4 loci
+@example(nk.relabel(nk.generate(9, 4, "random", seed=3), 0b101100111))  # over 1 to 4 loci
+@example(nk.generate(12, 2, "adjacent", seed=0))  # over 6 to 8 loci
+@example(nk.generate(10, 9, "random", seed=0))  # k = n - 1: every term added as it is
 @example(nk.relabel(nk.generate(10, 9, "adjacent", seed=1), 0b1011001110))
 @settings(max_examples=60, deadline=None)
 def test_all_fitness_values_matches_scalar_fitness(inst):
@@ -158,6 +160,23 @@ def test_all_fitness_values_bytes_match_gather_oracle_at_n20(k):
     # the benchmark's build shapes: the random links put late loci in most terms
     inst = nk.generate(20, k, "random", seed=40 + k)
     assert nk.all_fitness_values(inst).tobytes() == gather_oracle_values(inst).tobytes()
+
+
+@pytest.mark.parametrize("kind", nk.KINDS)
+@pytest.mark.parametrize("k", [10, 14, 15, 16, 17])
+def test_all_fitness_values_holds_at_most_an_eighth_of_a_table_more(k, kind):
+    # an expanded term never exceeds 2**(n - 3) values, even when the term
+    # already reads most loci; numpy reports its buffers to tracemalloc, and
+    # 128 KiB is left for the add's own buffers
+    inst = nk.generate(18, k, kind, seed=50 + k)
+    tracemalloc.start()
+    try:
+        nk.all_fitness_values(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table_bytes = 8 << 18
+    assert peak <= table_bytes + table_bytes // 8 + (128 << 10)
 
 
 def test_chunk_values_is_a_slice_of_the_table():
