@@ -13,12 +13,14 @@ Random-walk campaigns and neutrality scans pick each move directly among the
 feasible ones; the scalar ``random_walk`` re-draws a move that would exceed
 the cap, which leaves the same uniform distribution. Adaptive-walk campaigns
 score every neighbor of every row from the run structure around each edit
-site, with no neighbor matrix, and draw exactly as the scalar
-``adaptive_walk`` does, so their outputs are unchanged; a walk leaves the
-matrix when it stops and the campaign's next walk takes its row. The scalar walks are kept as test oracles.
-Campaigns give each walk its own child random stream derived from (campaign
-seed, walk index); pooled results are therefore identical no matter how
-walks are scheduled.
+site, with no neighbor matrix, and break ties as the scalar
+``adaptive_walk`` does; a walk leaves the matrix when it stops and the
+campaign's next walk takes its row. The scalar walks are kept as test oracles.
+Each campaign reads its uniforms from one random stream in walk order, walk w
+taking row w of ``random((walks, D))`` (stream format 5); an adaptive walk
+that ties also opens its own child stream, derived from (campaign seed, walk
+index). Pooled results are therefore identical no matter how many walks step
+together.
 """
 
 from __future__ import annotations
@@ -34,17 +36,27 @@ from .genotype import (
     PAD,
     Genotype,
     neighbor_matrix,
-    random_genotype,
+    random_genotype,  # noqa: F401  (no caller here; benchmarks/recorder.py wraps this binding)
     random_neighbor,
     row_to_genotype,
 )
-from .seeds import STREAM_ADAPTIVE_WALK, STREAM_NEUTRALITY, STREAM_RANDOM_WALK, make_rng
+from .seeds import (
+    STREAM_ADAPTIVE_START,
+    STREAM_ADAPTIVE_WALK,
+    STREAM_NEUTRALITY,
+    STREAM_RANDOM_WALK,
+    make_rng,
+)
 
 # Walks stepped together; a campaign's peak memory grows with this, not with its walk count.
 WALK_BLOCK = 256
 # An adaptive walk scores all its (2 * lam + 1) * n neighbors at each step, so
 # fewer of them step together.
 ADAPTIVE_BLOCK = 64
+
+
+# A walk under lambda_max = 0 stays at the empty genotype, which has no neighbor.
+_NO_MOVE = "the empty genotype has no feasible neighbor under lambda_max=0"
 
 
 def check_walk_sizes(walks: int, length: int) -> None:
@@ -84,6 +96,8 @@ class RandomWalkCampaign:
         check_walk_sizes(self.walks, self.length)
         if not 0 <= self.s_max <= self.length:
             raise ValueError(f"s_max must lie in [0, length={self.length}], got {self.s_max}")
+        if self.lambda_max == 0 and self.length > 0:
+            raise ValueError(_NO_MOVE)
 
 
 @dataclass(frozen=True)
@@ -110,6 +124,8 @@ class NeutralityCampaign:
     def __post_init__(self):
         _check_campaign(self)
         check_walk_sizes(self.walks, self.length)
+        if self.lambda_max == 0:  # even at length 0 the empty start has none to classify
+            raise ValueError(_NO_MOVE)
 
 
 @dataclass
@@ -235,29 +251,41 @@ def run_random_walk_campaign(landscape, campaign: RandomWalkCampaign):
 def _lockstep_walks(landscape, walks: int, length: int, cap: int, seed: int, stream: int):
     """Yield ``(walk slice, t, rows, lams, fitness)`` of uniform walks, WALK_BLOCK at a time.
 
-    Walk w reads ``u = make_rng(seed, stream, w).random(1 + cap + length)``:
-    start length ``lam = int(u[0] * (cap + 1))``, letters ``int(u[i] * n)``
-    for i in 1..lam, and at step t move ``int(u[cap + t] * F)`` of its F
-    feasible moves (see ``_step_rows``). A block's walks step in lockstep as
-    the rows of one ``(block, cap + 2)`` matrix padded with PAD; t runs over
-    0..length, and the next step changes ``rows`` and ``lams`` in place.
+    Walk w reads row w of ``make_rng(seed, stream).random((walks, 1 + cap +
+    length))``, drawn a block of rows at a time in walk order, so the rows do
+    not depend on WALK_BLOCK. Its first ``1 + cap`` uniforms give its start
+    (``_decode_starts``), and at step t uniform ``u[cap + t]`` picks move
+    ``int(u[cap + t] * F)`` of its F feasible moves (see ``_step_rows``). A
+    block's walks step in lockstep as the rows of one ``(block, cap + 2)``
+    matrix padded with PAD; t runs over 0..length, and the next step changes
+    ``rows`` and ``lams`` in place.
     """
     n = landscape.n_letters
     if cap == 0 and length > 0:
-        raise ValueError("the empty genotype has no feasible neighbor under lambda_max=0")
+        raise ValueError(_NO_MOVE)
+    rng = make_rng(seed, stream)
     for lo in range(0, walks, WALK_BLOCK):
         block = slice(lo, min(lo + WALK_BLOCK, walks))
-        u = np.empty((block.stop - lo, 1 + cap + length))
-        for i, w in enumerate(range(lo, block.stop)):
-            make_rng(seed, stream, w).random(out=u[i])
-        lams = (u[:, 0] * (cap + 1)).astype(np.int64)
-        rows = np.full((len(u), cap + 2), PAD, np.int16)
-        letters = (u[:, 1 : cap + 1] * n).astype(np.int16)
-        rows[:, :cap] = np.where(np.arange(cap) < lams[:, None], letters, PAD)
+        u = rng.random((block.stop - lo, 1 + cap + length))
+        rows, lams = _decode_starts(u, n, cap)
         for t in range(length + 1):
             if t:
                 _step_rows(rows, lams, u[:, cap + t], n, cap)
             yield block, t, rows, lams, landscape.evaluate_rows(rows)
+
+
+def _decode_starts(u: np.ndarray, n: int, cap: int):
+    """(rows, lams): one start genotype per row of uniforms, as a ``(W, cap + 2)`` PAD matrix.
+
+    Row w has length ``lam = int(u[w, 0] * (cap + 1))``, uniform on 0..cap,
+    and letters ``int(u[w, i] * n)`` for i in 1..lam; ``u`` has at least
+    ``1 + cap`` columns.
+    """
+    lams = (u[:, 0] * (cap + 1)).astype(np.int64)
+    rows = np.full((len(u), cap + 2), PAD, np.int16)
+    letters = (u[:, 1 : cap + 1] * n).astype(np.int16)
+    rows[:, :cap] = np.where(np.arange(cap) < lams[:, None], letters, PAD)
+    return rows, lams
 
 
 def _step_rows(rows: np.ndarray, lams: np.ndarray, u: np.ndarray, n: int, cap: int):
@@ -365,10 +393,12 @@ def local_optima_stats(final_fitnesses, lengths) -> WalkStats:
 def run_adaptive_walk_campaign(landscape, campaign: AdaptiveWalkCampaign):
     """(WalkStats, raw) over greedy walks from random starts.
 
-    Walk w draws its start with ``random_genotype`` and its ties with
-    ``integers``, both from ``make_rng(seed, STREAM_ADAPTIVE_WALK, w)``, and
-    moves exactly as ``adaptive_walk`` would on that stream. Up to
-    ADAPTIVE_BLOCK walks step in lockstep as the rows of a padded
+    Walk w decodes its start (``_decode_starts``) from row w of
+    ``make_rng(seed, STREAM_ADAPTIVE_START).random((walks, 1 + cap))``, drawn
+    in walk order as walks join, and breaks ties with ``integers`` from
+    ``make_rng(seed, STREAM_ADAPTIVE_WALK, w)``, opened on its first tie; it
+    moves exactly as ``adaptive_walk`` would from that start on that stream.
+    Up to ADAPTIVE_BLOCK walks step in lockstep as the rows of a padded
     ``(walks, cap + 2)`` matrix: each step scores every neighbor of every
     row in one pass (``_neighbor_fitness``), and a walk leaves the matrix
     when it stops, making room for the campaign's next walk.
@@ -377,26 +407,23 @@ def run_adaptive_walk_campaign(landscape, campaign: AdaptiveWalkCampaign):
     n = landscape.n_letters
     finals = np.empty(campaign.walks)
     lengths = np.zeros(campaign.walks, dtype=np.int64)
-    endpoints: list[Genotype] = []
-    rngs: dict[int, np.random.Generator] = {}
+    endpoints: list[Genotype] = [()] * campaign.walks
+    start_rng = make_rng(campaign.seed, STREAM_ADAPTIVE_START)
+    tie_rngs: dict[int, np.random.Generator] = {}
+    joined = 0
     walk = np.empty(0, np.int64)
     rows = np.empty((0, cap + 2), np.int16)
     lams = np.empty(0, np.int64)
     fit = np.empty(0)
     while True:
-        lo = len(endpoints)
-        new = np.arange(lo, min(lo + ADAPTIVE_BLOCK - len(walk), campaign.walks))
+        new = np.arange(joined, min(joined + ADAPTIVE_BLOCK - len(walk), campaign.walks))
         if len(new):  # the next walks take the places of those that stopped
-            for w in new:
-                rngs[w] = make_rng(campaign.seed, STREAM_ADAPTIVE_WALK, w)
-                endpoints.append(random_genotype(cap, n, rngs[w]))
-            starts = np.full((len(new), cap + 2), PAD, np.int16)
-            for row, g in zip(starts, endpoints[lo:]):
-                row[: len(g)] = g
+            starts, start_lams = _decode_starts(start_rng.random((len(new), 1 + cap)), n, cap)
             finals[new] = landscape.evaluate_rows(starts)
+            joined += len(new)
             walk = np.concatenate([walk, new])
             rows = np.concatenate([rows, starts])
-            lams = np.concatenate([lams, [len(g) for g in endpoints[lo:]]])
+            lams = np.concatenate([lams, start_lams])
             fit = np.concatenate([fit, finals[new]])
         if not len(walk):
             break
@@ -407,13 +434,16 @@ def run_adaptive_walk_campaign(landscape, campaign: AdaptiveWalkCampaign):
         moves = best > fit
         for i in np.flatnonzero(~moves):
             endpoints[walk[i]] = tuple(rows[i, : lams[i]].tolist())
-            del rngs[walk[i]]
+            tie_rngs.pop(int(walk[i]), None)
         # each moving walk picks among its maximal neighbors, drawing only on a tie
         cand = np.flatnonzero(np.repeat(moves, counts) & (fits == np.repeat(best, counts)))
         ties = np.bincount(np.searchsorted(first, cand, "right") - 1, minlength=len(walk))
         pick = np.cumsum(ties) - ties
         for i in np.flatnonzero(ties > 1):
-            pick[i] += rngs[walk[i]].integers(int(ties[i]))
+            w = int(walk[i])
+            if w not in tie_rngs:
+                tie_rngs[w] = make_rng(campaign.seed, STREAM_ADAPTIVE_WALK, w)
+            pick[i] += tie_rngs[w].integers(int(ties[i]))
         pick = cand[pick[moves]] - first[moves]  # its row in neighbor_matrix's order
         walk, rows, lams, fit = walk[moves], rows[moves], lams[moves], best[moves]
         finals[walk] = fit
@@ -594,7 +624,7 @@ def neutrality_scan(
     check_walk_sizes(walks, length)
     cap = _walk_cap(landscape, landscape.lambda_max if lambda_max is None else lambda_max)
     if cap == 0:  # every walk stays at the empty genotype, which has no neighbor to classify
-        raise ValueError("the empty genotype has no feasible neighbor under lambda_max=0")
+        raise ValueError(_NO_MOVE)
     counts = np.zeros(3, np.int64)
     for _, _, rows, lams, fits in _lockstep_walks(landscape, walks, length, cap, seed,
                                                   STREAM_NEUTRALITY):

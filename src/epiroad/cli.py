@@ -132,6 +132,8 @@ def _cells_from_grid(grid) -> list[tuple[int, int, int]]:
         values = grid[key]
         if not isinstance(values, list) or any(_integer(v) is None for v in values):
             raise SpecError(f"grid values must be lists of integers, got {key}: {values!r}")
+        if len(set(values)) < len(values):  # a repeated value would run its cells twice
+            raise SpecError(f"grid values must not repeat, got {key}: {values!r}")
         return values
 
     ns, ks, bs = axis("n"), axis("k"), axis("b")

@@ -2,7 +2,7 @@
 
 All randomness flows from numpy's PCG64 generator. Child streams are derived
 with ``SeedSequence([master_seed, stream_id, *indices])`` so that instance
-generation, each walk of a campaign, and each EA run own independent,
+generation, each walk campaign, and each EA run own independent,
 reproducible streams. Results are therefore independent of execution order
 and of the degree of parallelism.
 
@@ -17,7 +17,18 @@ letters and every move from it (see ``analysis._lockstep_walks``); moves are
 picked among the feasible ones directly, with no re-draw at the cap.
 Format 4: the walks of a neutrality scan draw and step the same way, each
 from its own neutrality stream, instead of one ``integers`` call per start
-length, letter and move. Everything else draws as in format 2.
+length, letter and move. Format 5: each random-walk campaign and neutrality
+scan draws from one stream, ``make_rng(seed, stream)``, instead of one per
+walk: walk w takes row w of ``random((walks, 1 + cap + length))``, drawn in
+walk order, and uses it as in format 4. An adaptive-walk campaign decodes
+its starts the same way from rows of ``make_rng(seed,
+STREAM_ADAPTIVE_START).random((walks, 1 + cap))`` instead of one
+``random_genotype`` per walk, and walk w still breaks ties from
+``make_rng(seed, STREAM_ADAPTIVE_WALK, w)``. The starts take their own
+stream identifier because ``SeedSequence`` pads an entropy shorter than four
+words with zeros: the path (seed, STREAM_ADAPTIVE_WALK) names the same
+stream as walk 0's (seed, STREAM_ADAPTIVE_WALK, 0). Everything else draws as
+in format 2.
 """
 
 from __future__ import annotations
@@ -31,8 +42,9 @@ STREAM_ADAPTIVE_WALK = 3
 STREAM_NEUTRALITY = 4
 STREAM_EA_RUN = 5
 STREAM_LANDSCAPE_SEED = 6
+STREAM_ADAPTIVE_START = 7
 
-STREAM_FORMAT = 4
+STREAM_FORMAT = 5
 
 
 def seed_sequence(master_seed: int, *path: int) -> np.random.SeedSequence:

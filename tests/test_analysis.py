@@ -13,6 +13,8 @@ from epiroad.analysis import (
     NeutralityCampaign,
     RandomWalkCampaign,
     _class_counts_batch,
+    _decode_starts,
+    _lockstep_walks,
     _neighbor_fitness,
     _step_rows,
     adaptive_walk,
@@ -34,7 +36,13 @@ from epiroad.genotype import (
     row_to_genotype,
 )
 from epiroad.landscapes import BlockLandscape, er_build, royal_road
-from epiroad.seeds import STREAM_ADAPTIVE_WALK, STREAM_NEUTRALITY, STREAM_RANDOM_WALK, make_rng
+from epiroad.seeds import (
+    STREAM_ADAPTIVE_START,
+    STREAM_ADAPTIVE_WALK,
+    STREAM_NEUTRALITY,
+    STREAM_RANDOM_WALK,
+    make_rng,
+)
 
 
 class ConstantLandscape:
@@ -245,8 +253,34 @@ def test_random_campaign_rho_is_bit_identical_to_golden(cell):
     assert rho_by_centering(series) == GOLDEN_RHO[cell]
 
 
-# the same cells and campaigns under stream format 3, as the lockstep campaign
-# computes them; 99 and 244 of the walks of the first and last cell are constant
+def format4_draws(seed, stream, walks, width):
+    """Stream formats 3 and 4: walk w's uniforms from its own stream (seed, stream, w)."""
+    return np.stack([make_rng(seed, stream, w).random(width) for w in range(walks)])
+
+
+def campaign_draws(seed, stream, walks, width):
+    """Stream format 5: walk w's uniforms are row w of the campaign's one stream."""
+    return make_rng(seed, stream).random((walks, width))
+
+
+def lockstep_from_draws(landscape, u, length, cap):
+    """Yield ``(rows, lams, fitness)`` at t = 0..length of walks that read the rows of ``u``."""
+    n = landscape.n_letters
+    rows, lams = _decode_starts(u, n, cap)
+    for t in range(length + 1):
+        if t:
+            _step_rows(rows, lams, u[:, cap + t], n, cap)
+        yield rows, lams, landscape.evaluate_rows(rows)
+
+
+def format4_campaign_series(landscape, walks, length, seed, cap):
+    """Stream format 4's random-walk campaign: the lockstep steps over per-walk draws."""
+    u = format4_draws(seed, STREAM_RANDOM_WALK, walks, 1 + cap + length)
+    return np.stack([fits for _, _, fits in lockstep_from_draws(landscape, u, length, cap)], 1)
+
+
+# the same cells and campaigns under stream formats 3 and 4, as the lockstep campaign
+# computed them; 99 and 244 of the walks of the first and last cell are constant
 GOLDEN_RHO_FORMAT_3 = {
     (10, 5, 3, 100, 211): {
         "walk": (1.0, 0.8041345698415403, 0.6388489218232299, 0.50900788166195,
@@ -301,11 +335,71 @@ GOLDEN_RHO_FORMAT_3 = {
 
 @pytest.mark.parametrize("cell", list(GOLDEN_RHO_FORMAT_3))
 def test_lockstep_campaign_rho_is_bit_identical_to_golden(cell):
+    # the lockstep steps over stream format 4's per-walk draws
+    n, k, b, lambda_max, seed = cell
+    L = er_build(n, k, b, lambda_max, seed=seed)
+    series = format4_campaign_series(L, 300, 35, seed, cap=2 * n * b)
+    assert rho_by_centering(series) == GOLDEN_RHO_FORMAT_3[cell]
+
+
+# the same cells and campaigns under stream format 5, as the campaign computes them;
+# 118 and 242 of the walks of the first and last cell are constant
+GOLDEN_RHO_FORMAT_5 = {
+    (10, 5, 3, 100, 211): {
+        "walk": (1.0, 0.7816877305178884, 0.6073787662777979, 0.4593778964562204,
+                 0.32589730848499265, 0.2138496898001636, 0.13402867399480117, 0.06717578049780988,
+                 0.012331640294369456, -0.03689090719113782, -0.07873230374918043,
+                 -0.11558354743003162, -0.14445366103194549, -0.1660587171916569,
+                 -0.1777705702925856, -0.18427545058634032, -0.18614947986751018,
+                 -0.18651697125075498, -0.18638842024920438, -0.18184379043062704,
+                 -0.17317998902357254),
+        "pool": (1.0, 0.930825906319181, 0.8701763887712941, 0.7991820559354129, 0.727656580641267,
+                 0.6710291920555663, 0.6172638332764522, 0.5890301987734698, 0.5599405389216201,
+                 0.5266749213953564, 0.506363787738668, 0.4710651522686099, 0.4254990836355736,
+                 0.3570071723306281, 0.3224376586759797, 0.30142874954675214, 0.29430461251974954,
+                 0.32195075994571176, 0.3575578047388097, 0.40173038920033455,
+                 0.45078399455925394),
+    },
+    (8, 0, 1, 60, 212): {
+        "walk": (1.0, 0.7985431026922624, 0.6350554368196393, 0.4992747856409963,
+                 0.3844494511806296, 0.2859642441087935, 0.20038989620068776, 0.13256108797646085,
+                 0.07773705334888102, 0.031063026558151824, -0.008115058973674164,
+                 -0.03912880443729401, -0.07018435100843003, -0.09687363657982055,
+                 -0.12356940441491118, -0.1435233181655861, -0.1572404092073235,
+                 -0.17036562834902158, -0.18197087366672074, -0.1923371858474619,
+                 -0.1994030577696689),
+        "pool": (1.0, 1.0240533705887072, 1.041917726544524, 1.0623531970041744,
+                 1.0821041619134268, 1.1015517915617583, 1.122450893904544, 1.138148378072492,
+                 1.1147057133168115, 1.0775662900774505, 1.0363262620130098, 0.9786192298945341,
+                 0.9183535302296079, 0.8345517977551333, 0.7295643273414785, 0.5980911681637499,
+                 0.445048449528517, 0.2794243087153277, 0.09893541569946744, -0.10105421338339024,
+                 -0.32285753982416787),
+    },
+    (8, 7, 4, 100, 213): {
+        "walk": (1.0, 0.809132273110653, 0.6387794180771261, 0.4811046163348258,
+                 0.3594874774361695, 0.24813476998065612, 0.143788543428207, 0.05432039634299659,
+                 -0.012625659451254403, -0.06471704769216807, -0.10463818719931647,
+                 -0.13475930608912626, -0.16124508489714584, -0.18416289271810996,
+                 -0.2009371084045386, -0.21820905204307162, -0.2253454889570397,
+                 -0.21796284208798455, -0.21021366759975285, -0.20218805804796747,
+                 -0.1879182296340954),
+        "pool": (1.0, 0.9581591073466172, 0.9185478727160906, 0.8871675434881483,
+                 0.856689144180695, 0.8263988509674599, 0.7939699824969081, 0.7634982833065411,
+                 0.7511561534143414, 0.7413576101826067, 0.7514056851289467, 0.7472133608733716,
+                 0.7377782944233775, 0.7246795892681174, 0.6977373824170919, 0.6153358810302452,
+                 0.519422612296253, 0.42515900425578534, 0.3382815017813168, 0.24145582660100115,
+                 0.11936388891211791),
+    },
+}
+
+
+@pytest.mark.parametrize("cell", list(GOLDEN_RHO_FORMAT_5))
+def test_format5_campaign_rho_is_bit_identical_to_golden(cell):
     n, k, b, lambda_max, seed = cell
     L = er_build(n, k, b, lambda_max, seed=seed)
     stats, raw = run_random_walk_campaign(L, RandomWalkCampaign(walks=300, length=35, seed=seed))
-    assert stats.rho == GOLDEN_RHO_FORMAT_3[cell]["walk"]
-    assert rho_by_centering(raw["series"]) == GOLDEN_RHO_FORMAT_3[cell]
+    assert stats.rho == GOLDEN_RHO_FORMAT_5[cell]["walk"]
+    assert rho_by_centering(raw["series"]) == GOLDEN_RHO_FORMAT_5[cell]
 
 
 def feasible_moves(g, n, cap):
@@ -325,11 +419,15 @@ def apply_move(g, move):
     return g[:p] + ((c,) if kind < 2 else ()) + g[p + (kind > 0):]
 
 
+def tuple_start(u, n, cap):
+    """The start genotype a walk decodes from its uniforms: length, then letters."""
+    return tuple(int(x * n) for x in u[1 : 1 + int(u[0] * (cap + 1))])
+
+
 def tuple_walks(n, walks, length, seed, cap, stream):
-    """Each walk's visited genotypes, one tuple walk at a time from its lockstep draw block."""
-    for w in range(walks):
-        u = make_rng(seed, stream, w).random(1 + cap + length).tolist()
-        g = tuple(int(x * n) for x in u[1 : 1 + int(u[0] * (cap + 1))])
+    """Each walk's visited genotypes, one tuple walk at a time from its row of campaign draws."""
+    for u in campaign_draws(seed, stream, walks, 1 + cap + length).tolist():
+        g = tuple_start(u, n, cap)
         visited = [g]
         for t in range(length):
             moves = feasible_moves(g, n, cap)
@@ -340,7 +438,7 @@ def tuple_walks(n, walks, length, seed, cap, stream):
 
 
 def tuple_campaign_series(landscape, walks, length, seed, cap):
-    """Stream format 3's campaign, one tuple walk at a time from the same draw blocks."""
+    """The campaign's series, one tuple walk at a time from the same draws."""
     visits = tuple_walks(landscape.n_letters, walks, length, seed, cap, STREAM_RANDOM_WALK)
     return np.array([[landscape.evaluate(g) for g in visited] for visited in visits])
 
@@ -354,11 +452,11 @@ def tuple_campaign_series(landscape, walks, length, seed, cap):
 def test_lockstep_campaign_equals_tuple_walks(n, b, cap, walks, length, seed, royal):
     params = BlockParams(n, b, max(n * b, cap))
     L = royal_road(params) if royal else er_build(n, n // 2, b, params.lambda_max, seed=seed)
-    campaign = RandomWalkCampaign(walks=walks, length=length, lambda_max=cap, s_max=0, seed=seed)
     if cap == 0 and length > 0:
         with pytest.raises(ValueError, match="no feasible neighbor"):
-            run_random_walk_campaign(L, campaign)
+            RandomWalkCampaign(walks=walks, length=length, lambda_max=cap, s_max=0, seed=seed)
         return
+    campaign = RandomWalkCampaign(walks=walks, length=length, lambda_max=cap, s_max=0, seed=seed)
     _, raw = run_random_walk_campaign(L, campaign)
     assert np.array_equal(raw["series"], tuple_campaign_series(L, walks, length, seed, cap))
 
@@ -431,6 +529,9 @@ def test_lockstep_campaign_with_zero_cap_rejects_steps():
     _, raw = run_random_walk_campaign(L, RandomWalkCampaign(walks=3, length=0, lambda_max=0,
                                                             s_max=0))
     assert np.array_equal(raw["series"], np.full((3, 1), L.evaluate(())))
+    # the kernel keeps its own check for callers that build no campaign
+    with pytest.raises(ValueError, match="no feasible neighbor"):
+        next(_lockstep_walks(L, 3, 1, 0, 0, STREAM_RANDOM_WALK))
 
 
 def test_correlation_length_values():
@@ -520,13 +621,20 @@ def test_adaptive_campaign_deterministic_and_raw_consistent():
     assert s1.mean_walk_length == float(np.mean(raw1["lengths"]))
 
 
-def scalar_adaptive_campaign(landscape, campaign):
-    """(endpoints, finals, lengths) of scalar walks: random_genotype, then adaptive_walk."""
+def scalar_adaptive_campaign(landscape, campaign, tied=None):
+    """(endpoints, finals, lengths) of scalar walks: start w from campaign row w, then a climb.
+
+    Walk w breaks its ties from the stream (seed, STREAM_ADAPTIVE_WALK, w); the
+    walks that draw from it are added to ``tied``.
+    """
+    cap, n = campaign.lambda_max, landscape.n_letters
+    draws = campaign_draws(campaign.seed, STREAM_ADAPTIVE_START, campaign.walks, 1 + cap)
     walks = []
-    for w in range(campaign.walks):
-        rng = make_rng(campaign.seed, STREAM_ADAPTIVE_WALK, w)
-        start = random_genotype(campaign.lambda_max, landscape.n_letters, rng)
-        walks.append(adaptive_walk(landscape, start, rng, lambda_max=campaign.lambda_max))
+    for w, u in enumerate(draws.tolist()):
+        rng = RecordingRng(make_rng(campaign.seed, STREAM_ADAPTIVE_WALK, w))
+        walks.append(adaptive_walk(landscape, tuple_start(u, n, cap), rng, lambda_max=cap))
+        if rng.last is not None and tied is not None:
+            tied.add(w)
     ends, finals, lengths = zip(*walks)
     return list(ends), np.array(finals), np.array(lengths)
 
@@ -556,6 +664,46 @@ def test_lockstep_adaptive_campaign_equals_scalar_walks(n, b, cap, walks, block,
     assert ends == oracle_ends
     assert np.array_equal(finals, oracle_finals)
     assert np.array_equal(lengths, oracle_lengths)
+
+
+@pytest.mark.parametrize("cap", [1, 9])
+def test_campaign_starts_are_uniform(cap):
+    # on a flat landscape no adaptive walk moves, so its endpoints are its starts
+    n, walks = 3, 6000
+    L = BlockLandscape(BlockParams(n, 1, 12), np.full(1 << n, 0.5), 0.5)
+    # with length 0 nothing steps, so each block's rows stay its starts
+    starts = [(rows[:, :cap], lams)
+              for _, _, rows, lams, _ in _lockstep_walks(L, walks, 0, cap, 1, STREAM_RANDOM_WALK)]
+    rows, lams = np.concatenate([r for r, _ in starts]), np.concatenate([m for _, m in starts])
+    assert_uniform(lams.tolist(), list(range(cap + 1)))
+    assert_uniform(rows[rows != PAD].tolist(), list(range(n)))
+    ends, _, lengths = lockstep_adaptive_campaign(L, AdaptiveWalkCampaign(walks, cap, seed=2))
+    assert not lengths.any()
+    assert_uniform([len(g) for g in ends], list(range(cap + 1)))
+
+
+def test_each_campaign_opens_one_stream_and_ties_their_own(monkeypatch):
+    paths = []
+
+    def make_rng_logged(*path):
+        paths.append(path)
+        return make_rng(*path)
+
+    monkeypatch.setattr(analysis, "make_rng", make_rng_logged)
+    L = er_build(6, 3, 1, 40, seed=3)
+    # 600 walks span three blocks of WALK_BLOCK
+    run_random_walk_campaign(L, RandomWalkCampaign(walks=600, length=5, s_max=2, seed=4))
+    neutrality_scan(L, walks=600, length=3, seed=5)
+    assert paths == [(4, STREAM_RANDOM_WALK), (5, STREAM_NEUTRALITY)]
+    paths.clear()
+    campaign = AdaptiveWalkCampaign(walks=200, lambda_max=20, seed=6)
+    lockstep_adaptive_campaign(L, campaign)
+    tied = set()
+    scalar_adaptive_campaign(L, campaign, tied)
+    assert 0 < len(tied) < campaign.walks
+    # the starts' stream, then each walk's tie stream once, on its first tie
+    assert paths[0] == (6, STREAM_ADAPTIVE_START)
+    assert sorted(paths[1:]) == [(6, STREAM_ADAPTIVE_WALK, w) for w in sorted(tied)]
 
 
 def test_random_campaign_deterministic():
@@ -589,6 +737,11 @@ def test_campaign_cap_cannot_exceed_landscape():
     (NeutralityCampaign, {"length": -1}, ValueError),
     (NeutralityCampaign, {"lambda_max": -2}, ValueError),
     (AdaptiveWalkCampaign, {"walks": 1}, ValueError),
+    # caps that allow no move: the walk or scan could not take a step
+    (RandomWalkCampaign, {"lambda_max": 0}, ValueError),
+    (RandomWalkCampaign, {"lambda_max": 0, "length": 1, "s_max": 0}, ValueError),
+    (NeutralityCampaign, {"lambda_max": 0}, ValueError),
+    (NeutralityCampaign, {"lambda_max": 0, "length": 0}, ValueError),
 ])
 def test_campaigns_reject_wrong_types_and_ranges(cls, kw, error):
     with pytest.raises(error):
@@ -599,7 +752,9 @@ def test_campaign_defaults_and_integer_types():
     assert (RandomWalkCampaign().walks, RandomWalkCampaign().s_max) == (20000, 20)
     assert AdaptiveWalkCampaign().lambda_max == 50
     assert NeutralityCampaign() == NeutralityCampaign(walks=2000, length=20, lambda_max=None)
-    assert NeutralityCampaign(walks=np.int64(3), lambda_max=0).walks == 3
+    assert NeutralityCampaign(walks=np.int64(3), lambda_max=1).walks == 3
+    assert RandomWalkCampaign(length=0, s_max=0, lambda_max=0).lambda_max == 0
+    assert AdaptiveWalkCampaign(lambda_max=0).lambda_max == 0
 
 
 def test_neutrality_constant_landscape_is_all_equal():
@@ -767,7 +922,15 @@ def test_royal_road_neutrality_scan_is_bit_identical_to_golden():
         (0.049258015080466094, 0.8963514138414679, 0.05439057107806606)
 
 
-# the same scans under stream format 4, as the lockstep scan computes them
+def format4_scan(landscape, walks, length, seed, cap):
+    """Stream format 4's neutrality scan: the lockstep steps over per-walk draws."""
+    u = format4_draws(seed, STREAM_NEUTRALITY, walks, 1 + cap + length)
+    counts = sum(_class_counts_batch(landscape, rows, lams, fits, cap).sum(axis=0)
+                 for rows, lams, fits in lockstep_from_draws(landscape, u, length, cap))
+    return proportions(counts)
+
+
+# the same scans under stream format 4, as the lockstep scan computed them
 GOLDEN_NEUTRALITY_FORMAT_4 = {
     (8, 4, 2, 100, 101): (0.05857007012956139, 0.8683409334039311, 0.07308899646650746),
     (8, 4, 4, 100, 102): (0.007420874620446711, 0.9866291885934106, 0.005949936786142658),
@@ -782,12 +945,34 @@ GOLDEN_ROYAL_NEUTRALITY_FORMAT_4 = (0.038365524311009834, 0.9137407169775142,
 def test_lockstep_neutrality_scan_is_bit_identical_to_golden(cell):
     n, k, b, lambda_max, seed = cell
     L = er_build(n, k, b, lambda_max, seed=seed)
-    assert neutrality_scan(L, walks=40, length=20, seed=7) == GOLDEN_NEUTRALITY_FORMAT_4[cell]
+    assert format4_scan(L, 40, 20, 7, cap=lambda_max) == GOLDEN_NEUTRALITY_FORMAT_4[cell]
 
 
 def test_royal_road_lockstep_neutrality_scan_is_bit_identical_to_golden():
     L = royal_road(BlockParams(6, 2, 100))
-    assert neutrality_scan(L, walks=40, length=20, seed=301) == GOLDEN_ROYAL_NEUTRALITY_FORMAT_4
+    assert format4_scan(L, 40, 20, 301, cap=100) == GOLDEN_ROYAL_NEUTRALITY_FORMAT_4
+
+
+# the same scans under stream format 5, as neutrality_scan computes them
+GOLDEN_NEUTRALITY_FORMAT_5 = {
+    (8, 4, 2, 100, 101): (0.07164289925360683, 0.8538429237255142, 0.07451417702087898),
+    (8, 4, 4, 100, 102): (0.007363819397323663, 0.9895285264574689, 0.0031076541452073995),
+    (6, 2, 1, 60, 103): (0.008665402831741026, 0.9777984245859689, 0.013536172582290043),
+    (4, 1, 2, 8, 104): (0.2072429365446966, 0.6015226956924502, 0.19123436776285319),
+}
+GOLDEN_ROYAL_NEUTRALITY_FORMAT_5 = (0.040011553892173125, 0.903711067636343, 0.05627737847148386)
+
+
+@pytest.mark.parametrize("cell", list(GOLDEN_NEUTRALITY_FORMAT_5))
+def test_format5_neutrality_scan_is_bit_identical_to_golden(cell):
+    n, k, b, lambda_max, seed = cell
+    L = er_build(n, k, b, lambda_max, seed=seed)
+    assert neutrality_scan(L, walks=40, length=20, seed=7) == GOLDEN_NEUTRALITY_FORMAT_5[cell]
+
+
+def test_royal_road_format5_neutrality_scan_is_bit_identical_to_golden():
+    L = royal_road(BlockParams(6, 2, 100))
+    assert neutrality_scan(L, walks=40, length=20, seed=301) == GOLDEN_ROYAL_NEUTRALITY_FORMAT_5
 
 
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 8), st.integers(1, 6),

@@ -112,11 +112,12 @@ def test_analyze_rerun_bodies_identical(tmp_path):
 
 
 # sha256 of the analysis_instances.csv body below the '#' lines for ANALYZE_SPEC,
-# at stream format 4 (lockstep neutrality walks). At format 2 it was
+# at stream format 5 (one stream per walk campaign). At format 2 it was
 # e307e9ecf6331c798c22277c448ec0f466009f4951270ee31909b412b4b7d6bb, at format 3
-# e8d989209803b7602d1dfb0dc2612a7f6c2ab1fb851d774a174d9a7166ac1bc5; from format 3
-# to 4 only the frac_* columns changed.
-ANALYSIS_INSTANCES_SHA256 = "b24a180e25b301d9706cc201bd2b26326923a36e701f6e9188eaf9d2aad10333"
+# e8d989209803b7602d1dfb0dc2612a7f6c2ab1fb851d774a174d9a7166ac1bc5 and at format 4
+# b24a180e25b301d9706cc201bd2b26326923a36e701f6e9188eaf9d2aad10333; from format 3
+# to 4 only the frac_* columns changed, from 4 to 5 every metric column.
+ANALYSIS_INSTANCES_SHA256 = "78fdb966c1bcd1e8b924284711c9ac6ddc1a19632b2c4fbccab9001b0c80afc1"
 
 
 def csv_bytes_body(path):
@@ -257,6 +258,9 @@ def test_unreadable_spec_file_exits_2(tmp_path, capsys, text, message):
     ({"n": [6], "k": [0], "b": [None]}, "grid values must be lists of integers, got b: [None]"),
     ({"n": [6], "k": [0]}, "grid is missing key 'b'"),
     ([6, 0, 2], "grid must be a JSON object, got [6, 0, 2]"),
+    # a repeated value would run its cells twice and write their files twice
+    ({"n": [6, 6], "k": [0], "b": [2]}, "grid values must not repeat, got n: [6, 6]"),
+    ({"n": [6], "k": [0, 2, 0], "b": [2]}, "grid values must not repeat, got k: [0, 2, 0]"),
 ])
 def test_bad_grid_in_spec_file_exits_2(tmp_path, capsys, grid, message):
     spec = write_spec(tmp_path / "spec.json", grid=grid)
@@ -290,6 +294,22 @@ def test_bad_campaign_sizes_exit_2(tmp_path, capsys, section, settings):
     assert f"spec file: {section}:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("section, settings", [
+    ("random_walks", {"walks": 5, "length": 3, "s_max": 1, "lambda_max": 0}),
+    ("neutrality", {"walks": 5, "length": 3, "lambda_max": 0}),
+    ("neutrality", {"walks": 5, "length": 0, "lambda_max": 0}),
+])
+@pytest.mark.parametrize("command", ["gen", "analyze"])
+def test_campaign_cap_allowing_no_move_exits_2(tmp_path, capsys, command, section, settings):
+    # every unit would fail at run time; the spec is refused before gen
+    spec = write_spec(tmp_path / "spec.json", command="analyze", **{section: settings})
+    assert run_cli([command, "--spec", spec, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert f"{command}: spec file: {section}: the empty genotype has no feasible neighbor " \
+        "under lambda_max=0" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_gen_failure_is_reported_per_cell(tmp_path, capsys, monkeypatch):
     from epiroad import cli as cli_mod
 
@@ -319,9 +339,9 @@ def test_outputs_record_the_stream_format(tmp_path):
     out = tmp_path / "out"
     run_cli(["gen", "--spec", spec, "--out", out, "--jobs", 1])
     doc = json.loads(next(iter(sorted((out / "landscapes").glob("*.json")))).read_text())
-    assert doc["provenance"]["stream_format"] == 4
+    assert doc["provenance"]["stream_format"] == 5
     run_cli(["evolve", "--spec", spec, "--out", out, "--jobs", 1])
-    assert "# stream_format: 4" in (out / "ea_runs.csv").read_text().splitlines()
+    assert "# stream_format: 5" in (out / "ea_runs.csv").read_text().splitlines()
 
 
 # sha256 of the ea_runs.csv body below the '#' lines, at stream format 2

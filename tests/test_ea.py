@@ -374,10 +374,10 @@ def test_elitist_victim_matches_masked_copy(values, pick):
 
 def test_run_golden_stream_format_2():
     # pinned output of one run; a change to the EA's draws or their order
-    # must bump STREAM_FORMAT and re-pin. Formats 3 and 4 changed only the
-    # random-walk campaigns and the neutrality scans, so the EA still draws
-    # as in format 2.
-    assert STREAM_FORMAT == 4
+    # must bump STREAM_FORMAT and re-pin. Formats 3 to 5 changed only the
+    # walk campaigns and the neutrality scans, so the EA still draws as in
+    # format 2.
+    assert STREAM_FORMAT == 5
     L = er_build(6, 2, 2, 100, seed=38)
     cfg = EaConfig(population=40, generations=12, max_creation_size=20,
                    max_program_size=100, seed=3, runs=1)
