@@ -17,6 +17,19 @@ A run's randomness comes from its own stream: the initial population is drawn
 from the stream's ``Generator``, every later draw from a ``UniformPool`` over
 the same generator (stream format 2). The operators only call ``random()``
 and ``integers(high)``, so they take either.
+
+``run`` is one event loop. Each event reserves its worst-case number of
+uniforms from the pool and reads them through the stack's ``pop``, with the
+draws of ``tournament_select``, ``one_point_crossover`` and ``mutate`` inlined
+in the operators' order; those functions are the reference the loop is tested
+against. The victim comes from the minimum level: the indices that hold the
+population's minimum fitness. A child replaces only when at least that
+minimum, so the minimum never falls; the level loses an index when a fitter
+child replaces it and is recomputed with one numpy pass when it empties. Its
+lowest index is the first minimum, as ``elitist_victim`` picks, and its next
+one the elitist fallback when every value is equal. A child that
+neither crossover nor mutation changed is its parent and keeps the parent's
+fitness instead of being evaluated again.
 """
 
 from __future__ import annotations
@@ -85,6 +98,11 @@ def init_population(cfg: EaConfig, n_letters: int, rng: np.random.Generator) -> 
 
 
 def mutate(g: Genotype, cfg: EaConfig, n_letters: int, rng: np.random.Generator) -> Genotype:
+    """Insertion, deletion and substitution behind one Bernoulli(mutation_rate) gate.
+
+    The substitution draws its letter before its position, because Python
+    evaluates the right side of an assignment first.
+    """
     if not rng.random() < cfg.mutation_rate:
         return g
     out = list(g)
@@ -162,41 +180,100 @@ def run(cfg: EaConfig, landscape) -> RunResult:
         )
     rng = make_rng(cfg.seed, STREAM_EA_RUN)
     n_letters = landscape.n_letters
-    pop = init_population(cfg, n_letters, rng)
-    draws = UniformPool(rng)
-    fits = np.array([landscape.evaluate(g) for g in pop])
+    evaluate = landscape.evaluate
+    size, t, cap = cfg.population, cfg.tournament_size, cfg.max_program_size
+    x_rate, m_rate = cfg.crossover_rate, cfg.mutation_rate
+    genotypes = init_population(cfg, n_letters, rng)
+    fits = np.array([evaluate(g) for g in genotypes])  # read only to refill the level
     fit_list = fits.tolist()  # mirror of fits for scalar reads
     best_idx = int(np.argmax(fits))
-    elitist = cfg.elitism and cfg.population > 1
+    best = fit_list[best_idx]
+    elitist = cfg.elitism and size > 1
+    level: list[int] = []  # the indices holding the minimum, low, in descending order
+
+    draws = UniformPool(rng)
+    stack = draws.reserve(0)
+    pop = stack.pop
+    # most uniforms one event can take: two tournaments of t draws and a tie
+    # break each, the crossover gate and 20 cut pairs, two mutations of 6
+    need = 2 * (t + 1) + 41 + 2 * 6
 
     fitness_trace: list[float] = []
     blocks_trace: list[int] = []
 
     def record() -> None:
-        fitness_trace.append(fit_list[best_idx])
-        blocks_trace.append(block_count(pop[best_idx], n_letters, landscape.b))
+        fitness_trace.append(best)
+        blocks_trace.append(block_count(genotypes[best_idx], n_letters, landscape.b))
 
     record()
-    success_gen = 0 if is_success(landscape, fit_list[best_idx]) else None
+    success_gen = 0 if is_success(landscape, best) else None
 
     for gen in range(1, cfg.generations + 1):
         if success_gen is not None and cfg.stop_on_success:
             break
-        for _ in range(cfg.population):
-            i1 = tournament_select(fit_list, cfg.tournament_size, draws)
-            i2 = tournament_select(fit_list, cfg.tournament_size, draws)
-            c1, c2 = one_point_crossover(pop[i1], pop[i2], cfg, draws)
-            for child in (mutate(c1, cfg, n_letters, draws), mutate(c2, cfg, n_letters, draws)):
-                f = landscape.evaluate(child)
-                victim = elitist_victim(fits, best_idx) if elitist else int(fits.argmin())
-                if f >= fit_list[victim]:
-                    pop[victim] = child
-                    fits[victim] = f
+        for _ in range(size):
+            if len(stack) < need:
+                draws.reserve(need)
+            parents = []
+            for _ in (1, 2):  # tournament_select
+                w = int(pop() * size)
+                top = fit_list[w]
+                tied = None  # every draw of value top, in draw order, once two tie
+                for _ in range(t - 1):
+                    i = int(pop() * size)
+                    f = fit_list[i]
+                    if f > top:
+                        top, w, tied = f, i, None
+                    elif f == top:
+                        if tied is None:
+                            tied = [w, i]
+                        else:
+                            tied.append(i)
+                parents.append(w if tied is None else tied[int(pop() * len(tied))])
+            i1, i2 = parents
+            c1, c2 = genotypes[i1], genotypes[i2]
+            f1, f2 = fit_list[i1], fit_list[i2]  # kept while a child is its parent
+            if pop() < x_rate:  # one_point_crossover
+                la, lb = len(c1), len(c2)
+                for _ in range(20):
+                    ca = int(pop() * (la + 1))
+                    cb = int(pop() * (lb + 1))
+                    if ca + lb - cb <= cap and cb + la - ca <= cap:
+                        c1, c2 = c1[:ca] + c2[cb:], c2[:cb] + c1[ca:]
+                        f1 = f2 = None
+                        break
+            for child, f in ((c1, f1), (c2, f2)):
+                if pop() < m_rate:  # mutate
+                    lam = len(child)
+                    out = list(child)
+                    if lam < cap:
+                        gap = int(pop() * (lam + 1))
+                        out.insert(gap, int(pop() * n_letters))
+                    if lam:
+                        del out[int(pop() * len(out))]
+                        if out:
+                            letter = int(pop() * n_letters)  # drawn before its position
+                            out[int(pop() * len(out))] = letter
+                    child = tuple(out)
+                    f = None
+                if f is None:
+                    f = evaluate(child)
+                if not level:
+                    low = float(fits.min())
+                    level = np.flatnonzero(fits == low)[::-1].tolist()
+                if f >= low:
+                    # elitist_victim: the first minimum, or the next when it is the best
+                    j = -2 if elitist and level[-1] == best_idx else -1
+                    victim = level[j]
+                    genotypes[victim] = child
                     fit_list[victim] = f
-                    if f > fit_list[best_idx]:
-                        best_idx = victim
+                    if f > low:
+                        fits[victim] = f
+                        del level[j]
+                    if f > best:
+                        best_idx, best = victim, f
         record()
-        if success_gen is None and is_success(landscape, fit_list[best_idx]):
+        if success_gen is None and is_success(landscape, best):
             success_gen = gen
 
     # pad traces when stopped early; the optimum is already in the population

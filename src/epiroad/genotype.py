@@ -234,7 +234,7 @@ def random_genotype(max_len: int, n_letters: int, rng: np.random.Generator) -> G
     lam = int(rng.integers(max_len + 1))
     if lam == 0:
         return ()
-    return tuple(int(s) for s in rng.integers(0, n_letters, size=lam))
+    return tuple(rng.integers(0, n_letters, size=lam).tolist())
 
 
 def edit_distance(a, b) -> int:

@@ -60,9 +60,10 @@ class BlockLandscape:
         return self.params.lambda_max
 
     def evaluate(self, g) -> float:
-        if len(g) > self.lambda_max:
-            raise ValueError(f"genotype length {len(g)} exceeds lambda_max={self.lambda_max}")
-        return float(self.bv_fitness[block_bits(g, self.n_letters, self.b)])
+        p = self.params
+        if len(g) > p.lambda_max:
+            raise ValueError(f"genotype length {len(g)} exceeds lambda_max={p.lambda_max}")
+        return self.bv_fitness.item(block_bits(g, p.n_letters, p.b))
 
     def bv_value(self, bits: int) -> float:
         return float(self.bv_fitness[bits])

@@ -83,14 +83,24 @@ class UniformPool:
         self._rng = rng
         self._stack: list[float] = []
 
-    def _refill(self) -> list[float]:
-        stack = self._rng.random(self.BLOCK).tolist()
-        stack.reverse()  # pop() from the end serves the block in draw order
-        self._stack = stack
+    def reserve(self, k: int) -> list[float]:
+        """The pool's stack, holding at least ``k`` uniforms; ``pop()`` serves them.
+
+        A short stack gets a fresh block put in front of the uniforms it still
+        holds, which are served first, so the draw order stays that of one long
+        ``rng.random`` call. The stack is always the same list: a caller may
+        bind its ``pop`` once and take up to ``k`` draws after each
+        ``reserve(k)``.
+        """
+        stack = self._stack
+        if len(stack) < k:
+            block = self._rng.random(max(self.BLOCK, k)).tolist()
+            block.reverse()  # pop() from the end serves the block in draw order
+            stack[:0] = block
         return stack
 
     def random(self) -> float:
-        return (self._stack or self._refill()).pop()
+        return (self._stack or self.reserve(1)).pop()
 
     def integers(self, high: int) -> int:
-        return int((self._stack or self._refill()).pop() * high)
+        return int((self._stack or self.reserve(1)).pop() * high)

@@ -454,6 +454,49 @@ def test_reproduce_table1_smoke(tmp_path, capsys):
     assert (tmp_path / "t1" / "analysis_summary.csv").exists()
 
 
+def test_no_two_stream_paths_name_one_stream(tmp_path, monkeypatch):
+    # SeedSequence pads an entropy shorter than four words with zeros, so the
+    # paths (s, S) and (s, S, 0) would name one stream. Every path a tiny
+    # corr-study opens (gen, the three campaigns and evolve) must name its own.
+    from epiroad import cli as cli_mod
+    from epiroad import seeds
+
+    paths = set()
+    seed_sequence = seeds.seed_sequence
+
+    def recording(master_seed, *path):
+        paths.add((int(master_seed), *(int(p) for p in path)))
+        return seed_sequence(master_seed, *path)
+
+    def tiny_preset(name, scale, seed):
+        return cli_mod.ExperimentSpec(
+            command="evolve", cells=[(6, k, b) for k in (0, 2) for b in (1, 2)],
+            instances=2, seed=seed,
+            campaigns=cli_mod.CampaignSettings(
+                random_walks={"walks": 8, "length": 6, "s_max": 3},
+                adaptive_walks={"walks": 8, "lambda_max": 30},
+                neutrality={"walks": 4, "length": 3},
+            ),
+            ea={"population": 12, "generations": 3, "runs": 3,
+                "max_creation_size": 10, "max_program_size": 30},
+        )
+
+    monkeypatch.setattr(seeds, "seed_sequence", recording)
+    monkeypatch.setattr(cli_mod, "build_preset", tiny_preset)
+    assert run_cli(["reproduce", "--preset", "corr-study",
+                    "--out", tmp_path / "cs", "--jobs", 1]) == 0
+    streams = {p[1] for p in paths if len(p) > 1}
+    assert streams == {seeds.STREAM_NK_INSTANCE, seeds.STREAM_RANDOM_WALK,
+                       seeds.STREAM_ADAPTIVE_WALK, seeds.STREAM_NEUTRALITY,
+                       seeds.STREAM_EA_RUN, seeds.STREAM_LANDSCAPE_SEED,
+                       seeds.STREAM_ADAPTIVE_START}
+    named = {}
+    for path in paths:
+        state = np.random.SeedSequence(list(path)).generate_state(4).tobytes()
+        assert named.setdefault(state, path) == path, (named[state], path)
+    assert len(named) == len(paths) > 100
+
+
 def test_reproduce_corr_study_smoke(tmp_path, capsys, monkeypatch):
     # shrink the grid through a tiny scale; the report must print both
     # correlation coefficients with their cell counts, no pass/fail

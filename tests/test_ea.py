@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from epiroad.ea import (
     EaConfig,
+    RunResult,
     elitist_victim,
     init_population,
     mutate,
@@ -15,9 +16,9 @@ from epiroad.ea import (
     run_instance,
     tournament_select,
 )
-from epiroad.genotype import block_count
-from epiroad.landscapes import er_build
-from epiroad.seeds import STREAM_FORMAT, UniformPool, make_rng
+from epiroad.genotype import BlockParams, block_count
+from epiroad.landscapes import er_build, is_success, royal_road
+from epiroad.seeds import STREAM_EA_RUN, STREAM_FORMAT, UniformPool, make_rng
 
 
 class ScriptedRng:
@@ -88,6 +89,15 @@ def test_mutate_gate_rate():
     p = 1 - cfg.mutation_rate
     se = (p * (1 - p) / draws) ** 0.5
     assert abs(unchanged / draws - p) < 3 * se
+
+
+def test_mutate_draws_the_substituted_letter_before_its_position():
+    # insertion (gap, letter), deletion (position), then substitution: the
+    # assignment's right side, the letter, is drawn before the position
+    cfg = EaConfig(mutation_rate=1.0)
+    rng = ScriptedRng(randoms=[0.0], integers=[0, 3, 0, 2, 1])
+    assert mutate((0, 1, 2), cfg, 4, rng) == (0, 2, 2)  # not (0, 1, 1)
+    assert rng._integers == []
 
 
 def test_mutate_respects_cap():
@@ -235,6 +245,8 @@ def test_run_without_variation_only_duplicates():
 
     res = run(cfg, Spy())
     assert res.best_fitness_trace[-1] >= res.best_fitness_trace[0]
+    # every child is its parent, whose fitness it keeps: none is evaluated
+    assert Spy.calls == cfg.population
 
 
 def test_population_size_constant_and_within_cap():
@@ -316,6 +328,20 @@ def test_pool_draws_match_one_long_generator_call():
     assert ints == [int(u * 10) for u in make_rng(22, 5).random(UniformPool.BLOCK + 10)]
 
 
+def test_pool_reserve_keeps_the_order_of_one_long_generator_call():
+    # refills put a fresh block in front of the uniforms still held, also
+    # while the stack is not empty and for reservations beyond one block
+    pool = UniformPool(make_rng(25, 5))
+    stack = pool.reserve(0)
+    served = []
+    for k in [1, 63, 4000, 100, UniformPool.BLOCK + 7, 5, 2 * UniformPool.BLOCK, 63] * 2:
+        assert pool.reserve(k) is stack and len(stack) >= k
+        served += [stack.pop() for _ in range(k // 2 + 1)]
+        served.append(pool.random())
+    assert len(served) > 4 * UniformPool.BLOCK
+    assert served == make_rng(25, 5).random(len(served)).tolist()
+
+
 # chi-square critical value, 6 degrees of freedom, p = 0.001
 CHI2_CRIT_DF6 = 22.458
 
@@ -386,3 +412,170 @@ def test_run_golden_stream_format_2():
     assert res.best_blocks_trace == [2] + [3] * 7 + [6] * 5
     assert res.best_fitness_trace == \
         [0.7818227665782054] + [0.8357267885778169] * 7 + [0.8390074730501776] * 5
+
+
+# ---------------------------------------------------------------------------
+# oracle: the generation loop as one operator call per draw site
+
+
+class CountedDraws:
+    """A UniformPool that counts its draws and keeps the integers drawn."""
+
+    def __init__(self, pool):
+        self.pool = pool
+        self.n = 0
+        self.ints = []
+
+    def random(self):
+        self.n += 1
+        return self.pool.random()
+
+    def integers(self, high):
+        self.n += 1
+        self.ints.append(self.pool.integers(high))
+        return self.ints[-1]
+
+
+def reference_run(cfg, landscape, events=None):
+    """ea.run as one call per operator and an argmin per child (stream format 2).
+
+    ``events`` counts the rare branches the run took: crossover's fallback to
+    the parents after 20 oversize cut pairs, a mutation whose insertion was
+    skipped at ``max_program_size``, and elitist_victim's fallback when every
+    fitness is equal.
+    """
+    if cfg.max_program_size > landscape.lambda_max:
+        raise ValueError("max_program_size exceeds the landscape's lambda_max")
+    events = Counter() if events is None else events
+    rng = make_rng(cfg.seed, STREAM_EA_RUN)
+    n_letters = landscape.n_letters
+    pop = init_population(cfg, n_letters, rng)
+    draws = CountedDraws(UniformPool(rng))
+    fits = np.array([landscape.evaluate(g) for g in pop])
+    fit_list = fits.tolist()
+    best_idx = int(np.argmax(fits))
+    elitist = cfg.elitism and cfg.population > 1
+
+    fitness_trace, blocks_trace = [], []
+
+    def record():
+        fitness_trace.append(fit_list[best_idx])
+        blocks_trace.append(block_count(pop[best_idx], n_letters, landscape.b))
+
+    record()
+    success_gen = 0 if is_success(landscape, fit_list[best_idx]) else None
+
+    for gen in range(1, cfg.generations + 1):
+        if success_gen is not None and cfg.stop_on_success:
+            break
+        for _ in range(cfg.population):
+            i1 = tournament_select(fit_list, cfg.tournament_size, draws)
+            i2 = tournament_select(fit_list, cfg.tournament_size, draws)
+            before = draws.n
+            c1, c2 = one_point_crossover(pop[i1], pop[i2], cfg, draws)
+            if draws.n - before == 41:  # 20 cut pairs: the last one fits, or none did
+                ca, cb = draws.ints[-2:]
+                events["crossover_fallback"] += \
+                    max(ca + len(pop[i2]) - cb, cb + len(pop[i1]) - ca) > cfg.max_program_size
+            children = []
+            for c in (c1, c2):
+                before = draws.n
+                children.append(mutate(c, cfg, n_letters, draws))
+                events["insertion_skipped"] += \
+                    draws.n > before + 1 and len(c) == cfg.max_program_size
+            for child in children:
+                f = landscape.evaluate(child)
+                events["elitist_fallback"] += elitist and int(fits.argmin()) == best_idx
+                victim = elitist_victim(fits, best_idx) if elitist else int(fits.argmin())
+                if f >= fit_list[victim]:
+                    pop[victim] = child
+                    fits[victim] = f
+                    fit_list[victim] = f
+                    if f > fit_list[best_idx]:
+                        best_idx = victim
+        record()
+        if success_gen is None and is_success(landscape, fit_list[best_idx]):
+            success_gen = gen
+
+    while len(fitness_trace) < cfg.generations + 1:
+        fitness_trace.append(fitness_trace[-1])
+        blocks_trace.append(blocks_trace[-1])
+    return RunResult(best_fitness_trace=fitness_trace, best_blocks_trace=blocks_trace,
+                     success=success_gen is not None, generations_to_success=success_gen)
+
+
+def oracle_grid():
+    """(cfg, landscape) pairs: the edge cases by name, then seeded random configs."""
+    er = er_build(6, 2, 2, 30, seed=40)
+    flat = royal_road(BlockParams(4, 7, 30))  # b above every program size: all fitness 0
+    late = royal_road(BlockParams(4, 4, 30))  # no block at creation, blocks after growth
+    base = dict(population=12, generations=5, max_creation_size=10, max_program_size=20,
+                stop_on_success=False, seed=3, runs=1)
+    named = [
+        (dict(elitism=False), er),
+        (dict(population=1), er),
+        (dict(population=2), er),
+        (dict(population=2, elitism=False), er),
+        (dict(tournament_size=1), er),
+        (dict(crossover_rate=0.0), er),
+        (dict(crossover_rate=1.0, mutation_rate=0.0, max_creation_size=6, max_program_size=6,
+              generations=10), er),  # 20-try fallback
+        (dict(mutation_rate=0.0), er),
+        (dict(mutation_rate=1.0), er),
+        (dict(mutation_rate=0.0, crossover_rate=0.0), er),
+        (dict(max_program_size=10), er),  # insertion skipped at the cap
+        (dict(max_creation_size=0, max_program_size=0), er),
+        (dict(generations=0), er),
+        (dict(stop_on_success=True, generations=30, population=40), er),
+        (dict(max_creation_size=5, max_program_size=6), flat),  # elitist fallback
+        (dict(max_creation_size=3, max_program_size=30, generations=8), late),
+        (dict(max_creation_size=5, max_program_size=6, elitism=False), flat),
+    ]
+    cases = [(EaConfig(**{**base, **kw}), L) for kw, L in named]
+    rng = np.random.default_rng(2024)
+    landscapes = [er, flat, late, er_build(4, 0, 1, 30, seed=41), er_build(8, 5, 3, 30, seed=42)]
+    for _ in range(300):
+        creation = int(rng.integers(0, 13))
+        cfg = EaConfig(
+            population=int(rng.choice([1, 2, 3, 5, 8, 20])),
+            generations=int(rng.integers(0, 7)),
+            mutation_rate=float(rng.choice([0.0, 0.3, 0.9, 1.0])),
+            crossover_rate=float(rng.choice([0.0, 0.3, 1.0])),
+            tournament_size=int(rng.integers(1, 6)),
+            max_creation_size=creation,
+            max_program_size=creation + int(rng.choice([0, 1, 5, 17])),
+            elitism=bool(rng.integers(2)),
+            stop_on_success=bool(rng.integers(2)),
+            seed=int(rng.integers(2**40)),
+            runs=1,
+        )
+        cases.append((cfg, landscapes[int(rng.integers(len(landscapes)))]))
+    return cases
+
+
+def test_run_equals_reference_run_over_config_grid():
+    events = Counter()
+    for cfg, L in oracle_grid():
+        assert run(cfg, L) == reference_run(cfg, L, events), cfg
+    # the grid reaches every rare branch of the loop
+    assert min(events["crossover_fallback"], events["insertion_skipped"],
+               events["elitist_fallback"]) > 0, events
+
+
+def test_run_reuses_the_fitness_of_unchanged_children():
+    # a child that neither crossover nor mutation changed is its parent: it is
+    # not evaluated again, and every other child is evaluated once
+    L = er_build(6, 2, 2, 30, seed=43)
+    cfg = small_cfg(population=20, generations=6, max_program_size=30, stop_on_success=False)
+
+    class Spy:
+        n_letters, b, lambda_max, optimum_value = L.n_letters, L.b, L.lambda_max, L.optimum_value
+        calls = 0
+
+        def evaluate(self, g):
+            Spy.calls += 1
+            return L.evaluate(g)
+
+    assert run(cfg, Spy()) == reference_run(cfg, L)
+    children = 2 * cfg.population * cfg.generations
+    assert 0.6 * children < Spy.calls - cfg.population < children
