@@ -144,7 +144,6 @@ class WalkStats:
     optima_fitness_kurtosis: float | None = None
     mean_walk_length: float | None = None
     est_optima_distance: float | None = None
-    neutrality: tuple[float, float, float] | None = None
 
 
 def _walk_cap(landscape, lambda_max: int | None) -> int:

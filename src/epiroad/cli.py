@@ -23,8 +23,10 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -150,7 +152,7 @@ def _campaign_sections(spec: ExperimentSpec, defaults: bool) -> dict[str, dict]:
 
 
 def validate_cells(spec: ExperimentSpec, command: str) -> None:
-    """Check every cell, and every walk or program bound against its landscapes' cap.
+    """Check every cell, its landscapes' cap, and every walk or program bound against it.
 
     The bounds are those of what ``command``, or the command the spec
     declares, runs; the cap is ``spec.lambda_max_for(n, b)``.
@@ -167,12 +169,15 @@ def validate_cells(spec: ExperimentSpec, command: str) -> None:
         if n > nk.EXHAUSTIVE_BOUND:
             raise SpecError(
                 f"invalid cell: n={n} exceeds the exhaustive bound {nk.EXHAUSTIVE_BOUND}")
+        lambda_max = spec.lambda_max_for(n, b)
+        if lambda_max < n * b:
+            raise SpecError(f"invalid cell: the landscape lambda_max={lambda_max} cannot hold "
+                            f"one block per letter, n*b={n * b} (n={n}, k={k}, b={b})")
         # without its own cap a random walk stays within 2nb, a neutrality scan
         # within the landscape's lambda_max
         bounds = {f"{name} walk bound": 2 * n * b if cap is None and name == "random_walks"
                   else cap for name, cap in walk_caps.items()}
         bounds["ea max_program_size"] = program_cap
-        lambda_max = spec.lambda_max_for(n, b)
         for what, bound in bounds.items():
             if bound is not None and bound > lambda_max:
                 raise SpecError(f"invalid cell: {what} {bound} exceeds the landscape "
@@ -240,10 +245,12 @@ def apply_scale(spec: ExperimentSpec, scale: float) -> ExperimentSpec:
         raise SpecError(f"--scale must be a finite number > 0, got {scale!r}")
     if scale == 1.0:
         return spec
+    # an analyze spec that names no campaign runs all three, so all three scale
+    sections = _campaign_sections(spec, defaults=spec.command == "analyze")
     # local-optima statistics need two adaptive walks
     campaigns = {name: {**section, "walks": _scaled(CAMPAIGNS[name](**section).walks, scale,
                                                      floor=2 if name == "adaptive_walks" else 1)}
-                 for name, section in _campaign_sections(spec, defaults=False).items()}
+                 for name, section in sections.items()}
     cfg = ea.EaConfig(**spec.ea)
     ea_cfg = dict(spec.ea)
     ea_cfg["runs"] = _scaled(cfg.runs, scale)
@@ -263,6 +270,13 @@ def apply_scale(spec: ExperimentSpec, scale: float) -> ExperimentSpec:
 
 def landscape_path(out_dir: Path, n: int, k: int, b: int, idx: int) -> Path:
     return out_dir / "landscapes" / f"n{n:02d}_k{k:02d}_b{b}_i{idx:02d}.json"
+
+
+def _units(spec: ExperimentSpec, out_dir: Path):
+    """(landscape path, n, k, b, instance) of every unit the spec names, cell by cell."""
+    for n, k, b in spec.cells:
+        for idx in range(spec.instances):
+            yield landscape_path(out_dir, n, k, b, idx), n, k, b, idx
 
 
 def provenance_lines(spec: ExperimentSpec, command: str, timestamp: bool = True) -> list[str]:
@@ -304,25 +318,17 @@ def write_csv(path: Path, header_lines: list[str], fieldnames: list[str], rows: 
 def _gen_unit(args) -> str:
     path_str, n, k, b, idx, seed, lam_max, prov = args
     ls = landscapes.er_build(n, k, b, lam_max, seed=ea.landscape_seed(seed, n, k, b, idx))
-    Path(path_str).parent.mkdir(parents=True, exist_ok=True)
     landscapes.save_landscape(ls, path_str, provenance=prov)
     return path_str
 
 
 def cmd_gen(spec: ExperimentSpec, out_dir: Path, jobs: int = 1) -> int:
     validate_cells(spec, "gen")
-    units = []
-    for n, k, b in spec.cells:
-        for idx in range(spec.instances):
-            prov = {
-                "artifact": ARTIFACT,
-                "spec_sha256": spec.sha256(),
-                "master_seed": spec.seed,
-                "stream_format": STREAM_FORMAT,
-                "cell": [n, k, b, idx],
-            }
-            units.append((str(landscape_path(out_dir, n, k, b, idx)), n, k, b, idx,
-                          spec.seed, spec.lambda_max_for(n, b), prov))
+    prov = {"artifact": ARTIFACT, "spec_sha256": spec.sha256(), "master_seed": spec.seed,
+            "stream_format": STREAM_FORMAT}
+    units = [(str(path), n, k, b, idx, spec.seed, spec.lambda_max_for(n, b),
+              {**prov, "cell": [n, k, b, idx]}) for path, n, k, b, idx in _units(spec, out_dir)]
+    (out_dir / "landscapes").mkdir(parents=True, exist_ok=True)
     failures: dict[tuple[int, int, int], list[str]] = {}
     written = _map_units_collect(_gen_unit, units, jobs, failures)
     print(f"gen: wrote {len(written)} landscape files under {out_dir / 'landscapes'}")
@@ -400,23 +406,23 @@ def _analysis_fieldnames(settings: dict) -> list[str]:
 def cmd_analyze(spec: ExperimentSpec, out_dir: Path, jobs: int = 1,
                 raw: bool = False) -> tuple[int, dict]:
     """Run the walk campaigns: (exit code, {"analysis_summary": per-cell rows})."""
-    validate_cells(spec, "analyze")
     settings = _campaign_sections(spec, defaults=True)
     raw_dir = str(out_dir / "raw") if raw else None
-    failures: dict[tuple[int, int, int], list[str]] = {}
-    units = _landscape_units("analyze", spec, out_dir, failures)
-    if units is None:
-        return 2, {}
-    units = [u + (spec.seed, settings, raw_dir) for u in units]
-
-    rows = _map_units_collect(_analyze_unit, units, jobs, failures)
+    rows, failures = _run_landscape_units("analyze", spec, out_dir, jobs, _analyze_unit,
+                                          (spec.seed, settings, raw_dir))
 
     fieldnames = _analysis_fieldnames(settings)
     header = provenance_lines(spec, "analyze")
     write_csv(out_dir / "analysis_instances.csv", header, fieldnames, rows)
 
-    metric_fields = [f for f in fieldnames if f not in ("n", "k", "b", "instance_seed")]
-    summary = _aggregate_rows(rows, metric_fields, spec, failures)
+    metric_fields = fieldnames[4:]  # after n, k, b and instance_seed
+    summary = []
+    for (n, k, b), cell_rows in _rows_by_cell(spec, rows).items():
+        agg = {"n": n, "k": k, "b": b, "instances_ok": len(cell_rows),
+               "instances_failed": len(failures.get((n, k, b), []))}
+        for f in metric_fields:
+            agg[f] = float(np.mean([r[f] for r in cell_rows])) if cell_rows else float("nan")
+        summary.append(agg)
     summary_fields = ["n", "k", "b", "instances_ok", "instances_failed"] + metric_fields
     write_csv(out_dir / "analysis_summary.csv", header, summary_fields, summary)
     print(f"analyze: wrote {out_dir / 'analysis_instances.csv'} and analysis_summary.csv "
@@ -424,48 +430,46 @@ def cmd_analyze(spec: ExperimentSpec, out_dir: Path, jobs: int = 1,
     return _report_failures("analyze", spec, failures), {"analysis_summary": summary}
 
 
-def _landscape_units(command, spec, out_dir, failures) -> list[tuple] | None:
-    """(path, n, k, b, instance) of every landscape file the spec names that exists.
+def _run_landscape_units(command, spec, out_dir, jobs, fn, extra) -> tuple[list, dict]:
+    """fn over (path, n, k, b, instance, *extra) per landscape file: (results, failures).
 
     A missing file is recorded as its unit's failure, so its siblings still
-    run. None, after a message, when files are named but none exists: gen
-    has not been run for this output directory.
+    run. A SpecError when files are named but none exists: gen has not been
+    run for this output directory.
     """
-    units, missing = [], []
-    for n, k, b in spec.cells:
-        for idx in range(spec.instances):
-            path = landscape_path(out_dir, n, k, b, idx)
-            (units if path.exists() else missing).append((str(path), n, k, b, idx))
-    if missing and not units:
-        print(f"{command}: missing landscape files under {out_dir / 'landscapes'}; "
-              "run gen first", file=sys.stderr)
-        return None
-    for path, n, k, b, idx in missing:
-        failures.setdefault((n, k, b), []).append(
-            f"instance {idx}: missing landscape file {path}")
-    return units
+    validate_cells(spec, command)
+    units, failures = [], {}
+    for path, n, k, b, idx in _units(spec, out_dir):
+        if path.exists():
+            units.append((str(path), n, k, b, idx, *extra))
+        else:
+            failures.setdefault((n, k, b), []).append(
+                f"instance {idx}: missing landscape file {path}")
+    if failures and not units:
+        raise SpecError(f"missing landscape files under {out_dir / 'landscapes'}; run gen first")
+    return _map_units_collect(fn, units, jobs, failures), failures
 
 
 def _map_units_collect(fn, units, jobs, failures) -> list:
     """fn over units (path, n, k, b, instance, ...); failures are collected per cell."""
     out = []
-    if jobs <= 1 or len(units) <= 1:
-        for u in units:
+    parallel = jobs > 1 and len(units) > 1
+    with ProcessPoolExecutor(max_workers=jobs) if parallel else nullcontext() as pool:
+        calls = [pool.submit(fn, u).result if parallel else partial(fn, u) for u in units]
+        for u, call in zip(units, calls):
             try:
-                out.append(fn(u))
-            except Exception as exc:  # campaign failure must not abort siblings
-                cell = (u[1], u[2], u[3])
-                failures.setdefault(cell, []).append(f"instance {u[4]}: {exc}")
-        return out
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [(u, pool.submit(fn, u)) for u in units]
-        for u, fut in futures:
-            try:
-                out.append(fut.result())
-            except Exception as exc:
-                cell = (u[1], u[2], u[3])
-                failures.setdefault(cell, []).append(f"instance {u[4]}: {exc}")
+                out.append(call())
+            except Exception as exc:  # a unit's failure must not abort its siblings
+                failures.setdefault(u[1:4], []).append(f"instance {u[4]}: {exc}")
     return out
+
+
+def _rows_by_cell(spec, rows) -> dict[tuple[int, int, int], list[dict]]:
+    """The rows of each of the spec's cells, in the spec's cell order."""
+    by_cell: dict = {cell: [] for cell in spec.cells}
+    for row in rows:
+        by_cell[row["n"], row["k"], row["b"]].append(row)
+    return by_cell
 
 
 def _report_failures(command, spec, failures) -> int:
@@ -480,19 +484,6 @@ def _report_failures(command, spec, failures) -> int:
             print(f"{command}: cell n={cell[0]} k={cell[1]} b={cell[2]} failed entirely",
                   file=sys.stderr)
     return 1 if dead else 0
-
-
-def _aggregate_rows(rows, metric_fields, spec, failures) -> list[dict]:
-    out = []
-    for n, k, b in spec.cells:
-        cell_rows = [r for r in rows if (r["n"], r["k"], r["b"]) == (n, k, b)]
-        agg: dict = {"n": n, "k": k, "b": b, "instances_ok": len(cell_rows),
-                     "instances_failed": len(failures.get((n, k, b), []))}
-        for f in metric_fields:
-            vals = [r[f] for r in cell_rows if f in r]
-            agg[f] = float(np.mean(vals)) if vals else float("nan")
-        out.append(agg)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +514,7 @@ def _evolve_unit(args) -> dict:
                     "instance_seed": inst.instance_seed, "run_index": r,
                     "generation": gen, "best_fitness": bf, "best_blocks": bb,
                 })
-    return {"cell": (n, k, b), "rows": rows, "traces": traces}
+    return {"rows": rows, "traces": traces}
 
 
 def cmd_evolve(spec: ExperimentSpec, out_dir: Path, jobs: int = 1,
@@ -532,16 +523,10 @@ def cmd_evolve(spec: ExperimentSpec, out_dir: Path, jobs: int = 1,
 
     The trace rows are empty unless ``traces`` is set.
     """
-    validate_cells(spec, "evolve")
     ea_cfg = dict(spec.ea)
     ea_cfg.pop("seed", None)  # run seeds derive from the master seed
-    failures: dict[tuple[int, int, int], list[str]] = {}
-    units = _landscape_units("evolve", spec, out_dir, failures)
-    if units is None:
-        return 2, {}
-    units = [u + (spec.seed, ea_cfg, traces) for u in units]
-
-    results = _map_units_collect(_evolve_unit, units, jobs, failures)
+    results, failures = _run_landscape_units("evolve", spec, out_dir, jobs, _evolve_unit,
+                                             (spec.seed, ea_cfg, traces))
 
     run_rows = [row for res in results for row in res["rows"]]
     header = provenance_lines(spec, "evolve")
@@ -550,8 +535,7 @@ def cmd_evolve(spec: ExperimentSpec, out_dir: Path, jobs: int = 1,
     write_csv(out_dir / "ea_runs.csv", header, run_fields, run_rows)
 
     summary = []
-    for n, k, b in spec.cells:
-        cell_rows = [r for r in run_rows if (r["n"], r["k"], r["b"]) == (n, k, b)]
+    for (n, k, b), cell_rows in _rows_by_cell(spec, run_rows).items():
         successes = sum(r["success"] for r in cell_rows)
         gens = [r["generations_to_success"] for r in cell_rows
                 if r["generations_to_success"] != ""]
@@ -754,15 +738,17 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="cmd", required=True)
     for cmd in ("gen", "analyze", "evolve", "reproduce"):
         p = sub.add_parser(cmd)
-        p.add_argument("--spec", type=str, default=None, help="experiment spec JSON")
+        source = p.add_mutually_exclusive_group()  # the spec comes from a file or a preset
+        if cmd != "reproduce":  # reproduce runs presets only
+            source.add_argument("--spec", type=str, default=None, help="experiment spec JSON")
+        source.add_argument("--preset", type=str, default=None,
+                            help=f"built-in preset: {', '.join(PRESET_NAMES)}")
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--scale", type=float, default=1.0,
                        help="multiply walk/run/instance counts (e.g. 0.1 for smoke tests)")
         p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                        help="parallel worker processes")
-        p.add_argument("--preset", type=str, default=None,
-                       help=f"built-in preset: {', '.join(PRESET_NAMES)}")
         if cmd == "evolve":
             p.add_argument("--traces", action="store_true",
                            help="also write per-generation traces")

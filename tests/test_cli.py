@@ -28,6 +28,11 @@ def run_cli(args):
     return main([a if isinstance(a, str) else str(a) for a in args])
 
 
+def with_spec(argv, spec):
+    """argv with ``--spec spec``, except for reproduce, which runs presets only."""
+    return argv if argv[0] == "reproduce" else argv + ["--spec", spec]
+
+
 def test_gen_writes_expected_files(tmp_path):
     spec = write_spec(tmp_path / "spec.json")
     out = tmp_path / "out"
@@ -213,7 +218,7 @@ def test_bad_seed_from_flag_or_env_exits_2(tmp_path, capsys, monkeypatch, argv, 
     spec = write_spec(tmp_path / "spec.json")
     if env is not None:
         monkeypatch.setenv("EPIROAD_SEED", env)
-    args = argv + ["--spec", spec, "--out", tmp_path / "out", "--jobs", 1]
+    args = with_spec(argv, spec) + ["--out", tmp_path / "out", "--jobs", 1]
     assert run_cli(args + (["--seed", flag] if flag else [])) == 2
     err = capsys.readouterr().err
     assert "seed must be an integer in [0, 2**64)" in err and (flag or env) in err
@@ -363,8 +368,9 @@ def test_evolve_runs_body_is_pinned_and_independent_of_jobs(tmp_path):
     assert hashlib.sha256(bodies[0]).hexdigest() == EA_RUNS_SHA256
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("command, extra", [("analyze", ANALYZE_SPEC), ("evolve", EVOLVE_SPEC)])
-def test_missing_landscape_fails_only_its_unit(tmp_path, capsys, command, extra):
+def test_missing_landscape_fails_only_its_unit(tmp_path, capsys, command, extra, jobs):
     spec = write_spec(tmp_path / "spec.json", **{**extra, "command": command})
     out = tmp_path / "out"
     run_cli(["gen", "--spec", spec, "--out", out, "--jobs", 1])
@@ -372,7 +378,7 @@ def test_missing_landscape_fails_only_its_unit(tmp_path, capsys, command, extra)
     lost.unlink()
     capsys.readouterr()
     # cell k=2 keeps instance 0, so the run succeeds without the lost file
-    assert run_cli([command, "--spec", spec, "--out", out, "--jobs", 1]) == 0
+    assert run_cli([command, "--spec", spec, "--out", out, "--jobs", jobs]) == 0
     err = capsys.readouterr().err
     assert f"{command}: cell n=6 k=2 b=2 instance 1: missing landscape file {lost}" in err
     assert "failed entirely" not in err
@@ -383,7 +389,7 @@ def test_missing_landscape_fails_only_its_unit(tmp_path, capsys, command, extra)
     assert sum(row.startswith("6,2,2,") for row in rows) == runs
     # losing both instances of a cell fails the cell, and the run
     (out / "landscapes" / "n06_k02_b2_i00.json").unlink()
-    assert run_cli([command, "--spec", spec, "--out", out, "--jobs", 1]) == 1
+    assert run_cli([command, "--spec", spec, "--out", out, "--jobs", jobs]) == 1
     err = capsys.readouterr().err
     assert "cell n=6 k=2 b=2 failed entirely" in err
     assert "k=0 b=2 failed entirely" not in err
@@ -421,7 +427,7 @@ def test_bad_ea_and_lambda_max_settings_exit_2(tmp_path, capsys, command, settin
 @pytest.mark.parametrize("argv", [["gen"], ["reproduce", "--preset", "table1"]])
 def test_jobs_below_one_exits_2(tmp_path, capsys, argv, jobs):
     spec = write_spec(tmp_path / "spec.json")
-    assert run_cli(argv + ["--spec", spec, "--out", tmp_path / "out", "--jobs", jobs]) == 2
+    assert run_cli(with_spec(argv, spec) + ["--out", tmp_path / "out", "--jobs", jobs]) == 2
     assert f"{argv[0]}: --jobs must be an integer >= 1, got {jobs}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -615,6 +621,46 @@ def test_program_size_above_landscape_cap_exits_2(tmp_path, capsys, command, set
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["gen", "evolve"])
+def test_landscape_cap_below_one_block_per_letter_exits_2(tmp_path, capsys, command):
+    # every landscape of the cell would fail to build, so the spec is refused
+    spec = write_spec(tmp_path / "spec.json", command=command,
+                      grid={"n": [8], "k": [2], "b": [4]}, landscape_lambda_max=10)
+    assert run_cli([command, "--spec", spec, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"{command}: invalid cell: the landscape lambda_max=10 cannot hold one block per "
+        "letter, n*b=32 (n=8, k=2, b=4)"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "analyze", "reproduce"])
+def test_spec_file_beside_a_preset_exits_2(tmp_path, capsys, command):
+    spec = write_spec(tmp_path / "spec.json")
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--spec", spec, "--preset", "table1", "--out", tmp_path / "out"])
+    message = ("unrecognized arguments: --spec" if command == "reproduce"
+               else "argument --preset: not allowed with argument --spec")
+    assert exc.value.code == 2 and message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_scale_shrinks_the_campaigns_analyze_runs_by_default(tmp_path):
+    from epiroad.cli import CampaignSettings, apply_scale, load_spec
+
+    spec = load_spec(write_spec(tmp_path / "spec.json", command="analyze"))
+    assert apply_scale(spec, 1.0) is spec
+    assert apply_scale(spec, 0.001).campaigns == CampaignSettings(
+        random_walks={"walks": 20}, adaptive_walks={"walks": 2}, neutrality={"walks": 2})
+    # a spec that does not analyze runs no campaign, so none is added
+    gen_spec = load_spec(write_spec(tmp_path / "gen.json", command="gen"))
+    assert apply_scale(gen_spec, 0.001).campaigns == CampaignSettings()
+    out = tmp_path / "out"
+    for command in ("gen", "analyze"):
+        assert run_cli([command, "--spec", tmp_path / "spec.json", "--out", out,
+                        "--scale", 0.001, "--jobs", 1]) == 0
+    assert len(csv_body(out / "analysis_instances.csv")) == 1 + 2  # header + 2 cells x 1
+
+
 def test_program_size_is_not_checked_for_a_spec_that_does_not_evolve(tmp_path):
     spec = write_spec(tmp_path / "spec.json", command="analyze", landscape_lambda_max=50,
                       neutrality={"walks": 2, "length": 2})
@@ -627,7 +673,7 @@ def test_program_size_is_not_checked_for_a_spec_that_does_not_evolve(tmp_path):
 @pytest.mark.parametrize("argv", [["gen"], ["reproduce", "--preset", "table1"]])
 def test_bad_scale_exits_2(tmp_path, capsys, argv, scale):
     spec = write_spec(tmp_path / "spec.json")
-    args = argv + ["--spec", spec, "--out", tmp_path / "out", "--jobs", 1, f"--scale={scale}"]
+    args = with_spec(argv, spec) + ["--out", tmp_path / "out", "--jobs", 1, f"--scale={scale}"]
     assert run_cli(args) == 2
     err = capsys.readouterr().err
     assert f"{argv[0]}: --scale must be a finite number > 0, got {float(scale)!r}" in err
@@ -688,7 +734,8 @@ def test_every_preset_reproduces_and_reports(tmp_path, capsys, monkeypatch, name
     assert len(lines) > head + 1 and lines[-1].startswith("  ")
 
 
-def test_landscape_with_bad_mask_fails_its_unit(tmp_path, capsys):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_landscape_with_bad_mask_fails_its_unit(tmp_path, capsys, jobs):
     spec = write_spec(tmp_path / "spec.json", **ANALYZE_SPEC)
     out = tmp_path / "out"
     run_cli(["gen", "--spec", spec, "--out", out, "--jobs", 1])
@@ -698,7 +745,7 @@ def test_landscape_with_bad_mask_fails_its_unit(tmp_path, capsys):
         doc["nk"]["mask"] = "x"
         path.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert run_cli(["analyze", "--spec", spec, "--out", out, "--jobs", 1]) == 1
+    assert run_cli(["analyze", "--spec", spec, "--out", out, "--jobs", jobs]) == 1
     err = capsys.readouterr().err
     assert "analyze: cell n=6 k=2 b=2 instance 1: mask must be an int" in err
     assert "cell n=6 k=2 b=2 failed entirely" in err
