@@ -35,6 +35,7 @@ import numpy as np
 from .genotype import (
     PAD,
     Genotype,
+    decode_rows,
     neighbor_matrix,
     random_genotype,  # noqa: F401  (no caller here; benchmarks/recorder.py wraps this binding)
     random_neighbor,
@@ -253,7 +254,7 @@ def _lockstep_walks(landscape, walks: int, length: int, cap: int, seed: int, str
     Walk w reads row w of ``make_rng(seed, stream).random((walks, 1 + cap +
     length))``, drawn a block of rows at a time in walk order, so the rows do
     not depend on WALK_BLOCK. Its first ``1 + cap`` uniforms give its start
-    (``_decode_starts``), and at step t uniform ``u[cap + t]`` picks move
+    (``genotype.decode_rows``), and at step t uniform ``u[cap + t]`` picks move
     ``int(u[cap + t] * F)`` of its F feasible moves (see ``_step_rows``). A
     block's walks step in lockstep as the rows of one ``(block, cap + 2)``
     matrix padded with PAD; t runs over 0..length, and the next step changes
@@ -266,25 +267,11 @@ def _lockstep_walks(landscape, walks: int, length: int, cap: int, seed: int, str
     for lo in range(0, walks, WALK_BLOCK):
         block = slice(lo, min(lo + WALK_BLOCK, walks))
         u = rng.random((block.stop - lo, 1 + cap + length))
-        rows, lams = _decode_starts(u, n, cap)
+        rows, lams = decode_rows(u, n, cap)
         for t in range(length + 1):
             if t:
                 _step_rows(rows, lams, u[:, cap + t], n, cap)
             yield block, t, rows, lams, landscape.evaluate_rows(rows)
-
-
-def _decode_starts(u: np.ndarray, n: int, cap: int):
-    """(rows, lams): one start genotype per row of uniforms, as a ``(W, cap + 2)`` PAD matrix.
-
-    Row w has length ``lam = int(u[w, 0] * (cap + 1))``, uniform on 0..cap,
-    and letters ``int(u[w, i] * n)`` for i in 1..lam; ``u`` has at least
-    ``1 + cap`` columns.
-    """
-    lams = (u[:, 0] * (cap + 1)).astype(np.int64)
-    rows = np.full((len(u), cap + 2), PAD, np.int16)
-    letters = (u[:, 1 : cap + 1] * n).astype(np.int16)
-    rows[:, :cap] = np.where(np.arange(cap) < lams[:, None], letters, PAD)
-    return rows, lams
 
 
 def _step_rows(rows: np.ndarray, lams: np.ndarray, u: np.ndarray, n: int, cap: int):
@@ -392,7 +379,7 @@ def local_optima_stats(final_fitnesses, lengths) -> WalkStats:
 def run_adaptive_walk_campaign(landscape, campaign: AdaptiveWalkCampaign):
     """(WalkStats, raw) over greedy walks from random starts.
 
-    Walk w decodes its start (``_decode_starts``) from row w of
+    Walk w decodes its start (``genotype.decode_rows``) from row w of
     ``make_rng(seed, STREAM_ADAPTIVE_START).random((walks, 1 + cap))``, drawn
     in walk order as walks join, and breaks ties with ``integers`` from
     ``make_rng(seed, STREAM_ADAPTIVE_WALK, w)``, opened on its first tie; it
@@ -417,7 +404,7 @@ def run_adaptive_walk_campaign(landscape, campaign: AdaptiveWalkCampaign):
     while True:
         new = np.arange(joined, min(joined + ADAPTIVE_BLOCK - len(walk), campaign.walks))
         if len(new):  # the next walks take the places of those that stopped
-            starts, start_lams = _decode_starts(start_rng.random((len(new), 1 + cap)), n, cap)
+            starts, start_lams = decode_rows(start_rng.random((len(new), 1 + cap)), n, cap)
             finals[new] = landscape.evaluate_rows(starts)
             joined += len(new)
             walk = np.concatenate([walk, new])

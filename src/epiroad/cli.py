@@ -245,8 +245,9 @@ def apply_scale(spec: ExperimentSpec, scale: float) -> ExperimentSpec:
         raise SpecError(f"--scale must be a finite number > 0, got {scale!r}")
     if scale == 1.0:
         return spec
-    # an analyze spec that names no campaign runs all three, so all three scale
-    sections = _campaign_sections(spec, defaults=spec.command == "analyze")
+    # a spec that analyze may run and that names no campaign runs all three, so
+    # all three scale; decided from the spec alone, so gen and analyze hash alike
+    sections = _campaign_sections(spec, defaults=spec.command in (None, "analyze"))
     # local-optima statistics need two adaptive walks
     campaigns = {name: {**section, "walks": _scaled(CAMPAIGNS[name](**section).walks, scale,
                                                      floor=2 if name == "adaptive_walks" else 1)}

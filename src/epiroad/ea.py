@@ -13,10 +13,13 @@ an operation applies is decided against the incoming genotype: deletion and
 substitution are skipped when it is empty, insertion when it already sits at
 ``max_program_size``.
 
-A run's randomness comes from its own stream: the initial population is drawn
-from the stream's ``Generator``, every later draw from a ``UniformPool`` over
-the same generator (stream format 2). The operators only call ``random()``
-and ``integers(high)``, so they take either.
+A run's randomness comes from its own stream. The initial population is
+decoded from one row of uniforms per genotype, as walk starts are
+(``genotype.decode_rows``), and scored a block of rows at a time with one
+table lookup (stream format 6); every later draw comes from a
+``UniformPool`` over the same generator. The operators only call
+``random()`` and ``integers(high)``, so they take either a pool or a
+``Generator``.
 
 ``run`` is one event loop. Each event reserves its worst-case number of
 uniforms from the pool and reads them through the stack's ``pop``, with the
@@ -39,13 +42,22 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .genotype import Genotype, block_count, random_genotype
+from .genotype import (
+    Genotype,
+    block_count,
+    decode_rows,
+    random_genotype,  # noqa: F401  (no caller here; benchmarks/recorder.py wraps this binding)
+)
 from .landscapes import is_success
 from .seeds import STREAM_EA_RUN, STREAM_LANDSCAPE_SEED, UniformPool, derive_seed, make_rng
 
 
 # Accepted values per annotated field type; bool is never an int or a float here.
 _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}
+
+# Rows of the initial population drawn and scored together; the population
+# does not depend on it, only the size of its temporaries does.
+INIT_BLOCK = 64
 
 
 @dataclass
@@ -93,8 +105,26 @@ class RunResult:
     generations_to_success: int | None = None
 
 
-def init_population(cfg: EaConfig, n_letters: int, rng: np.random.Generator) -> list[Genotype]:
-    return [random_genotype(cfg.max_creation_size, n_letters, rng) for _ in range(cfg.population)]
+def init_population(cfg: EaConfig, landscape,
+                    rng: np.random.Generator) -> tuple[list[Genotype], np.ndarray]:
+    """(genotypes, fitness) of the initial population.
+
+    Genotype i is decoded (``decode_rows``) from row i of
+    ``rng.random((population, 1 + max_creation_size))``: its length is
+    ``int(u[0] * (max_creation_size + 1))`` and its letters
+    ``int(u[j] * n_letters)``. The rows are drawn INIT_BLOCK at a time in row
+    order, which gives the rows of one call, and each block is scored with one
+    ``evaluate_rows`` table lookup.
+    """
+    cap, size = cfg.max_creation_size, cfg.population
+    genotypes: list[Genotype] = []
+    fits = np.empty(size)
+    for lo in range(0, size, INIT_BLOCK):
+        hi = min(lo + INIT_BLOCK, size)
+        rows, lams = decode_rows(rng.random((hi - lo, 1 + cap)), landscape.n_letters, cap)
+        fits[lo:hi] = landscape.evaluate_rows(rows)
+        genotypes += [tuple(row[:lam]) for row, lam in zip(rows.tolist(), lams.tolist())]
+    return genotypes, fits
 
 
 def mutate(g: Genotype, cfg: EaConfig, n_letters: int, rng: np.random.Generator) -> Genotype:
@@ -183,8 +213,7 @@ def run(cfg: EaConfig, landscape) -> RunResult:
     evaluate = landscape.evaluate
     size, t, cap = cfg.population, cfg.tournament_size, cfg.max_program_size
     x_rate, m_rate = cfg.crossover_rate, cfg.mutation_rate
-    genotypes = init_population(cfg, n_letters, rng)
-    fits = np.array([evaluate(g) for g in genotypes])  # read only to refill the level
+    genotypes, fits = init_population(cfg, landscape, rng)  # fits is read only to refill the level
     fit_list = fits.tolist()  # mirror of fits for scalar reads
     best_idx = int(np.argmax(fits))
     best = fit_list[best_idx]

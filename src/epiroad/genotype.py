@@ -176,6 +176,21 @@ def row_to_genotype(row: np.ndarray) -> Genotype:
     return tuple(out)
 
 
+def decode_rows(u: np.ndarray, n_letters: int, max_len: int):
+    """(rows, lams): one genotype per row of uniforms, as a ``(W, max_len + 2)`` PAD matrix.
+
+    Row w has length ``lam = int(u[w, 0] * (max_len + 1))``, uniform on
+    0..max_len, and letters ``int(u[w, i] * n_letters)`` for i in 1..lam;
+    ``u`` has at least ``1 + max_len`` columns. Walk starts and the EA's
+    initial population are decoded here.
+    """
+    lams = (u[:, 0] * (max_len + 1)).astype(np.int64)
+    rows = np.full((len(u), max_len + 2), PAD, np.int16)
+    letters = (u[:, 1 : max_len + 1] * n_letters).astype(np.int16)
+    rows[:, :max_len] = np.where(np.arange(max_len) < lams[:, None], letters, PAD)
+    return rows, lams
+
+
 def block_bits_batch(rows: np.ndarray, n_letters: int, b: int) -> np.ndarray:
     """Packed block vectors for every row of a padded genotype matrix.
 

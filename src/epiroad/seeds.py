@@ -28,7 +28,13 @@ STREAM_ADAPTIVE_START).random((walks, 1 + cap))`` instead of one
 stream identifier because ``SeedSequence`` pads an entropy shorter than four
 words with zeros: the path (seed, STREAM_ADAPTIVE_WALK) names the same
 stream as walk 0's (seed, STREAM_ADAPTIVE_WALK, 0). Everything else draws as
-in format 2.
+in format 2. Format 6: an EA run decodes its initial population as walk
+starts are decoded, genotype i from row i of ``random((population, 1 +
+max_creation_size))`` on its stream (length from ``u[0]``, letters from
+``u[1..max_creation_size]``; see ``genotype.decode_rows``), instead of one
+``random_genotype`` per genotype. The rows are drawn 64 at a time in row
+order, which gives the rows of one call; its ``UniformPool`` then continues
+on the same generator, and the run draws as in format 2 from there.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ STREAM_EA_RUN = 5
 STREAM_LANDSCAPE_SEED = 6
 STREAM_ADAPTIVE_START = 7
 
-STREAM_FORMAT = 5
+STREAM_FORMAT = 6
 
 
 def seed_sequence(master_seed: int, *path: int) -> np.random.SeedSequence:

@@ -13,7 +13,6 @@ from epiroad.analysis import (
     NeutralityCampaign,
     RandomWalkCampaign,
     _class_counts_batch,
-    _decode_starts,
     _lockstep_walks,
     _neighbor_fitness,
     _step_rows,
@@ -30,6 +29,7 @@ from epiroad.analysis import (
 from epiroad.genotype import (
     PAD,
     BlockParams,
+    decode_rows,
     neighbor_matrix,
     random_genotype,
     random_neighbor,
@@ -266,7 +266,7 @@ def campaign_draws(seed, stream, walks, width):
 def lockstep_from_draws(landscape, u, length, cap):
     """Yield ``(rows, lams, fitness)`` at t = 0..length of walks that read the rows of ``u``."""
     n = landscape.n_letters
-    rows, lams = _decode_starts(u, n, cap)
+    rows, lams = decode_rows(u, n, cap)
     for t in range(length + 1):
         if t:
             _step_rows(rows, lams, u[:, cap + t], n, cap)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -344,17 +345,17 @@ def test_outputs_record_the_stream_format(tmp_path):
     out = tmp_path / "out"
     run_cli(["gen", "--spec", spec, "--out", out, "--jobs", 1])
     doc = json.loads(next(iter(sorted((out / "landscapes").glob("*.json")))).read_text())
-    assert doc["provenance"]["stream_format"] == 5
+    assert doc["provenance"]["stream_format"] == 6
     run_cli(["evolve", "--spec", spec, "--out", out, "--jobs", 1])
-    assert "# stream_format: 5" in (out / "ea_runs.csv").read_text().splitlines()
+    assert "# stream_format: 6" in (out / "ea_runs.csv").read_text().splitlines()
 
 
-# sha256 of the ea_runs.csv body below the '#' lines, at stream format 2
-EA_RUNS_SHA256 = "e182ef7ca086500076c81a829032783216b0323baa9664b573c965f98bf2e399"
+# sha256 of the ea_runs.csv body below the '#' lines, at stream format 6
+EA_RUNS_SHA256 = "0f0edf3834b3c5ae53c45a37260180924b83930184845aa47a5dc01aaae06bd3"
 
 
 def test_evolve_runs_body_is_pinned_and_independent_of_jobs(tmp_path):
-    # pinned at stream format 2; a change to the EA's draws must bump the
+    # pinned at stream format 6; a change to the EA's draws must bump the
     # format and re-pin
     spec = write_spec(tmp_path / "spec.json", **EVOLVE_SPEC)
     bodies = []
@@ -659,6 +660,31 @@ def test_scale_shrinks_the_campaigns_analyze_runs_by_default(tmp_path):
         assert run_cli([command, "--spec", tmp_path / "spec.json", "--out", out,
                         "--scale", 0.001, "--jobs", 1]) == 0
     assert len(csv_body(out / "analysis_instances.csv")) == 1 + 2  # header + 2 cells x 1
+
+
+def test_scale_shrinks_the_default_campaigns_of_a_spec_without_command(tmp_path):
+    from epiroad.cli import CampaignSettings, apply_scale, load_spec
+
+    path = tmp_path / "spec.json"
+    data = json.loads(write_spec(path, grid={"n": [6], "k": [0], "b": [2]},
+                                 instances=1).read_text())
+    del data["command"]
+    path.write_text(json.dumps(data))
+    spec = load_spec(path)
+    assert spec.command is None and apply_scale(spec, 1.0) is spec
+    assert apply_scale(spec, 0.001).campaigns == CampaignSettings(
+        random_walks={"walks": 20}, adaptive_walks={"walks": 2}, neutrality={"walks": 2})
+    out = tmp_path / "out"
+    args = ["--spec", path, "--out", out, "--scale", 0.001, "--jobs", 1]
+    assert run_cli(["gen"] + args) == 0
+    assert run_cli(["analyze"] + args + ["--raw"]) == 0
+    # gen and analyze derive one scaled spec, so both record one spec hash
+    doc = json.loads((out / "landscapes" / "n06_k00_b2_i00.json").read_text())
+    header = (out / "analysis_instances.csv").read_text().splitlines()
+    assert f"# spec_sha256: {doc['provenance']['spec_sha256']}" in header
+    records = [json.loads(line) for line in
+               (out / "raw" / "walks_n06_k00_b2_i00.jsonl").read_text().splitlines()]
+    assert Counter(r["campaign"] for r in records) == {"random": 20, "adaptive": 2}
 
 
 def test_program_size_is_not_checked_for_a_spec_that_does_not_evolve(tmp_path):

@@ -16,7 +16,7 @@ from epiroad.ea import (
     run_instance,
     tournament_select,
 )
-from epiroad.genotype import BlockParams, block_count
+from epiroad.genotype import PAD, BlockParams, block_count, decode_rows
 from epiroad.landscapes import er_build, is_success, royal_road
 from epiroad.seeds import STREAM_EA_RUN, STREAM_FORMAT, UniformPool, make_rng
 
@@ -57,11 +57,12 @@ def test_config_defaults_and_validation():
 
 def test_init_population_sizes_and_determinism():
     cfg = EaConfig(population=200)
-    pop1 = init_population(cfg, 8, make_rng(5, 0))
-    pop2 = init_population(cfg, 8, make_rng(5, 0))
-    assert len(pop1) == 200
+    L = er_build(8, 2, 2, 100, seed=29)
+    pop1, fits1 = init_population(cfg, L, make_rng(5, 0))
+    pop2, fits2 = init_population(cfg, L, make_rng(5, 0))
+    assert len(pop1) == len(fits1) == 200
     assert all(len(g) <= 50 for g in pop1)
-    assert pop1 == pop2
+    assert pop1 == pop2 and fits1.tolist() == fits2.tolist()
 
 
 @given(st.lists(st.integers(0, 7), max_size=20).map(tuple), st.integers(0, 10_000))
@@ -227,7 +228,7 @@ def test_run_without_variation_only_duplicates():
     L = er_build(6, 2, 2, 100, seed=34)
     cfg = small_cfg(mutation_rate=0.0, crossover_rate=0.0, generations=5,
                     max_program_size=100, max_creation_size=20, stop_on_success=False)
-    initial = set(init_population(cfg, 6, make_rng(cfg.seed, ea_mod.STREAM_EA_RUN)))
+    initial = set(init_population(cfg, L, make_rng(cfg.seed, ea_mod.STREAM_EA_RUN))[0])
 
     class Spy:
         n_letters = L.n_letters
@@ -236,17 +237,22 @@ def test_run_without_variation_only_duplicates():
         optimum_value = L.optimum_value
         bv_value = L.bv_value
         calls = 0
+        rows = 0
 
         def evaluate(self, g):
             Spy.calls += 1
-            if Spy.calls > cfg.population:  # past initialization
-                assert tuple(g) in initial
+            assert tuple(g) in initial
             return L.evaluate(g)
+
+        def evaluate_rows(self, rows):
+            Spy.rows += len(rows)
+            return L.evaluate_rows(rows)
 
     res = run(cfg, Spy())
     assert res.best_fitness_trace[-1] >= res.best_fitness_trace[0]
-    # every child is its parent, whose fitness it keeps: none is evaluated
-    assert Spy.calls == cfg.population
+    # the population is scored as rows; every child is its parent, whose
+    # fitness it keeps: none is evaluated
+    assert (Spy.rows, Spy.calls) == (cfg.population, 0)
 
 
 def test_population_size_constant_and_within_cap():
@@ -262,6 +268,10 @@ def test_population_size_constant_and_within_cap():
         def evaluate(self, g):
             assert len(g) <= 20
             return L.evaluate(g)
+
+        def evaluate_rows(self, rows):
+            assert ((rows != PAD).sum(axis=1) <= 10).all()  # max_creation_size
+            return L.evaluate_rows(rows)
 
     cfg = small_cfg(max_program_size=20, max_creation_size=10, stop_on_success=False)
     run(cfg, Spy())
@@ -398,20 +408,20 @@ def test_elitist_victim_matches_masked_copy(values, pick):
     assert elitist_victim(fits, best_idx) == masked_copy_victim(fits, best_idx)
 
 
-def test_run_golden_stream_format_2():
+def test_run_golden_stream_format_6():
     # pinned output of one run; a change to the EA's draws or their order
     # must bump STREAM_FORMAT and re-pin. Formats 3 to 5 changed only the
-    # walk campaigns and the neutrality scans, so the EA still draws as in
-    # format 2.
-    assert STREAM_FORMAT == 5
+    # walk campaigns and the neutrality scans; format 6 changed the initial
+    # population. Under format 5 this run reached the optimum at generation
+    # 8; from its format-6 population it stays at 3 blocks for 12 generations.
+    assert STREAM_FORMAT == 6
     L = er_build(6, 2, 2, 100, seed=38)
     cfg = EaConfig(population=40, generations=12, max_creation_size=20,
                    max_program_size=100, seed=3, runs=1)
     res = run(cfg, L)
-    assert res.generations_to_success == 8
-    assert res.best_blocks_trace == [2] + [3] * 7 + [6] * 5
-    assert res.best_fitness_trace == \
-        [0.7818227665782054] + [0.8357267885778169] * 7 + [0.8390074730501776] * 5
+    assert not res.success and res.generations_to_success is None
+    assert res.best_blocks_trace == [3] * 13
+    assert res.best_fitness_trace == [0.8357267885778169] * 13
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +446,23 @@ class CountedDraws:
         return self.ints[-1]
 
 
+def scalar_population(cfg, landscape, rng):
+    """(genotypes, fitness) of stream format 6's initial population, one genotype at a time.
+
+    Genotype i decodes row i of one ``random((population, 1 + max_creation_size))``
+    call in Python floats and is scored with the scalar ``evaluate``.
+    """
+    cap, n = cfg.max_creation_size, landscape.n_letters
+    genotypes = [tuple(int(x * n) for x in u[1 : 1 + int(u[0] * (cap + 1))])
+                 for u in rng.random((cfg.population, 1 + cap)).tolist()]
+    return genotypes, [landscape.evaluate(g) for g in genotypes]
+
+
 def reference_run(cfg, landscape, events=None):
-    """ea.run as one call per operator and an argmin per child (stream format 2).
+    """ea.run as one call per operator and an argmin per child (stream format 6).
+
+    The initial population is ``scalar_population``'s; later draws are as in
+    stream format 2.
 
     ``events`` counts the rare branches the run took: crossover's fallback to
     the parents after 20 oversize cut pairs, a mutation whose insertion was
@@ -449,10 +474,9 @@ def reference_run(cfg, landscape, events=None):
     events = Counter() if events is None else events
     rng = make_rng(cfg.seed, STREAM_EA_RUN)
     n_letters = landscape.n_letters
-    pop = init_population(cfg, n_letters, rng)
+    pop, fit_list = scalar_population(cfg, landscape, rng)
     draws = CountedDraws(UniformPool(rng))
-    fits = np.array([landscape.evaluate(g) for g in pop])
-    fit_list = fits.tolist()
+    fits = np.array(fit_list)
     best_idx = int(np.argmax(fits))
     elitist = cfg.elitism and cfg.population > 1
 
@@ -570,6 +594,7 @@ def test_run_reuses_the_fitness_of_unchanged_children():
 
     class Spy:
         n_letters, b, lambda_max, optimum_value = L.n_letters, L.b, L.lambda_max, L.optimum_value
+        evaluate_rows = L.evaluate_rows
         calls = 0
 
         def evaluate(self, g):
@@ -578,4 +603,62 @@ def test_run_reuses_the_fitness_of_unchanged_children():
 
     assert run(cfg, Spy()) == reference_run(cfg, L)
     children = 2 * cfg.population * cfg.generations
-    assert 0.6 * children < Spy.calls - cfg.population < children
+    assert 0.6 * children < Spy.calls < children
+
+
+# ---------------------------------------------------------------------------
+# stream format 6: the initial population as decoded rows
+
+
+def one_call_population(cfg, landscape, seed):
+    """The population one ``random((population, 1 + max_creation_size))`` call decodes to."""
+    cap = cfg.max_creation_size
+    rng = make_rng(seed, STREAM_EA_RUN)
+    rows, lams = decode_rows(rng.random((cfg.population, 1 + cap)), landscape.n_letters, cap)
+    genotypes = [tuple(row[:lam]) for row, lam in zip(rows.tolist(), lams.tolist())]
+    return genotypes, landscape.evaluate_rows(rows).tolist(), rng.random()
+
+
+@pytest.mark.parametrize("creation, program", [(0, 0), (0, 5), (7, 20), (12, 12), (30, 30)])
+def test_init_population_equals_scalar_decode_and_evaluate(creation, program):
+    landscapes = [er_build(6, 2, 2, 30, seed=44), royal_road(BlockParams(4, 3, 30)),
+                  er_build(8, 5, 1, 30, seed=45)]
+    for L in landscapes:
+        cfg = EaConfig(population=150, max_creation_size=creation, max_program_size=program,
+                       generations=4, stop_on_success=False)
+        pop, fits = init_population(cfg, L, make_rng(46, creation))
+        want, want_fits = scalar_population(cfg, L, make_rng(46, creation))
+        assert pop == want
+        assert all(type(s) is int for g in pop for s in g)
+        assert fits.tolist() == want_fits  # bit-equal: both read the same table entry
+        if creation == 0:
+            assert set(pop) == {()}
+        assert run(cfg, L) == reference_run(cfg, L)
+
+
+@pytest.mark.parametrize("population, block", [(1, 64), (63, 64), (64, 64), (65, 64), (1000, 64),
+                                               (1000, 1), (1000, 7), (1000, 65), (1000, 5000)])
+def test_init_population_is_one_call_decode_at_any_block_size(monkeypatch, population, block):
+    from epiroad import ea as ea_mod
+
+    L = er_build(8, 3, 2, 40, seed=48)
+    cfg = EaConfig(population=population, max_creation_size=20, max_program_size=40)
+    monkeypatch.setattr(ea_mod, "INIT_BLOCK", block)
+    rng = make_rng(49, STREAM_EA_RUN)
+    pop, fits = init_population(cfg, L, rng)
+    # the run's UniformPool continues where one call would have left the generator
+    assert (pop, fits.tolist(), rng.random()) == one_call_population(cfg, L, 49)
+
+
+def test_init_population_lengths_and_letters_chi_square():
+    # lengths uniform on 0..6 and letters uniform on 0..6: 7 classes each
+    L = royal_road(BlockParams(7, 2, 30))
+    cfg = EaConfig(population=35_000, max_creation_size=6, max_program_size=30)
+    pop, _ = init_population(cfg, L, make_rng(50, STREAM_EA_RUN))
+    lengths = Counter(len(g) for g in pop)
+    assert set(lengths) == set(range(7))
+    assert chi_square(lengths, [len(pop) / 7] * 7) < CHI2_CRIT_DF6
+    letters = Counter(s for g in pop for s in g)
+    assert set(letters) == set(range(7))
+    total = sum(letters.values())
+    assert chi_square(letters, [total / 7] * 7) < CHI2_CRIT_DF6
