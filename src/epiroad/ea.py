@@ -13,6 +13,12 @@ an operation applies is decided against the incoming genotype: deletion and
 substitution are skipped when it is empty, insertion when it already sits at
 ``max_program_size``.
 
+Genotypes are ``bytes``, one letter per byte (alphabets stop at 24 letters,
+``nk.EXHAUSTIVE_BOUND``): crossover slices and joins them, mutation edits a
+``bytearray``, and ``genotype.block_bits`` scores a child in byte lanes of
+one int instead of letter by letter. ``mutate``, ``one_point_crossover`` and
+``tournament_select`` act on tuples as well; they stay the loop's reference.
+
 A run's randomness comes from its own stream. The initial population is
 decoded from one row of uniforms per genotype, as walk starts are
 (``genotype.decode_rows``), and scored a block of rows at a time with one
@@ -106,8 +112,8 @@ class RunResult:
 
 
 def init_population(cfg: EaConfig, landscape,
-                    rng: np.random.Generator) -> tuple[list[Genotype], np.ndarray]:
-    """(genotypes, fitness) of the initial population.
+                    rng: np.random.Generator) -> tuple[list[bytes], np.ndarray]:
+    """(genotypes, fitness) of the initial population, each genotype ``bytes``.
 
     Genotype i is decoded (``decode_rows``) from row i of
     ``rng.random((population, 1 + max_creation_size))``: its length is
@@ -117,13 +123,13 @@ def init_population(cfg: EaConfig, landscape,
     ``evaluate_rows`` table lookup.
     """
     cap, size = cfg.max_creation_size, cfg.population
-    genotypes: list[Genotype] = []
+    genotypes: list[bytes] = []
     fits = np.empty(size)
     for lo in range(0, size, INIT_BLOCK):
         hi = min(lo + INIT_BLOCK, size)
         rows, lams = decode_rows(rng.random((hi - lo, 1 + cap)), landscape.n_letters, cap)
         fits[lo:hi] = landscape.evaluate_rows(rows)
-        genotypes += [tuple(row[:lam]) for row, lam in zip(rows.tolist(), lams.tolist())]
+        genotypes += [bytes(row[:lam]) for row, lam in zip(rows.tolist(), lams.tolist())]
     return genotypes, fits
 
 
@@ -274,7 +280,7 @@ def run(cfg: EaConfig, landscape) -> RunResult:
             for child, f in ((c1, f1), (c2, f2)):
                 if pop() < m_rate:  # mutate
                     lam = len(child)
-                    out = list(child)
+                    out = bytearray(child)
                     if lam < cap:
                         gap = int(pop() * (lam + 1))
                         out.insert(gap, int(pop() * n_letters))
@@ -283,7 +289,7 @@ def run(cfg: EaConfig, landscape) -> RunResult:
                         if out:
                             letter = int(pop() * n_letters)  # drawn before its position
                             out[int(pop() * len(out))] = letter
-                    child = tuple(out)
+                    child = bytes(out)
                     f = None
                 if f is None:
                     f = evaluate(child)

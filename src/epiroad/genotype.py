@@ -1,8 +1,9 @@
 """Variable-length genotypes over an integer alphabet and their edit neighborhood.
 
 Letters are integers in ``range(n_letters)``; a genotype is a tuple of
-letters. A block is a contiguous run of at least ``b`` copies of one letter;
-only the presence of a block counts, never its position or multiplicity.
+letters, or ``bytes`` (one letter per byte) in the EA. A block is a
+contiguous run of at least ``b`` copies of one letter; only the presence of
+a block counts, never its position or multiplicity.
 
 The edit neighborhood of a genotype of length ``lam`` is an operation
 multiset of size ``(2 * lam + 1) * n_letters``: every insertion
@@ -22,6 +23,12 @@ Genotype = tuple[int, ...]
 
 # Sentinel used to pad rows of neighbor matrices; never a valid letter.
 PAD = -1
+
+# block_bits reads letters as byte lanes whose top bit must stay clear.
+LANE_LETTERS = 128
+_ALPHABETS = [bytes(range(n)) for n in range(LANE_LETTERS + 1)]
+_HIGH = bytes(range(LANE_LETTERS, 256))
+_LANES: dict[int, tuple[int, int, int]] = {}  # length -> (0x7F lanes, 0x80 lanes, all lanes)
 
 # Display letters for text round-trips, DNA-style first four.
 DISPLAY_LETTERS = "ATGCBDEFHIJKLMNOPQRSUVWXYZ"
@@ -73,20 +80,50 @@ def block_bits(g, n_letters: int, b: int) -> int:
 
     Letter 0 therefore occupies the most significant bit, so the packed value
     orders block vectors lexicographically.
+
+    ``g`` is ``bytes`` (the EA's genotypes) or any iterable of int letters.
+    The letters are read as byte lanes of one Python int X, first letter
+    highest, and every lane is found at once: lane c of ``ne`` has its top bit
+    set when letter c differs from letter c - 1, found by adding 0x7F to each
+    lane of ``X ^ (X >> 8)``, which cannot carry while letters stay below 128
+    (the alphabet's limit, LANE_LETTERS). A block starts at c when no
+    difference falls in c + 1 .. c + b - 1, so ORing ``ne`` shifted up by 1 to
+    b - 1 lanes, and setting the last b - 1 lanes, marks with a top bit every
+    lane that starts no block. Dropping the marked lanes leaves the letters
+    that start a block.
     """
+    if n_letters > LANE_LETTERS:
+        raise ValueError(f"n_letters={n_letters} exceeds the byte lanes' {LANE_LETTERS}")
+    x = g
+    if type(g) is not bytes:
+        g = tuple(g)  # a numpy row gives its scalars, not its buffer
+        try:
+            x = bytes(g)
+        except ValueError:  # a letter outside 0..255, PAD among them
+            validate_genotype(g, n_letters)
+            raise
+    if x.translate(None, _ALPHABETS[n_letters]):
+        validate_genotype(g, n_letters)  # names the first foreign letter
+    lam = len(x)
+    if lam < b:
+        return 0
+    if b > 1:
+        try:
+            k7f, k80, full = _LANES[lam]
+        except KeyError:
+            k7f = int.from_bytes(b"\x7f" * lam, "big")
+            k80 = int.from_bytes(b"\x80" * lam, "big")
+            k7f, k80, full = _LANES[lam] = k7f, k80, (1 << 8 * lam) - 1
+        X = int.from_bytes(x, "big")
+        D = X ^ (X >> 8)
+        ne = (D + k7f) & k80
+        m = (1 << 8 * (b - 1)) - 1  # the last b - 1 letters start no block
+        for s in range(8, 8 * b, 8):
+            m |= ne << s
+        x = ((X | m) & full).to_bytes(lam, "big").translate(None, _HIGH)
     bits = 0
-    prev = -1
-    run = 0
-    for s in g:
-        if s != prev:
-            if not 0 <= s < n_letters:
-                raise ValueError(f"letter {s} outside alphabet of size {n_letters}")
-            prev = s
-            run = 1
-        else:
-            run += 1
-        if run == b:
-            bits |= 1 << (n_letters - 1 - s)
+    for c in set(x):
+        bits |= 1 << (n_letters - 1 - c)
     return bits
 
 

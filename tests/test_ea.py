@@ -61,6 +61,7 @@ def test_init_population_sizes_and_determinism():
     pop1, fits1 = init_population(cfg, L, make_rng(5, 0))
     pop2, fits2 = init_population(cfg, L, make_rng(5, 0))
     assert len(pop1) == len(fits1) == 200
+    assert all(type(g) is bytes for g in pop1)
     assert all(len(g) <= 50 for g in pop1)
     assert pop1 == pop2 and fits1.tolist() == fits2.tolist()
 
@@ -228,7 +229,8 @@ def test_run_without_variation_only_duplicates():
     L = er_build(6, 2, 2, 100, seed=34)
     cfg = small_cfg(mutation_rate=0.0, crossover_rate=0.0, generations=5,
                     max_program_size=100, max_creation_size=20, stop_on_success=False)
-    initial = set(init_population(cfg, L, make_rng(cfg.seed, ea_mod.STREAM_EA_RUN))[0])
+    initial = {tuple(g) for g in
+               init_population(cfg, L, make_rng(cfg.seed, ea_mod.STREAM_EA_RUN))[0]}
 
     class Spy:
         n_letters = L.n_letters
@@ -628,11 +630,12 @@ def test_init_population_equals_scalar_decode_and_evaluate(creation, program):
                        generations=4, stop_on_success=False)
         pop, fits = init_population(cfg, L, make_rng(46, creation))
         want, want_fits = scalar_population(cfg, L, make_rng(46, creation))
-        assert pop == want
+        assert [tuple(g) for g in pop] == want
+        assert all(type(g) is bytes for g in pop)
         assert all(type(s) is int for g in pop for s in g)
         assert fits.tolist() == want_fits  # bit-equal: both read the same table entry
         if creation == 0:
-            assert set(pop) == {()}
+            assert set(pop) == {b""}
         assert run(cfg, L) == reference_run(cfg, L)
 
 
@@ -647,6 +650,8 @@ def test_init_population_is_one_call_decode_at_any_block_size(monkeypatch, popul
     rng = make_rng(49, STREAM_EA_RUN)
     pop, fits = init_population(cfg, L, rng)
     # the run's UniformPool continues where one call would have left the generator
+    assert all(type(g) is bytes for g in pop)
+    pop = [tuple(g) for g in pop]
     assert (pop, fits.tolist(), rng.random()) == one_call_population(cfg, L, 49)
 
 

@@ -4,10 +4,11 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epiroad.genotype import (
+    LANE_LETTERS,
     PAD,
     BlockParams,
     block_bits,
@@ -28,6 +29,24 @@ from epiroad.genotype import (
 from epiroad.seeds import make_rng
 
 genotypes = st.lists(st.integers(0, 3), max_size=12).map(tuple)
+
+
+def scalar_block_bits(g, n_letters, b):
+    """block_bits as one pass over the letters: a letter's bit is set when its run reaches b."""
+    bits = 0
+    prev = None
+    run = 0
+    for s in g:
+        if s != prev:
+            if not 0 <= s < n_letters:
+                raise ValueError(f"letter {s} outside alphabet of size {n_letters}")
+            prev = s
+            run = 1
+        else:
+            run += 1
+        if run == b:
+            bits |= 1 << (n_letters - 1 - s)
+    return bits
 
 
 def test_has_block_reference_optimum():
@@ -195,12 +214,64 @@ def test_block_bits_batch_matches_scalar(g):
     mat = neighbor_matrix(g, 4)
     batch = block_bits_batch(mat, 4, 2)
     for i in range(mat.shape[0]):
-        assert int(batch[i]) == block_bits(row_to_genotype(mat[i]), 4, 2)
+        assert int(batch[i]) == scalar_block_bits(row_to_genotype(mat[i]), 4, 2)
+
+
+@st.composite
+def block_cases(draw):
+    """(genotype, n_letters, b): runs of 1 to 9 letters, as a tuple, a list or bytes."""
+    n = draw(st.integers(1, 24))
+    b = draw(st.integers(1, 7))
+    letters = st.integers(0, n - 1) | st.just(min(10, n - 1))  # 10 is b"\n"
+    runs = draw(st.lists(st.tuples(letters, st.integers(1, 9)), max_size=40))
+    g = [s for s, length in runs for _ in range(length)][: draw(st.integers(0, 130))]
+    return draw(st.sampled_from([tuple, list, bytes]))(g), n, b
+
+
+@given(block_cases())
+@settings(max_examples=400)
+@example(((), 1, 1))
+@example((b"\n\n\n", 11, 3))  # one run spanning the whole genotype
+@example((b"\n\n\n\x00\x01", 11, 3))  # a block at the start
+@example(((0, 1, 10, 10, 10), 11, 3))  # a block at the end
+@example(((10, 10, 0, 10, 10), 11, 3))  # runs of b - 1 at both ends
+@example(([23] * 130, 24, 7))
+@example((bytes(130), 24, 7))
+def test_block_bits_matches_scalar_oracle(case):
+    g, n, b = case
+    assert block_bits(g, n, b) == scalar_block_bits(tuple(g), n, b)
+
+
+def test_block_bits_reads_numpy_rows_by_letter():
+    row = np.array([2, 2, 2, 0], np.int16)  # its buffer holds 2 bytes per letter
+    assert block_bits(row, 4, 3) == scalar_block_bits((2, 2, 2, 0), 4, 3) == 0b0010
+
+
+def test_block_bits_at_the_lane_limit():
+    n = LANE_LETTERS
+    assert block_bits(bytes([0, 127, 127, 127, 0]), n, 3) == 1
+    assert block_bits(bytes([127, 0, 0, 0, 127]), n, 3) == 1 << (n - 1)
+    with pytest.raises(ValueError, match="exceeds"):
+        block_bits((0, 0), n + 1, 1)
+    with pytest.raises(ValueError, match="exceeds"):
+        block_bits(b"", 200, 1)
 
 
 def test_block_bits_rejects_foreign_letters():
     with pytest.raises(ValueError):
         block_bits((0, 7), 4, 1)
+    with pytest.raises(ValueError, match="letter 4 outside"):
+        block_bits(bytes([0, 4, 9]), 4, 2)
+    with pytest.raises(ValueError, match="letter 300 outside"):
+        block_bits([1, 300], 4, 3)
+
+
+@pytest.mark.parametrize("g", [(-1, 2), (PAD,), (PAD, PAD, PAD), (0, PAD, 0), (1, 1, PAD)])
+def test_block_bits_rejects_pad(g):
+    # PAD once equalled the scan's "no previous letter" sentinel, so a leading
+    # PAD was never checked: (-1, 2) read as bit 4 of a 4-letter alphabet
+    with pytest.raises(ValueError, match="letter -1 outside"):
+        block_bits(g, 4, 1)
 
 
 def test_text_round_trip_small_alphabet():

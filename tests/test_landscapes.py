@@ -49,6 +49,13 @@ def test_rr_rejects_foreign_letter():
         rr().evaluate((0, 9))
 
 
+@pytest.mark.parametrize("g", [(-1, -1, -1), (-1, 0, 0, 0), b"\x00\x00\x00\x04"])
+def test_rr_rejects_pad_and_foreign_letters_as_value_errors(g):
+    # a run of PAD once reached the table as an index past its end
+    with pytest.raises(ValueError, match="outside alphabet"):
+        rr().evaluate(g)
+
+
 def test_rr_table_is_blocks_over_n():
     rng = make_rng(3, 0)
     for n in range(1, 13):
