@@ -28,7 +28,7 @@ PAD = -1
 LANE_LETTERS = 128
 _ALPHABETS = [bytes(range(n)) for n in range(LANE_LETTERS + 1)]
 _HIGH = bytes(range(LANE_LETTERS, 256))
-_LANES: dict[int, tuple[int, int, int]] = {}  # length -> (0x7F lanes, 0x80 lanes, all lanes)
+_LANES: dict[int, tuple[int, int]] = {}  # length -> (0x7F in every lane, 0x80 in every lane)
 
 # Display letters for text round-trips, DNA-style first four.
 DISPLAY_LETTERS = "ATGCBDEFHIJKLMNOPQRSUVWXYZ"
@@ -82,15 +82,15 @@ def block_bits(g, n_letters: int, b: int) -> int:
     orders block vectors lexicographically.
 
     ``g`` is ``bytes`` (the EA's genotypes) or any iterable of int letters.
-    The letters are read as byte lanes of one Python int X, first letter
-    highest, and every lane is found at once: lane c of ``ne`` has its top bit
-    set when letter c differs from letter c - 1, found by adding 0x7F to each
-    lane of ``X ^ (X >> 8)``, which cannot carry while letters stay below 128
-    (the alphabet's limit, LANE_LETTERS). A block starts at c when no
-    difference falls in c + 1 .. c + b - 1, so ORing ``ne`` shifted up by 1 to
-    b - 1 lanes, and setting the last b - 1 lanes, marks with a top bit every
-    lane that starts no block. Dropping the marked lanes leaves the letters
-    that start a block.
+    The letters are read as the byte lanes of one Python int X, first letter
+    highest, and all lanes are tested at once. Lane c of ``ne`` has its top
+    bit set when letter c differs from letter c - 1: 0x7F is added to each
+    lane of ``X ^ (X >> 8)``, which cannot carry while letters stay below
+    LANE_LETTERS = 128. A block ends at lane c >= b - 1 when none of lanes
+    c - b + 2 .. c differs from its predecessor, so ORing ``ne`` with its
+    shifts down by 1 to b - 2 lanes sets the top bit of every other lane;
+    those lanes and the first b - 1 are dropped, and the letters left each
+    end a block.
     """
     if n_letters > LANE_LETTERS:
         raise ValueError(f"n_letters={n_letters} exceeds the byte lanes' {LANE_LETTERS}")
@@ -109,18 +109,16 @@ def block_bits(g, n_letters: int, b: int) -> int:
         return 0
     if b > 1:
         try:
-            k7f, k80, full = _LANES[lam]
+            k7f, k80 = _LANES[lam]
         except KeyError:
-            k7f = int.from_bytes(b"\x7f" * lam, "big")
-            k80 = int.from_bytes(b"\x80" * lam, "big")
-            k7f, k80, full = _LANES[lam] = k7f, k80, (1 << 8 * lam) - 1
+            k7f, k80 = _LANES[lam] = (int.from_bytes(b"\x7f" * lam, "big"),
+                                      int.from_bytes(b"\x80" * lam, "big"))
         X = int.from_bytes(x, "big")
-        D = X ^ (X >> 8)
-        ne = (D + k7f) & k80
-        m = (1 << 8 * (b - 1)) - 1  # the last b - 1 letters start no block
-        for s in range(8, 8 * b, 8):
-            m |= ne << s
-        x = ((X | m) & full).to_bytes(lam, "big").translate(None, _HIGH)
+        ne = ((X ^ (X >> 8)) + k7f) & k80
+        m = ne
+        for s in range(8, 8 * (b - 1), 8):
+            m |= ne >> s
+        x = (X | m).to_bytes(lam, "big")[b - 1 :].translate(None, _HIGH)
     bits = 0
     for c in set(x):
         bits |= 1 << (n_letters - 1 - c)
