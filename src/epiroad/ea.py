@@ -16,8 +16,8 @@ substitution are skipped when it is empty, insertion when it already sits at
 Genotypes are ``bytes``, one letter per byte (alphabets stop at 24 letters,
 ``nk.EXHAUSTIVE_BOUND``): crossover slices and joins them, mutation edits a
 ``bytearray``, and ``genotype.block_bits`` scores a child in byte lanes of
-one int instead of letter by letter. ``mutate``, ``one_point_crossover`` and
-``tournament_select`` act on tuples as well; they stay the loop's reference.
+one int instead of letter by letter. The reference operators below also take
+tuples.
 
 A run's randomness comes from its own stream. The initial population is
 decoded from one row of uniforms per genotype, as walk starts are

@@ -268,8 +268,8 @@ def test_block_bits_rejects_foreign_letters():
 
 @pytest.mark.parametrize("g", [(-1, 2), (PAD,), (PAD, PAD, PAD), (0, PAD, 0), (1, 1, PAD)])
 def test_block_bits_rejects_pad(g):
-    # PAD once equalled the scan's "no previous letter" sentinel, so a leading
-    # PAD was never checked: (-1, 2) read as bit 4 of a 4-letter alphabet
+    # PAD is checked wherever it sits, also first: (-1, 2) must not read as
+    # bit 4 of a 4-letter alphabet
     with pytest.raises(ValueError, match="letter -1 outside"):
         block_bits(g, 4, 1)
 

@@ -51,7 +51,7 @@ def test_rr_rejects_foreign_letter():
 
 @pytest.mark.parametrize("g", [(-1, -1, -1), (-1, 0, 0, 0), b"\x00\x00\x00\x04"])
 def test_rr_rejects_pad_and_foreign_letters_as_value_errors(g):
-    # a run of PAD once reached the table as an index past its end
+    # a run of PAD must not reach the table as an index past its end
     with pytest.raises(ValueError, match="outside alphabet"):
         rr().evaluate(g)
 
