@@ -119,6 +119,8 @@ def block_bits(g, n_letters: int, b: int) -> int:
         for s in range(8, 8 * (b - 1), 8):
             m |= ne >> s
         x = (X | m).to_bytes(lam, "big")[b - 1 :].translate(None, _HIGH)
+    elif b < 1:
+        raise ValueError(f"block size b must be >= 1, got {b}")
     bits = 0
     for c in set(x):
         bits |= 1 << (n_letters - 1 - c)

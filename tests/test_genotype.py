@@ -257,6 +257,12 @@ def test_block_bits_at_the_lane_limit():
         block_bits(b"", 200, 1)
 
 
+@pytest.mark.parametrize("g", [(), (0, 0), b"\x01"])
+def test_block_bits_rejects_block_size_below_one(g):
+    with pytest.raises(ValueError, match="block size"):
+        block_bits(g, 4, 0)
+
+
 def test_block_bits_rejects_foreign_letters():
     with pytest.raises(ValueError):
         block_bits((0, 7), 4, 1)
