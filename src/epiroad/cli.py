@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
@@ -303,7 +302,7 @@ def fmt(v) -> str:
 
 def write_csv(path: Path, header_lines: list[str], fieldnames: list[str], rows: list[dict]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    with landscapes.open_atomic(path, newline="") as fh:
         for line in header_lines:
             fh.write(line + "\n")
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
@@ -386,7 +385,7 @@ def _analyze_unit(args) -> dict:
     if raw_dir and raw_records:
         raw_path = Path(raw_dir) / f"walks_n{n:02d}_k{k:02d}_b{b}_i{idx:02d}.jsonl"
         raw_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(raw_path, "w") as fh:
+        with landscapes.open_atomic(raw_path) as fh:
             for record in raw_records:
                 fh.write(json.dumps(record) + "\n")
     return row
@@ -455,6 +454,8 @@ def _map_units_collect(fn, units, jobs, failures) -> list:
     """fn over units (path, n, k, b, instance, ...); failures are collected per cell."""
     out = []
     parallel = jobs > 1 and len(units) > 1
+    if parallel:  # imported here: a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) if parallel else nullcontext() as pool:
         calls = [pool.submit(fn, u).result if parallel else partial(fn, u) for u in units]
         for u, call in zip(units, calls):

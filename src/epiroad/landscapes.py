@@ -15,11 +15,16 @@ two ends of the family:
 Two genotypes with equal block vectors get bit-identical fitness, because
 both read the same table entry; Epistatic Road tables are computed with the
 NK module's fixed summation order.
+
+Landscape files, and the CLI's output files, are written through
+``open_atomic``, so a killed or failed write never leaves a truncated file.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,7 +34,8 @@ from . import nk
 from .genotype import BlockParams, block_bits, block_bits_batch
 
 FORMAT_NAME = "epiroad-landscape"
-FORMAT_VERSION = 1
+# 2: nk.tables is base64 of raw little-endian float64 bytes (1 held decimal lists)
+FORMAT_VERSION = 2
 
 # Absolute tolerance for optimum detection; table values are plain float64
 # decimals, so exact-match semantics effectively hold.
@@ -145,6 +151,10 @@ def landscape_to_dict(landscape: BlockLandscape, provenance: dict | None = None)
 def landscape_from_dict(d: dict) -> BlockLandscape:
     if d.get("format") != FORMAT_NAME:
         raise ValueError(f"not a {FORMAT_NAME} document: format={d.get('format')!r}")
+    version = d.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ValueError(f"landscape file version {version!r} is not {FORMAT_VERSION}; "
+                         f"rerun `epiroad gen` to rebuild it")
     p = d["params"]
     for name in ("n_letters", "b", "lambda_max"):
         if type(p[name]) is not int:
@@ -165,8 +175,30 @@ def landscape_from_dict(d: dict) -> BlockLandscape:
 
 
 def save_landscape(landscape: BlockLandscape, path, provenance: dict | None = None) -> None:
-    Path(path).write_text(json.dumps(landscape_to_dict(landscape, provenance)))
+    text = json.dumps(landscape_to_dict(landscape, provenance))
+    with open_atomic(path) as fh:
+        fh.write(text)
 
 
 def load_landscape(path) -> BlockLandscape:
     return landscape_from_dict(json.loads(Path(path).read_text()))
+
+
+@contextmanager
+def open_atomic(path, newline: str | None = None):
+    """A text file handle whose content replaces ``path`` only when the block ends.
+
+    Writes go to a temporary file beside ``path``, which ``os.replace`` then
+    renames over it. If the block raises, the temporary file is removed and
+    ``path`` is left absent or as it was. A process killed mid-write leaves
+    ``path`` intact too, and a dot-named ``.tmp`` file behind.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -20,6 +20,7 @@ length, local-optima statistics), and one-bit-flip random walks.
 
 from __future__ import annotations
 
+import base64
 import math
 from dataclasses import dataclass, replace
 
@@ -249,18 +250,30 @@ def expected_optima_count(n: int) -> float:
 
 
 def instance_to_dict(inst: NkInstance) -> dict:
+    """The instance's JSON-ready fields; ``tables`` is one base64 string.
+
+    The string encodes the tables' raw little-endian float64 bytes, row by
+    row, so reading it back gives every value bit for bit.
+    """
     return {
         "n": inst.n,
         "k": inst.k,
         "kind": inst.kind,
         "seed": inst.seed,
         "links": inst.links.tolist(),
-        "tables": inst.tables.tolist(),
+        "tables": base64.b64encode(inst.tables.astype("<f8").tobytes()).decode("ascii"),
         "mask": inst.mask,
     }
 
 
 def instance_from_dict(d: dict) -> NkInstance:
+    """The instance that :func:`instance_to_dict` wrote, checked field by field.
+
+    ``tables`` must be a base64 string (no other characters, padding
+    included) of exactly ``8 * n * 2**(k+1)`` bytes, read as little-endian
+    float64 values in ``[0, 1)``. Any other input raises ValueError naming
+    the field.
+    """
     n, k = d["n"], d["k"]
     if type(n) is not int or n < 1:
         raise ValueError(f"n must be a positive int, got {n!r}")
@@ -271,9 +284,18 @@ def instance_from_dict(d: dict) -> NkInstance:
         if len((set(row) - {i}) & set(range(n))) != k or row != sorted(row):
             raise ValueError(f"links row {i} must hold {k} distinct loci in [0, {n}) "
                              f"other than {i}, sorted, got {row}")
-    tables = np.asarray(d["tables"], dtype=np.float64)
-    if tables.shape != (n, 1 << (k + 1)):
-        raise ValueError(f"table shape {tables.shape} inconsistent with n={n}, k={k}")
+    text = d["tables"]
+    if not isinstance(text, str):
+        raise ValueError(f"tables must be a base64 string, got {type(text).__name__}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ValueError(f"tables must be a base64 string: {exc}") from None
+    if len(raw) != 8 * n << (k + 1):
+        raise ValueError(f"tables hold {len(raw)} bytes, but n={n}, k={k} needs "
+                         f"{8 * n << (k + 1)} (n * 2**(k+1) float64 values)")
+    # the astype copy is writable and in native byte order
+    tables = np.frombuffer(raw, "<f8").astype(np.float64).reshape(n, 1 << (k + 1))
     if not ((tables >= 0.0) & (tables < 1.0)).all():
         raise ValueError("tables must hold values in [0, 1)")
     if d["kind"] not in KINDS:

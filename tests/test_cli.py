@@ -1,7 +1,10 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -776,3 +779,72 @@ def test_landscape_with_bad_mask_fails_its_unit(tmp_path, capsys, jobs):
     assert "analyze: cell n=6 k=2 b=2 instance 1: mask must be an int" in err
     assert "cell n=6 k=2 b=2 failed entirely" in err
     assert "k=0 b=2 failed entirely" not in err
+
+
+def test_analyze_reports_a_format_1_landscape_file_per_unit(tmp_path, capsys):
+    spec = write_spec(tmp_path / "spec.json", **ANALYZE_SPEC)
+    out = tmp_path / "out"
+    run_cli(["gen", "--spec", spec, "--out", out, "--jobs", 1])
+    path = out / "landscapes" / "n06_k02_b2_i01.json"
+    doc = json.loads(path.read_text())
+    doc["version"] = 1
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli(["analyze", "--spec", spec, "--out", out, "--jobs", 1]) == 0
+    err = capsys.readouterr().err
+    assert "instance 1: landscape file version 1 is not 2; rerun `epiroad gen`" in err
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # a --jobs 1 run never pays for multiprocessing's import
+    code = ("import sys, epiroad.cli; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+            "if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert res.stdout.strip() == "[]"
+
+
+class Unprintable:
+    def __str__(self):
+        raise RuntimeError("injected write failure")
+
+
+@pytest.mark.parametrize("previous", [None, b"previous bytes\n"])
+def test_write_csv_failure_leaves_no_partial_file(tmp_path, previous):
+    from epiroad.cli import write_csv
+
+    path = tmp_path / "t.csv"
+    if previous is not None:
+        path.write_bytes(previous)
+    rows = [{"a": i} for i in range(5000)] + [{"a": Unprintable()}]
+    with pytest.raises(RuntimeError, match="injected"):
+        write_csv(path, ["# header"], ["a"], rows)
+    assert os.listdir(tmp_path) == ([] if previous is None else ["t.csv"])
+    if previous is not None:
+        assert path.read_bytes() == previous
+
+
+def test_raw_walk_records_failure_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
+    from epiroad import cli as cli_mod
+
+    spec = write_spec(tmp_path / "spec.json", grid={"n": [6], "k": [0], "b": [2]},
+                      instances=1, command="analyze",
+                      random_walks={"walks": 30, "length": 5, "s_max": 2})
+    out = tmp_path / "out"
+    assert run_cli(["gen", "--spec", spec, "--out", out, "--jobs", 1]) == 0
+    real_dumps, calls = json.dumps, []
+
+    def failing_dumps(obj, *args, **kw):
+        if isinstance(obj, dict) and "campaign" in obj:
+            calls.append(obj)
+            if len(calls) == 20:  # partway through the unit's 30 records
+                raise RuntimeError("injected raw write failure")
+        return real_dumps(obj, *args, **kw)
+
+    monkeypatch.setattr(cli_mod.json, "dumps", failing_dumps)
+    assert run_cli(["analyze", "--spec", spec, "--out", out, "--jobs", 1, "--raw"]) == 1
+    assert "injected raw write failure" in capsys.readouterr().err
+    assert os.listdir(out / "raw") == []

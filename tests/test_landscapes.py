@@ -1,5 +1,7 @@
+import base64
 import hashlib
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from epiroad import nk
 from epiroad.genotype import BlockParams, block_vector, from_text, random_genotype
 from epiroad.genotype import block_bits
+from epiroad import landscapes
 from epiroad.landscapes import (
     _ROW,
     _xor_permute,
@@ -15,6 +18,7 @@ from epiroad.landscapes import (
     landscape_from_dict,
     landscape_to_dict,
     load_landscape,
+    open_atomic,
     royal_road,
     save_landscape,
 )
@@ -23,6 +27,16 @@ from epiroad.seeds import make_rng
 
 def rr(n=4, b=3, lam_max=None):
     return royal_road(BlockParams(n, b, lam_max or 4 * n * b))
+
+
+def decode_tables(doc) -> np.ndarray:
+    """A landscape document's NK tables as an editable (n, 2**(k+1)) array."""
+    raw = base64.b64decode(doc["nk"]["tables"], validate=True)
+    return np.frombuffer(raw, "<f8").reshape(doc["nk"]["n"], -1).copy()
+
+
+def encode_tables(doc, tables) -> None:
+    doc["nk"]["tables"] = base64.b64encode(np.asarray(tables, "<f8").tobytes()).decode()
 
 
 def test_rr_reference_optimum_scores_one():
@@ -193,8 +207,10 @@ def test_landscape_load_rejects_non_optimal_all_blocks():
     # raising every locus's all-zeros component leaves the all-ones entry
     # (and the stored optimum) intact but puts the all-zeros vector on top
     doc = landscape_to_dict(er_build(6, 2, 2, 100, seed=25))
-    for row in doc["nk"]["tables"]:
+    tables = decode_tables(doc)
+    for row in tables:
         row[0] = 0.999
+    encode_tables(doc, tables)
     with pytest.raises(ValueError, match="maximum"):
         landscape_from_dict(doc)
 
@@ -202,9 +218,107 @@ def test_landscape_load_rejects_non_optimal_all_blocks():
 @pytest.mark.parametrize("value", [-1.0, 1.0, 100.0, float("nan")])
 def test_landscape_load_rejects_table_entry_outside_unit_interval(value):
     doc = landscape_to_dict(er_build(6, 2, 2, 100, seed=26))
-    doc["nk"]["tables"][2][3] = value
+    tables = decode_tables(doc)
+    tables[2][3] = value
+    encode_tables(doc, tables)
     with pytest.raises(ValueError, match=r"\[0, 1\)"):
         landscape_from_dict(doc)
+
+
+def test_table_helpers_round_trip_a_document():
+    doc = landscape_to_dict(er_build(6, 2, 2, 100, seed=26))
+    text = doc["nk"]["tables"]
+    encode_tables(doc, decode_tables(doc))
+    assert doc["nk"]["tables"] == text
+
+
+def _tables_b64(n_floats: int) -> str:
+    return base64.b64encode(np.full(n_floats, 0.5).tobytes()).decode()
+
+
+@pytest.mark.parametrize("tables", [
+    [[0.5] * 8] * 6,  # format 1's nested lists
+    None, 7, b"AAAA",
+    "not base64!", "AAAA AAAA", "AAAA\nAAAA", "AAA", "\u00e9AAA",
+    _tables_b64(6 * 8 - 1), _tables_b64(6 * 8 + 1), "",
+])
+def test_landscape_load_rejects_malformed_tables(tables):
+    # n=6, k=2: exactly 6 * 8 float64 values
+    doc = landscape_to_dict(er_build(6, 2, 2, 100, seed=26))
+    assert len(base64.b64decode(doc["nk"]["tables"])) == 8 * 6 * 8
+    doc["nk"]["tables"] = tables
+    with pytest.raises(ValueError, match="^tables"):
+        landscape_from_dict(doc)
+
+
+def test_landscape_tables_are_little_endian_float64():
+    L = er_build(6, 2, 2, 100, seed=26)
+    raw = base64.b64decode(landscape_to_dict(L)["nk"]["tables"])
+    assert raw == L.nk.tables.astype("<f8").tobytes()
+
+
+@pytest.mark.parametrize("version", [1, None, "2", 2.0, True, 3, "missing"])
+def test_landscape_load_rejects_other_versions(version):
+    doc = landscape_to_dict(er_build(6, 2, 2, 100, seed=26))
+    assert doc["version"] == 2
+    if version == "missing":
+        del doc["version"]
+    else:
+        doc["version"] = version
+    shown = None if version == "missing" else version
+    with pytest.raises(ValueError, match=rf"version {shown!r} is not 2; rerun `epiroad gen`"):
+        landscape_from_dict(doc)
+
+
+# sha256 of the file save_landscape writes for er_build(6, 2, 2, 100, seed=30)
+# with provenance {"master_seed": 30}; a change to the file format shows here
+SAVED_FILE_SHA256 = "d6adbf9a156495962e2f5303ab2c147fe63f805fdd30e47bcbc2acd2b1b1e90f"
+
+
+def test_saved_landscape_file_is_pinned(tmp_path):
+    path = tmp_path / "er.json"
+    save_landscape(er_build(6, 2, 2, 100, seed=30), path, provenance={"master_seed": 30})
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_FILE_SHA256
+
+
+class Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("previous", [None, b"previous bytes"])
+def test_open_atomic_keeps_the_target_when_a_write_fails(tmp_path, previous):
+    path = tmp_path / "out.txt"
+    if previous is not None:
+        path.write_bytes(previous)
+    with pytest.raises(Boom):
+        with open_atomic(path) as fh:
+            fh.write("x" * 100_000)
+            fh.flush()  # part of the new content is on disk
+            raise Boom
+    assert os.listdir(tmp_path) == ([] if previous is None else ["out.txt"])
+    if previous is not None:
+        assert path.read_bytes() == previous
+    with open_atomic(path) as fh:
+        fh.write("new")
+    assert path.read_text() == "new" and os.listdir(tmp_path) == ["out.txt"]
+
+
+@pytest.mark.parametrize("previous", [None, b"previous bytes"])
+def test_save_landscape_failure_leaves_no_partial_file(tmp_path, monkeypatch, previous):
+    path = tmp_path / "er.json"
+    if previous is not None:
+        path.write_bytes(previous)
+
+    def failing_replace(src, dst):
+        assert os.path.getsize(src) > 0  # the whole new file was written
+        raise Boom
+
+    monkeypatch.setattr(landscapes.os, "replace", failing_replace)
+    with pytest.raises(Boom):
+        save_landscape(er_build(6, 2, 2, 100, seed=30), path)
+    assert os.listdir(tmp_path) == ([] if previous is None else ["er.json"])
+    if previous is not None:
+        assert path.read_bytes() == previous
 
 
 def test_landscape_load_rejects_unsorted_links():

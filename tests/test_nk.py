@@ -348,6 +348,6 @@ def test_instance_json_round_trip():
     assert loaded.n == inst.n and loaded.k == inst.k and loaded.kind == inst.kind
     assert loaded.seed == inst.seed and loaded.mask == inst.mask
     assert np.array_equal(loaded.links, inst.links)
-    assert np.array_equal(loaded.tables, inst.tables)  # bit-exact via repr round trip
+    assert np.array_equal(loaded.tables, inst.tables)  # bit-exact: raw float64 bytes
     x = (0, 1, 1, 0, 1, 0, 0, 1)
     assert nk.fitness(loaded, x) == nk.fitness(inst, x)
