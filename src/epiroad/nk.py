@@ -269,10 +269,9 @@ def instance_to_dict(inst: NkInstance) -> dict:
 def instance_from_dict(d: dict) -> NkInstance:
     """The instance that :func:`instance_to_dict` wrote, checked field by field.
 
-    ``tables`` must be a base64 string (no other characters, padding
-    included) of exactly ``8 * n * 2**(k+1)`` bytes, read as little-endian
-    float64 values in ``[0, 1)``. Any other input raises ValueError naming
-    the field.
+    ``tables`` must be a padded base64 string, with no other characters, of
+    exactly ``8 * n * 2**(k+1)`` bytes: little-endian float64 values in
+    ``[0, 1)``. A malformed field raises ValueError naming it.
     """
     n, k = d["n"], d["k"]
     if type(n) is not int or n < 1:

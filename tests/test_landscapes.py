@@ -225,13 +225,6 @@ def test_landscape_load_rejects_table_entry_outside_unit_interval(value):
         landscape_from_dict(doc)
 
 
-def test_table_helpers_round_trip_a_document():
-    doc = landscape_to_dict(er_build(6, 2, 2, 100, seed=26))
-    text = doc["nk"]["tables"]
-    encode_tables(doc, decode_tables(doc))
-    assert doc["nk"]["tables"] == text
-
-
 def _tables_b64(n_floats: int) -> str:
     return base64.b64encode(np.full(n_floats, 0.5).tobytes()).decode()
 
