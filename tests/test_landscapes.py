@@ -6,10 +6,9 @@ import os
 import numpy as np
 import pytest
 
-from epiroad import nk
+from epiroad import landscapes, nk
 from epiroad.genotype import BlockParams, block_vector, from_text, random_genotype
 from epiroad.genotype import block_bits
-from epiroad import landscapes
 from epiroad.landscapes import (
     _ROW,
     _xor_permute,
@@ -303,7 +302,7 @@ def test_save_landscape_failure_leaves_no_partial_file(tmp_path, monkeypatch, pr
         path.write_bytes(previous)
 
     def failing_replace(src, dst):
-        assert os.path.getsize(src) > 0  # the whole new file was written
+        assert os.path.getsize(src) > 0  # the new file was written before the rename
         raise Boom
 
     monkeypatch.setattr(landscapes.os, "replace", failing_replace)
