@@ -592,13 +592,7 @@ def _neighbor_fitness(landscape, rows: np.ndarray, lams: np.ndarray, cap: int):
     return landscape.bv_fitness[bv[order[keep[order]]]].ravel(), counts
 
 
-def neutrality_scan(
-    landscape,
-    walks: int = 2_000,
-    length: int = 20,
-    seed: int = 0,
-    lambda_max: int | None = None,
-) -> tuple[float, float, float]:
+def neutrality_scan(landscape, campaign: NeutralityCampaign) -> tuple[float, float, float]:
     """Proportions of lower / equal / higher neighbors along random walks.
 
     Every genotype visited by every walk contributes all its within-cap
@@ -607,13 +601,11 @@ def neutrality_scan(
     The walks step as in the correlation campaign (``_lockstep_walks``) but
     roam the full search space: the cap defaults to the landscape's own lambda_max.
     """
-    check_walk_sizes(walks, length)
-    cap = _walk_cap(landscape, landscape.lambda_max if lambda_max is None else lambda_max)
-    if cap == 0:  # every walk stays at the empty genotype, which has no neighbor to classify
-        raise ValueError(_NO_MOVE)
+    # a campaign's lambda_max is None (the landscape's own) or at least 1
+    cap = _walk_cap(landscape, campaign.lambda_max or landscape.lambda_max)
     counts = np.zeros(3, np.int64)
-    for _, _, rows, lams, fits in _lockstep_walks(landscape, walks, length, cap, seed,
-                                                  STREAM_NEUTRALITY):
+    for _, _, rows, lams, fits in _lockstep_walks(landscape, campaign.walks, campaign.length,
+                                                  cap, campaign.seed, STREAM_NEUTRALITY):
         counts += _class_counts_batch(landscape, rows, lams, fits, cap).sum(axis=0)
     total = int(counts.sum())
     return tuple(int(c) / total for c in counts)

@@ -71,15 +71,6 @@ SPEC_KEYS = {"command", "grid", "instances", "seed", "out", "landscape_lambda_ma
 
 
 @dataclass
-class CampaignSettings:
-    """Keyword arguments of each section's class in ``CAMPAIGNS``; None skips the campaign."""
-
-    random_walks: dict | None = None
-    adaptive_walks: dict | None = None
-    neutrality: dict | None = None
-
-
-@dataclass
 class ExperimentSpec:
     command: str | None = None
     cells: list[tuple[int, int, int]] = field(default_factory=list)
@@ -87,8 +78,9 @@ class ExperimentSpec:
     seed: int = 0
     out: str | None = None
     landscape_lambda_max: int | None = None
-    campaigns: CampaignSettings = field(default_factory=CampaignSettings)
-    ea: dict = field(default_factory=dict)
+    # the campaign of each section the spec names, keyed by its name in CAMPAIGNS
+    campaigns: dict = field(default_factory=dict)
+    ea: ea.EaConfig = field(default_factory=ea.EaConfig)
 
     def lambda_max_for(self, n: int, b: int) -> int:
         if self.landscape_lambda_max is not None:
@@ -98,6 +90,7 @@ class ExperimentSpec:
         return max(2 * n * b, 100)
 
     def sha256(self) -> str:
+        """Hash of every effective setting: a section's defaults count as if spelled out."""
         payload = json.dumps(asdict(self), sort_keys=True).encode()  # tuples dump as lists
         return hashlib.sha256(payload).hexdigest()
 
@@ -141,13 +134,12 @@ def _cells_from_grid(grid) -> list[tuple[int, int, int]]:
     return [(n, k, b) for n in ns for k in ks for b in bs]
 
 
-def _campaign_sections(spec: ExperimentSpec, defaults: bool) -> dict[str, dict]:
-    """The spec's campaign sections by name; with ``defaults``, all three if it names none."""
-    sections = {name: s for name, s in asdict(spec.campaigns).items() if s is not None}
-    if defaults and not sections:
+def _campaign_sections(spec: ExperimentSpec, defaults: bool) -> dict:
+    """The spec's campaigns by section name; with ``defaults``, all three if it names none."""
+    if defaults and not spec.campaigns:
         # analyze with no explicit campaign settings runs everything at defaults
-        return {name: {} for name in CAMPAIGNS}
-    return sections
+        return {name: campaign() for name, campaign in CAMPAIGNS.items()}
+    return spec.campaigns
 
 
 def validate_cells(spec: ExperimentSpec, command: str) -> None:
@@ -158,8 +150,8 @@ def validate_cells(spec: ExperimentSpec, command: str) -> None:
     """
     commands = {command, spec.command}
     sections = _campaign_sections(spec, defaults="analyze" in commands)
-    walk_caps = {name: CAMPAIGNS[name](**section).lambda_max for name, section in sections.items()}
-    program_cap = ea.EaConfig(**spec.ea).max_program_size if "evolve" in commands else None
+    walk_caps = {name: campaign.lambda_max for name, campaign in sections.items()}
+    program_cap = spec.ea.max_program_size if "evolve" in commands else None
     for n, k, b in spec.cells:
         if not 0 <= k <= n - 1:
             raise SpecError(f"invalid cell: k={k} must lie in [0, n-1] for n={n}")
@@ -202,10 +194,11 @@ def load_spec(path) -> ExperimentSpec:
     if instances is None or instances < 1:
         raise SpecError(
             f"spec file: instances must be an integer >= 1, got {data['instances']!r}")
+    campaigns = {}
     for section, campaign in CAMPAIGNS.items():
         if data.get(section) is not None:
             try:
-                campaign(**data[section])
+                campaigns[section] = campaign(**data[section])
             except (TypeError, ValueError) as exc:
                 raise SpecError(f"spec file: {section}: {exc}") from None
     lambda_max = data.get("landscape_lambda_max")
@@ -218,7 +211,7 @@ def load_spec(path) -> ExperimentSpec:
     if not isinstance(ea_settings, dict):
         raise SpecError(f"spec file: ea must be a JSON object, got {ea_settings!r}")
     try:
-        ea.EaConfig(**ea_settings)
+        ea_cfg = ea.EaConfig(**ea_settings)
     except (TypeError, ValueError) as exc:
         raise SpecError(f"spec file: ea: {exc}") from None
     cells = _cells_from_grid(data.get("grid", {"n": [], "k": [], "b": []}))
@@ -229,8 +222,8 @@ def load_spec(path) -> ExperimentSpec:
         seed=_parse_seed(data.get("seed", 0), "spec file"),
         out=data.get("out"),
         landscape_lambda_max=lambda_max,
-        campaigns=CampaignSettings(**{section: data.get(section) for section in CAMPAIGNS}),
-        ea=ea_settings,
+        campaigns=campaigns,
+        ea=ea_cfg,
     )
 
 
@@ -248,19 +241,17 @@ def apply_scale(spec: ExperimentSpec, scale: float) -> ExperimentSpec:
     # all three scale; decided from the spec alone, so gen and analyze hash alike
     sections = _campaign_sections(spec, defaults=spec.command in (None, "analyze"))
     # local-optima statistics need two adaptive walks
-    campaigns = {name: {**section, "walks": _scaled(CAMPAIGNS[name](**section).walks, scale,
-                                                     floor=2 if name == "adaptive_walks" else 1)}
-                 for name, section in sections.items()}
-    cfg = ea.EaConfig(**spec.ea)
-    ea_cfg = dict(spec.ea)
-    ea_cfg["runs"] = _scaled(cfg.runs, scale)
-    ea_cfg["population"] = _scaled(cfg.population, scale, floor=20)
-    ea_cfg["generations"] = _scaled(cfg.generations, scale, floor=10)
+    campaigns = {name: replace(campaign, walks=_scaled(campaign.walks, scale,
+                                                       floor=2 if name == "adaptive_walks" else 1))
+                 for name, campaign in sections.items()}
+    cfg = spec.ea
     return replace(
         spec,
         instances=_scaled(spec.instances, scale),
-        campaigns=CampaignSettings(**campaigns),
-        ea=ea_cfg,
+        campaigns=campaigns,
+        ea=replace(cfg, runs=_scaled(cfg.runs, scale),
+                   population=_scaled(cfg.population, scale, floor=20),
+                   generations=_scaled(cfg.generations, scale, floor=10)),
     )
 
 
@@ -345,17 +336,16 @@ _ADAPTIVE_FIELDS = ["optima_fitness_mean", "optima_fitness_std", "optima_fitness
 
 
 def _analyze_unit(args) -> dict:
-    path_str, n, k, b, idx, master_seed, settings, raw_dir = args
+    path_str, n, k, b, idx, master_seed, campaigns, raw_dir = args
     ls = landscapes.load_landscape(path_str)
     row: dict = {"n": n, "k": k, "b": b, "instance_seed": ls.nk.seed}
     raw_records: list[dict] = []
 
     def campaign(name: str, stream: int):
         # campaign seeds derive from the master seed
-        seed = derive_seed(master_seed, stream, n, k, b, idx)
-        return CAMPAIGNS[name](**{**settings[name], "seed": seed})
+        return replace(campaigns[name], seed=derive_seed(master_seed, stream, n, k, b, idx))
 
-    if "random_walks" in settings:
+    if "random_walks" in campaigns:
         rw = campaign("random_walks", STREAM_RANDOM_WALK)
         stats, raw = run_random_walk_campaign(ls, rw)
         for s in range(1, rw.s_max + 1):
@@ -364,7 +354,7 @@ def _analyze_unit(args) -> dict:
         if raw_dir:
             raw_records += [{"campaign": "random", "walk": w, "series": series.tolist()}
                             for w, series in enumerate(raw["series"])]
-    if "adaptive_walks" in settings:
+    if "adaptive_walks" in campaigns:
         stats, raw = run_adaptive_walk_campaign(
             ls, campaign("adaptive_walks", STREAM_ADAPTIVE_WALK))
         row.update((f, getattr(stats, f)) for f in _ADAPTIVE_FIELDS)
@@ -376,9 +366,8 @@ def _analyze_unit(args) -> dict:
                  "length": int(raw["lengths"][w])}
                 for w, g in enumerate(raw["endpoints"])
             ]
-    if "neutrality" in settings:
-        lower, equal, higher = neutrality_scan(
-            ls, **asdict(campaign("neutrality", STREAM_NEUTRALITY)))
+    if "neutrality" in campaigns:
+        lower, equal, higher = neutrality_scan(ls, campaign("neutrality", STREAM_NEUTRALITY))
         row["frac_lower"] = lower
         row["frac_equal"] = equal
         row["frac_higher"] = higher
@@ -391,14 +380,13 @@ def _analyze_unit(args) -> dict:
     return row
 
 
-def _analysis_fieldnames(settings: dict) -> list[str]:
+def _analysis_fieldnames(campaigns: dict) -> list[str]:
     names = ["n", "k", "b", "instance_seed"]
-    if "random_walks" in settings:
-        s_max = RandomWalkCampaign(**settings["random_walks"]).s_max
-        names += [f"rho_{s}" for s in range(1, s_max + 1)] + ["tau"]
-    if "adaptive_walks" in settings:
+    if "random_walks" in campaigns:
+        names += [f"rho_{s}" for s in range(1, campaigns["random_walks"].s_max + 1)] + ["tau"]
+    if "adaptive_walks" in campaigns:
         names += _ADAPTIVE_FIELDS
-    if "neutrality" in settings:
+    if "neutrality" in campaigns:
         names += ["frac_lower", "frac_equal", "frac_higher"]
     return names
 
@@ -406,12 +394,12 @@ def _analysis_fieldnames(settings: dict) -> list[str]:
 def cmd_analyze(spec: ExperimentSpec, out_dir: Path, jobs: int = 1,
                 raw: bool = False) -> tuple[int, dict]:
     """Run the walk campaigns: (exit code, {"analysis_summary": per-cell rows})."""
-    settings = _campaign_sections(spec, defaults=True)
+    campaigns = _campaign_sections(spec, defaults=True)
     raw_dir = str(out_dir / "raw") if raw else None
     rows, failures = _run_landscape_units("analyze", spec, out_dir, jobs, _analyze_unit,
-                                          (spec.seed, settings, raw_dir))
+                                          (spec.seed, campaigns, raw_dir))
 
-    fieldnames = _analysis_fieldnames(settings)
+    fieldnames = _analysis_fieldnames(campaigns)
     header = provenance_lines(spec, "analyze")
     write_csv(out_dir / "analysis_instances.csv", header, fieldnames, rows)
 
@@ -493,9 +481,8 @@ def _report_failures(command, spec, failures) -> int:
 
 
 def _evolve_unit(args) -> dict:
-    path_str, n, k, b, idx, master_seed, ea_cfg, want_traces = args
+    path_str, n, k, b, idx, master_seed, cfg, want_traces = args
     ls = landscapes.load_landscape(path_str)
-    cfg = ea.EaConfig(**ea_cfg)
     inst = ea.run_instance(cfg, ls, n, k, b, idx, master_seed)
     rows = []
     traces = []
@@ -525,10 +512,9 @@ def cmd_evolve(spec: ExperimentSpec, out_dir: Path, jobs: int = 1,
 
     The trace rows are empty unless ``traces`` is set.
     """
-    ea_cfg = dict(spec.ea)
-    ea_cfg.pop("seed", None)  # run seeds derive from the master seed
+    # run_instance derives each run's seed from the master seed
     results, failures = _run_landscape_units("evolve", spec, out_dir, jobs, _evolve_unit,
-                                             (spec.seed, ea_cfg, traces))
+                                             (spec.seed, spec.ea, traces))
 
     run_rows = [row for res in results for row in res["rows"]]
     header = provenance_lines(spec, "evolve")
@@ -658,37 +644,35 @@ def _report_corr_study(tables) -> None:
 
 
 _N10_CELLS = [(10, k, b) for k in range(10) for b in range(1, 6)]
-_RANDOM_WALKS = {"walks": 20000, "length": 35, "s_max": 20}
-_ADAPTIVE_WALKS = {"walks": 2000, "lambda_max": 50}
 
-# Each paper experiment at full scale, and the report it prints. Section values
-# are spelled out, not left to the campaign defaults, because they enter spec_sha256.
+# Each paper experiment at full scale, and the report it prints; the campaign
+# defaults are the paper's sizes.
 PRESETS = {
     "table1": (ExperimentSpec(
         command="analyze", cells=[(8, 4, b) for b in (2, 3, 4)],
-        campaigns=CampaignSettings(neutrality={"walks": 2000, "length": 20})), _report_table1),
+        campaigns={"neutrality": NeutralityCampaign()}), _report_table1),
     "fig1": (ExperimentSpec(
         command="analyze", cells=_N10_CELLS,
-        campaigns=CampaignSettings(random_walks=_RANDOM_WALKS)), _report_tau),
+        campaigns={"random_walks": RandomWalkCampaign()}), _report_tau),
     "fig3": (ExperimentSpec(
         command="analyze", cells=_N10_CELLS,
-        campaigns=CampaignSettings(random_walks=_RANDOM_WALKS)), _report_rho),
+        campaigns={"random_walks": RandomWalkCampaign()}), _report_rho),
     "fig5": (ExperimentSpec(
         command="analyze", cells=_N10_CELLS,
-        campaigns=CampaignSettings(adaptive_walks=_ADAPTIVE_WALKS)), _report_adaptive),
+        campaigns={"adaptive_walks": AdaptiveWalkCampaign()}), _report_adaptive),
     "fig6": (ExperimentSpec(
         command="evolve", cells=[(8, k, b) for k in range(0, 5) for b in range(2, 6)]),
         _report_success_rate),
     "fig7": (ExperimentSpec(
         command="evolve", cells=[(10, k, 4) for k in range(0, 6)],
-        ea={"stop_on_success": False}), _report_block_traces),
+        ea=ea.EaConfig(stop_on_success=False)), _report_block_traces),
     "fig8": (ExperimentSpec(
         command="evolve", cells=[(16, k, b) for k in range(0, 9) for b in range(2, 6)]),
         _report_mean_blocks),
     "corr-study": (ExperimentSpec(
         command="evolve",
         cells=[(n, k, b) for n in (8, 10, 16) for k in range(0, n // 2 + 1) for b in range(2, 6)],
-        campaigns=CampaignSettings(random_walks=_RANDOM_WALKS, adaptive_walks=_ADAPTIVE_WALKS)),
+        campaigns={"random_walks": RandomWalkCampaign(), "adaptive_walks": AdaptiveWalkCampaign()}),
         _report_corr_study),
 }
 PRESET_NAMES = tuple(PRESETS)
@@ -706,7 +690,7 @@ def cmd_reproduce(name: str, out_dir: Path, seed: int, scale: float, jobs: int) 
     report = PRESETS[name][1]
     rc = cmd_gen(spec, out_dir, jobs)
     tables: dict = {}
-    if rc == 0 and _campaign_sections(spec, defaults=False):
+    if rc == 0 and spec.campaigns:
         rc, tables = cmd_analyze(spec, out_dir, jobs)
     if rc == 0 and spec.command == "evolve":
         # only the trace report reads per-generation rows

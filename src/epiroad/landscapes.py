@@ -132,6 +132,9 @@ def is_success(landscape, f: float) -> bool:
 
 
 def landscape_to_dict(landscape: BlockLandscape, provenance: dict | None = None) -> dict:
+    if landscape.nk is None:
+        raise ValueError("only Epistatic Road landscapes are saved: a Royal Road landscape "
+                         "has no NK instance")
     d = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -155,6 +158,9 @@ def landscape_from_dict(d: dict) -> BlockLandscape:
     if type(version) is not int or version != FORMAT_VERSION:
         raise ValueError(f"landscape file version {version!r} is not {FORMAT_VERSION}; "
                          f"rerun `epiroad gen` to rebuild it")
+    for key in ("params", "nk", "optimum_value"):
+        if key not in d:
+            raise ValueError(f"landscape file is missing key {key!r}")
     p = d["params"]
     for name in ("n_letters", "b", "lambda_max"):
         if type(p[name]) is not int:

@@ -278,9 +278,12 @@ def instance_from_dict(d: dict) -> NkInstance:
         raise ValueError(f"n must be a positive int, got {n!r}")
     if type(k) is not int or not 0 <= k < n:
         raise ValueError(f"k must be an int in [0, {n - 1}], got {k!r}")
-    links = np.asarray(d["links"]).reshape(n, k)  # no int cast yet: it would truncate 2.5
+    # object dtype keeps the raw JSON values, where a numeric array would turn
+    # [True, 2] into [1, 2] and an int cast [1, 2.5] into [1, 2]
+    links = np.asarray(d["links"], dtype=object).reshape(n, k)
     for i, row in enumerate(links.tolist()):
-        if len((set(row) - {i}) & set(range(n))) != k or row != sorted(row):
+        if any(type(v) is not int for v in row) or \
+                len((set(row) - {i}) & set(range(n))) != k or row != sorted(row):
             raise ValueError(f"links row {i} must hold {k} distinct loci in [0, {n}) "
                              f"other than {i}, sorted, got {row}")
     text = d["tables"]

@@ -14,6 +14,7 @@ import pytest
 from epiroad import ea, nk
 from epiroad.analysis import (
     AdaptiveWalkCampaign,
+    NeutralityCampaign,
     RandomWalkCampaign,
     autocorrelation,
     neutrality_scan,
@@ -62,7 +63,7 @@ def test_criterion_1_neutrality_table(b):
     for i in range(10):
         L = _er(8, 4, b, i)
         seed = derive_seed(MASTER, STREAM_NEUTRALITY, 8, 4, b, i)
-        triples.append(neutrality_scan(L, walks=2000, length=20, seed=seed))
+        triples.append(neutrality_scan(L, NeutralityCampaign(walks=2000, length=20, seed=seed)))
     observed = tuple(100 * v for v in np.mean(triples, axis=0))
     ref = REFERENCE_NEUTRALITY[b]
     deltas = [abs(o - r) for o, r in zip(observed, ref)]
@@ -269,8 +270,8 @@ def test_criterion_8_property_suites_fast():
     L = _er(8, 2, 2, 0)
     camp = RandomWalkCampaign(walks=20, length=10, s_max=3, seed=3)
     assert run_random_walk_campaign(L, camp)[0] == run_random_walk_campaign(L, camp)[0]
-    assert neutrality_scan(L, walks=5, length=5, seed=4) == neutrality_scan(
-        L, walks=5, length=5, seed=4)
+    assert neutrality_scan(L, NeutralityCampaign(walks=5, length=5, seed=4)) == \
+        neutrality_scan(L, NeutralityCampaign(walks=5, length=5, seed=4))
     cfg = ea.EaConfig(population=40, generations=5, seed=6, max_creation_size=10)
     assert ea.run(cfg, L) == ea.run(cfg, L)
 
@@ -312,12 +313,12 @@ def test_criterion_9_corr_study_reports_without_threshold(tmp_path, capsys, monk
         command="evolve",
         cells=[(8, k, b) for k in (0, 2, 4) for b in (2, 3)],
         instances=2, seed=MASTER,
-        campaigns=cli_mod.CampaignSettings(
-            random_walks={"walks": 100, "length": 20, "s_max": 3},
-            adaptive_walks={"walks": 60, "lambda_max": 50},
-        ),
-        ea={"population": 60, "generations": 25, "runs": 3,
-            "max_creation_size": 20, "max_program_size": 100},
+        campaigns={
+            "random_walks": RandomWalkCampaign(walks=100, length=20, s_max=3),
+            "adaptive_walks": AdaptiveWalkCampaign(walks=60, lambda_max=50),
+        },
+        ea=ea.EaConfig(population=60, generations=25, runs=3,
+                       max_creation_size=20, max_program_size=100),
     )
     out = tmp_path / "corr"
     # the desk-scale spec replaces the preset's, so reproduce runs gen, analyze,

@@ -693,7 +693,7 @@ def test_each_campaign_opens_one_stream_and_ties_their_own(monkeypatch):
     L = er_build(6, 3, 1, 40, seed=3)
     # 600 walks span three blocks of WALK_BLOCK
     run_random_walk_campaign(L, RandomWalkCampaign(walks=600, length=5, s_max=2, seed=4))
-    neutrality_scan(L, walks=600, length=3, seed=5)
+    neutrality_scan(L, NeutralityCampaign(walks=600, length=3, seed=5))
     assert paths == [(4, STREAM_RANDOM_WALK), (5, STREAM_NEUTRALITY)]
     paths.clear()
     campaign = AdaptiveWalkCampaign(walks=200, lambda_max=20, seed=6)
@@ -759,21 +759,21 @@ def test_campaign_defaults_and_integer_types():
 
 def test_neutrality_constant_landscape_is_all_equal():
     L = BlockLandscape(BlockParams(3, 1, 12), np.full(1 << 3, 0.5), 0.5)
-    triple = neutrality_scan(L, walks=5, length=5, seed=16)
+    triple = neutrality_scan(L, NeutralityCampaign(walks=5, length=5, seed=16))
     assert triple == (0.0, 1.0, 0.0)
 
 
 def test_neutrality_proportions_sum_to_one():
     L = er_build(8, 4, 2, 100, seed=17)
-    triple = neutrality_scan(L, walks=20, length=10, seed=18)
+    triple = neutrality_scan(L, NeutralityCampaign(walks=20, length=10, seed=18))
     assert abs(sum(triple) - 1.0) < 1e-9
     assert all(0.0 <= v <= 1.0 for v in triple)
 
 
 def test_neutrality_scan_deterministic():
     L = er_build(8, 4, 3, 100, seed=19)
-    a = neutrality_scan(L, walks=15, length=8, seed=20)
-    b = neutrality_scan(L, walks=15, length=8, seed=20)
+    a = neutrality_scan(L, NeutralityCampaign(walks=15, length=8, seed=20))
+    b = neutrality_scan(L, NeutralityCampaign(walks=15, length=8, seed=20))
     assert a == b
 
 
@@ -896,7 +896,7 @@ def format3_scan(landscape, walks, length, seed, cap):
     return proportions(counts)
 
 
-# neutrality_scan(er_build(n, k, b, lambda_max, seed), walks=40, length=20, seed=7) under
+# neutrality_scan(er_build(n, k, b, lambda_max, seed), NeutralityCampaign(40, 20, seed=7)) under
 # stream format 3, as the scalar classifier computed it; with lambda_max = 8 about a third
 # of the visited genotypes sit at the cap
 GOLDEN_NEUTRALITY = {
@@ -967,12 +967,14 @@ GOLDEN_ROYAL_NEUTRALITY_FORMAT_5 = (0.040011553892173125, 0.903711067636343, 0.0
 def test_format5_neutrality_scan_is_bit_identical_to_golden(cell):
     n, k, b, lambda_max, seed = cell
     L = er_build(n, k, b, lambda_max, seed=seed)
-    assert neutrality_scan(L, walks=40, length=20, seed=7) == GOLDEN_NEUTRALITY_FORMAT_5[cell]
+    campaign = NeutralityCampaign(walks=40, length=20, seed=7)
+    assert neutrality_scan(L, campaign) == GOLDEN_NEUTRALITY_FORMAT_5[cell]
 
 
 def test_royal_road_format5_neutrality_scan_is_bit_identical_to_golden():
     L = royal_road(BlockParams(6, 2, 100))
-    assert neutrality_scan(L, walks=40, length=20, seed=301) == GOLDEN_ROYAL_NEUTRALITY_FORMAT_5
+    campaign = NeutralityCampaign(walks=40, length=20, seed=301)
+    assert neutrality_scan(L, campaign) == GOLDEN_ROYAL_NEUTRALITY_FORMAT_5
 
 
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 8), st.integers(1, 6),
@@ -986,14 +988,16 @@ def test_neutrality_scan_equals_classified_tuple_walks(n, b, cap, walks, length,
     L = royal_road(params) if royal else er_build(n, n // 2, b, params.lambda_max, seed=seed)
     if cap == 0:
         with pytest.raises(ValueError, match="no feasible neighbor"):
-            neutrality_scan(L, walks=walks, length=length, seed=seed, lambda_max=cap)
+            neutrality_scan(L, NeutralityCampaign(walks=walks, length=length, lambda_max=cap,
+                                                  seed=seed))
         return
     counts = np.zeros(3, np.int64)
     for visited in tuple_walks(n, walks, length, seed, cap, STREAM_NEUTRALITY):
         for g in visited:
             counts += classify_neighbors(L, g, L.evaluate(g), cap)
     expected = proportions(counts)
-    got = neutrality_scan(L, walks=walks, length=length, seed=seed, lambda_max=cap)
+    got = neutrality_scan(L, NeutralityCampaign(walks=walks, length=length, lambda_max=cap,
+                                                seed=seed))
     assert got == expected
 
 
@@ -1006,8 +1010,8 @@ def test_walk_block_size_does_not_change_results(monkeypatch):
         _, raw = run_random_walk_campaign(L, campaign)
         ends, finals, lengths = lockstep_adaptive_campaign(
             L, AdaptiveWalkCampaign(walks=300, lambda_max=40, seed=8))
-        return (raw["series"].tobytes(), neutrality_scan(L, walks=300, length=12, seed=7),
-                ends, finals.tobytes(), lengths.tobytes())
+        scan = neutrality_scan(L, NeutralityCampaign(walks=300, length=12, seed=7))
+        return raw["series"].tobytes(), scan, ends, finals.tobytes(), lengths.tobytes()
 
     default = run()
     monkeypatch.setattr(analysis, "WALK_BLOCK", 3)
@@ -1018,4 +1022,5 @@ def test_walk_block_size_does_not_change_results(monkeypatch):
 @pytest.mark.parametrize("walks, length", [(0, 5), (-1, 5), (3, -1)])
 def test_neutrality_scan_rejects_bad_sizes(walks, length):
     with pytest.raises(ValueError, match="walks must be >= 1 and length >= 0"):
-        neutrality_scan(er_build(4, 1, 2, 8, seed=1), walks=walks, length=length)
+        neutrality_scan(er_build(4, 1, 2, 8, seed=1),
+                        NeutralityCampaign(walks=walks, length=length))

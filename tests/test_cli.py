@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from epiroad.analysis import AdaptiveWalkCampaign, NeutralityCampaign, RandomWalkCampaign
 from epiroad.cli import main
+from epiroad.ea import EaConfig
 
 
 def write_spec(path, **kw):
@@ -442,7 +444,7 @@ def test_good_lambda_max_and_ea_settings_load(tmp_path):
     spec = load_spec(write_spec(tmp_path / "spec.json", landscape_lambda_max=120,
                                 ea={"population": 10, "elitism": False}))
     assert spec.landscape_lambda_max == 120
-    assert spec.ea == {"population": 10, "elitism": False}
+    assert spec.ea == EaConfig(population=10, elitism=False)
 
 
 def test_reproduce_unknown_preset_lists_options(capsys):
@@ -482,13 +484,13 @@ def test_no_two_stream_paths_name_one_stream(tmp_path, monkeypatch):
         return cli_mod.ExperimentSpec(
             command="evolve", cells=[(6, k, b) for k in (0, 2) for b in (1, 2)],
             instances=2, seed=seed,
-            campaigns=cli_mod.CampaignSettings(
-                random_walks={"walks": 8, "length": 6, "s_max": 3},
-                adaptive_walks={"walks": 8, "lambda_max": 30},
-                neutrality={"walks": 4, "length": 3},
-            ),
-            ea={"population": 12, "generations": 3, "runs": 3,
-                "max_creation_size": 10, "max_program_size": 30},
+            campaigns={
+                "random_walks": RandomWalkCampaign(walks=8, length=6, s_max=3),
+                "adaptive_walks": AdaptiveWalkCampaign(walks=8, lambda_max=30),
+                "neutrality": NeutralityCampaign(walks=4, length=3),
+            },
+            ea=EaConfig(population=12, generations=3, runs=3,
+                        max_creation_size=10, max_program_size=30),
         )
 
     monkeypatch.setattr(seeds, "seed_sequence", recording)
@@ -517,12 +519,12 @@ def test_reproduce_corr_study_smoke(tmp_path, capsys, monkeypatch):
             command="evolve",
             cells=[(6, k, bb) for k in (0, 2) for bb in (2, 3)],
             instances=1, seed=seed,
-            campaigns=cli_mod.CampaignSettings(
-                random_walks={"walks": 30, "length": 12, "s_max": 5},
-                adaptive_walks={"walks": 20, "lambda_max": 50},
-            ),
-            ea={"population": 30, "generations": 15, "runs": 2,
-                "max_creation_size": 10, "max_program_size": 100},
+            campaigns={
+                "random_walks": RandomWalkCampaign(walks=30, length=12, s_max=5),
+                "adaptive_walks": AdaptiveWalkCampaign(walks=20, lambda_max=50),
+            },
+            ea=EaConfig(population=30, generations=15, runs=2,
+                        max_creation_size=10, max_program_size=100),
         )
         return spec
 
@@ -542,17 +544,37 @@ def test_fig1_preset_grid():
     spec = build_preset("fig1", 1.0, 0)
     assert {c[0] for c in spec.cells} == {10}
     assert {c[2] for c in spec.cells} == {1, 2, 3, 4, 5}
-    assert spec.campaigns.random_walks["walks"] == 20000
+    assert spec.campaigns["random_walks"].walks == 20000
     scaled = build_preset("fig1", 0.01, 0)
-    assert scaled.campaigns.random_walks["walks"] == 200
+    assert scaled.campaigns["random_walks"].walks == 200
     assert scaled.instances == 1
+
+
+def test_spec_hash_covers_campaign_defaults(tmp_path):
+    from epiroad.cli import load_spec
+
+    def sha(**sections):
+        return load_spec(write_spec(tmp_path / "spec.json", **sections)).sha256()
+
+    spelled_out = {"walks": 20000, "length": 35, "s_max": 20}
+    assert sha(random_walks={}) == sha(random_walks=spelled_out)
+    assert sha(random_walks={"walks": 100}) != sha(random_walks={})
+    assert sha(ea={}) == sha(ea={"population": 1000, "runs": 35})
+
+
+@pytest.mark.parametrize("name", ["table1", "fig1", "fig5", "corr-study"])
+def test_preset_campaigns_are_the_class_defaults(name):
+    from epiroad.cli import CAMPAIGNS, build_preset
+
+    campaigns = build_preset(name, 1, 0).campaigns
+    assert campaigns and all(c == CAMPAIGNS[s]() for s, c in campaigns.items())
 
 
 def test_scaled_preset_keeps_two_adaptive_walks():
     from epiroad.cli import build_preset
 
     scaled = build_preset("fig5", 1e-4, 0)
-    assert scaled.campaigns.adaptive_walks["walks"] == 2
+    assert scaled.campaigns["adaptive_walks"].walks == 2
 
 
 def test_fig6_preset_matches_reported_grid():
@@ -649,15 +671,17 @@ def test_spec_file_beside_a_preset_exits_2(tmp_path, capsys, command):
 
 
 def test_scale_shrinks_the_campaigns_analyze_runs_by_default(tmp_path):
-    from epiroad.cli import CampaignSettings, apply_scale, load_spec
+    from epiroad.cli import apply_scale, load_spec
 
     spec = load_spec(write_spec(tmp_path / "spec.json", command="analyze"))
     assert apply_scale(spec, 1.0) is spec
-    assert apply_scale(spec, 0.001).campaigns == CampaignSettings(
-        random_walks={"walks": 20}, adaptive_walks={"walks": 2}, neutrality={"walks": 2})
+    assert apply_scale(spec, 0.001).campaigns == {
+        "random_walks": RandomWalkCampaign(walks=20),
+        "adaptive_walks": AdaptiveWalkCampaign(walks=2),
+        "neutrality": NeutralityCampaign(walks=2)}
     # a spec that does not analyze runs no campaign, so none is added
     gen_spec = load_spec(write_spec(tmp_path / "gen.json", command="gen"))
-    assert apply_scale(gen_spec, 0.001).campaigns == CampaignSettings()
+    assert apply_scale(gen_spec, 0.001).campaigns == {}
     out = tmp_path / "out"
     for command in ("gen", "analyze"):
         assert run_cli([command, "--spec", tmp_path / "spec.json", "--out", out,
@@ -666,7 +690,7 @@ def test_scale_shrinks_the_campaigns_analyze_runs_by_default(tmp_path):
 
 
 def test_scale_shrinks_the_default_campaigns_of_a_spec_without_command(tmp_path):
-    from epiroad.cli import CampaignSettings, apply_scale, load_spec
+    from epiroad.cli import apply_scale, load_spec
 
     path = tmp_path / "spec.json"
     data = json.loads(write_spec(path, grid={"n": [6], "k": [0], "b": [2]},
@@ -675,8 +699,10 @@ def test_scale_shrinks_the_default_campaigns_of_a_spec_without_command(tmp_path)
     path.write_text(json.dumps(data))
     spec = load_spec(path)
     assert spec.command is None and apply_scale(spec, 1.0) is spec
-    assert apply_scale(spec, 0.001).campaigns == CampaignSettings(
-        random_walks={"walks": 20}, adaptive_walks={"walks": 2}, neutrality={"walks": 2})
+    assert apply_scale(spec, 0.001).campaigns == {
+        "random_walks": RandomWalkCampaign(walks=20),
+        "adaptive_walks": AdaptiveWalkCampaign(walks=2),
+        "neutrality": NeutralityCampaign(walks=2)}
     out = tmp_path / "out"
     args = ["--spec", path, "--out", out, "--scale", 0.001, "--jobs", 1]
     assert run_cli(["gen"] + args) == 0

@@ -192,14 +192,30 @@ def test_landscape_load_rejects_wrong_format():
         landscape_from_dict({"format": "something-else"})
 
 
-@pytest.mark.parametrize("row", [[0, 0], [0, 3], [1, 1], [2, 6], [-1, 2], [1, 2.5]])
+@pytest.mark.parametrize("row", [[0, 0], [0, 3], [1, 1], [2, 6], [-1, 2], [1, 2.5],
+                                 [1.0, 2.0], [True, 2]])
 def test_landscape_load_rejects_bad_links(row):
     # locus 0 with k=2: a self-link, a duplicate, a locus outside [0, n), or
-    # a non-integer that a cast would truncate to a valid row
+    # a float or bool that a cast would turn into a valid row
     doc = landscape_to_dict(er_build(6, 2, 2, 100, seed=24))
     doc["nk"]["links"][0] = row
     with pytest.raises(ValueError, match="links"):
         landscape_from_dict(doc)
+
+
+@pytest.mark.parametrize("key", ["params", "nk", "optimum_value"])
+def test_landscape_load_names_a_missing_key(key):
+    doc = landscape_to_dict(er_build(6, 2, 2, 100, seed=24))
+    del doc[key]
+    with pytest.raises(ValueError, match=f"missing key '{key}'"):
+        landscape_from_dict(doc)
+
+
+def test_royal_road_landscape_is_not_saved(tmp_path):
+    path = tmp_path / "rr.json"
+    with pytest.raises(ValueError, match="only Epistatic Road landscapes are saved"):
+        save_landscape(rr(), path)
+    assert not path.exists()
 
 
 def test_landscape_load_rejects_non_optimal_all_blocks():
