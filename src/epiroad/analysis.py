@@ -207,26 +207,34 @@ def autocorrelation(series, lag: int, centering: str = "walk") -> float:
     steps = x.shape[1]
     if lag >= steps:
         return math.nan
-
-    def lagged_sum(a: np.ndarray, s: int) -> float:
-        row_sums = (a[:, : steps - s] * a[:, s:]).sum(axis=1)
-        return float(np.cumsum(row_sums)[-1]) if row_sums.size else 0.0
-
     if centering == "pool":
         if x.size == 0 or np.all(x == x.flat[0]):
             return math.nan
         mu = float(x.ravel().mean())
-        var = lagged_sum(x, 0) / x.size - mu * mu
+        var = _lagged_sum(x, 0) / x.size - mu * mu
         if not var > 0.0:
             return math.nan
-        return (lagged_sum(x, lag) / (x.shape[0] * (steps - lag)) - mu * mu) / var
+        return (_lagged_sum(x, lag) / (x.shape[0] * (steps - lag)) - mu * mu) / var
+    return _walk_rhos(x, (lag,))[0]
 
+
+def _lagged_sum(a: np.ndarray, lag: int) -> float:
+    """sum_w sum_t a[w, t] a[w, t + lag]: per walk, then across walks left to right."""
+    row_sums = (a[:, : a.shape[1] - lag] * a[:, lag:]).sum(axis=1)
+    return float(np.cumsum(row_sums)[-1]) if row_sums.size else 0.0
+
+
+def _walk_rhos(x: np.ndarray, lags) -> tuple[float, ...]:
+    """Walk-centered rho at each lag, as ``autocorrelation`` defines it.
+
+    The walks are filtered, centered and their lag-0 sum taken once for all
+    lags. A lag the walks do not reach, or a pool with no signal, gives nan.
+    """
     walks = x[np.any(x != x[:, :1], axis=1)]
     c = walks - walks.mean(axis=1, keepdims=True)
-    den = lagged_sum(c, 0)
-    if den <= 0.0:
-        return math.nan
-    return lagged_sum(c, lag) / den
+    den = _lagged_sum(c, 0)
+    return tuple(_lagged_sum(c, lag) / den if den > 0.0 and lag < x.shape[1] else math.nan
+                 for lag in lags)
 
 
 def correlation_length(rho1: float) -> float:
@@ -243,7 +251,7 @@ def run_random_walk_campaign(landscape, campaign: RandomWalkCampaign):
     for block, t, _, _, fits in _lockstep_walks(landscape, campaign.walks, campaign.length, cap,
                                                 campaign.seed, STREAM_RANDOM_WALK):
         series[block, t] = fits
-    rho = tuple(autocorrelation(series, s) for s in range(campaign.s_max + 1))
+    rho = _walk_rhos(series, range(campaign.s_max + 1))
     tau = correlation_length(rho[1]) if campaign.s_max >= 1 else math.nan
     return WalkStats(rho=rho, tau=tau), {"series": series}
 

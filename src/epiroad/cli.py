@@ -194,6 +194,10 @@ def load_spec(path) -> ExperimentSpec:
     if instances is None or instances < 1:
         raise SpecError(
             f"spec file: instances must be an integer >= 1, got {data['instances']!r}")
+    for section in (*CAMPAIGNS, "ea"):
+        if isinstance(data.get(section), dict) and "seed" in data[section]:
+            raise SpecError(f"spec file: {section}: seed is not read; every run and campaign "
+                            f"seed derives from the top-level seed")
     campaigns = {}
     for section, campaign in CAMPAIGNS.items():
         if data.get(section) is not None:

@@ -16,6 +16,7 @@ the count holds exactly for every genotype.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -231,25 +232,36 @@ def decode_rows(u: np.ndarray, n_letters: int, max_len: int):
 def block_bits_batch(rows: np.ndarray, n_letters: int, b: int) -> np.ndarray:
     """Packed block vectors for every row of a padded genotype matrix.
 
-    A run of b equal symbols starting at column j is detected as b - 1
-    consecutive adjacent-equal pairs; each detected run contributes its
-    letter's bit through a bitwise-or reduction. PAD never equals a letter,
-    so padding cannot extend a run.
+    A block starts at column j when it holds a letter, not PAD, and each of
+    the next b - 1 columns equals its predecessor; those columns are found by
+    ANDing b - 1 shifted slices of one adjacent-equality mask. Each start's
+    letter is marked in an ``(m, n_letters)`` presence matrix, whose product
+    with the letters' bits is the packed vector. PAD never equals a letter,
+    so padding cannot extend a run. With b = 1 every letter is a block, and
+    the rows' letter bits are ORed directly.
     """
     m, w = rows.shape
     if m == 0 or w < b:
         return np.zeros(m, np.int64)
-    head = rows[:, : w - b + 1]
+    lut = _letter_lut(n_letters)
     if b == 1:
-        ok = head != PAD
-    else:
-        eq = rows[:, 1:] == rows[:, :-1]
-        c = np.zeros((m, w), np.int16)
-        np.cumsum(eq, axis=1, dtype=np.int16, out=c[:, 1:])
-        ok = (c[:, b - 1 :] - c[:, : w - b + 1]) == b - 1
-        ok &= head != PAD
-    vals = np.where(ok, np.left_shift(1, n_letters - 1 - head.astype(np.int64)), 0)
-    return np.bitwise_or.reduce(vals, axis=1)
+        return np.bitwise_or.reduce(lut[rows], axis=1)
+    span = w - b + 1
+    eq = rows[:, 1:] == rows[:, :-1]
+    start = rows[:, :span] != PAD
+    for s in range(b - 1):
+        start &= eq[:, s : s + span]
+    at = np.flatnonzero(start)
+    row = at // span
+    present = np.zeros((m, n_letters), bool)
+    present[row, rows.ravel()[at + row * (b - 1)]] = True
+    return present @ lut[:n_letters]
+
+
+@lru_cache(maxsize=None)
+def _letter_lut(n_letters: int) -> np.ndarray:
+    """Each letter's bit in a packed block vector, then a 0 that PAD (-1) reads."""
+    return np.append(np.left_shift(1, np.arange(n_letters - 1, -1, -1, dtype=np.int64)), 0)
 
 
 def random_neighbor(

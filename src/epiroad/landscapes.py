@@ -152,6 +152,8 @@ def landscape_to_dict(landscape: BlockLandscape, provenance: dict | None = None)
 
 
 def landscape_from_dict(d: dict) -> BlockLandscape:
+    if type(d) is not dict:
+        raise ValueError(f"not a {FORMAT_NAME} document: a JSON {type(d).__name__}")
     if d.get("format") != FORMAT_NAME:
         raise ValueError(f"not a {FORMAT_NAME} document: format={d.get('format')!r}")
     version = d.get("version")
@@ -162,7 +164,11 @@ def landscape_from_dict(d: dict) -> BlockLandscape:
         if key not in d:
             raise ValueError(f"landscape file is missing key {key!r}")
     p = d["params"]
+    if type(p) is not dict:
+        raise ValueError(f"params must be an object, got {type(p).__name__}")
     for name in ("n_letters", "b", "lambda_max"):
+        if name not in p:
+            raise ValueError(f"landscape file is missing key 'params.{name}'")
         if type(p[name]) is not int:
             raise ValueError(f"params.{name} must be an int, got {p[name]!r}")
     params = BlockParams(n_letters=p["n_letters"], b=p["b"], lambda_max=p["lambda_max"])

@@ -271,8 +271,14 @@ def instance_from_dict(d: dict) -> NkInstance:
 
     ``tables`` must be a padded base64 string, with no other characters, of
     exactly ``8 * n * 2**(k+1)`` bytes: little-endian float64 values in
-    ``[0, 1)``. A malformed field raises ValueError naming it.
+    ``[0, 1)``; ``mask`` may be absent. A missing or malformed field raises
+    ValueError naming it.
     """
+    if type(d) is not dict:
+        raise ValueError(f"nk must be an object, got {type(d).__name__}")
+    for key in ("n", "k", "kind", "seed", "links", "tables"):
+        if key not in d:
+            raise ValueError(f"nk is missing key {key!r}")
     n, k = d["n"], d["k"]
     if type(n) is not int or n < 1:
         raise ValueError(f"n must be a positive int, got {n!r}")

@@ -16,6 +16,7 @@ from epiroad.analysis import (
     _lockstep_walks,
     _neighbor_fitness,
     _step_rows,
+    _walk_rhos,
     adaptive_walk,
     autocorrelation,
     correlation_length,
@@ -171,6 +172,34 @@ def test_autocorrelation_equals_walk_loop(walks, steps, constant, seed):
             expected = loop_autocorrelation(pool, lag, centering)
             got = autocorrelation(pool, lag, centering=centering)
             assert got == expected or math.isnan(got) and math.isnan(expected)
+
+
+@given(st.integers(0, 30), st.integers(1, 12), st.integers(0, 5), st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+@example(0, 6, 0, 1)  # no walk at all
+@example(4, 6, 4, 2)  # every walk constant
+@example(3, 1, 0, 3)  # one step: every walk is constant
+def test_once_centered_rho_equals_per_lag_autocorrelation(walks, steps, constant, seed):
+    # the campaign centers its series once and reads every lag from it
+    rng = make_rng(seed, 3)
+    pool = rng.random((walks, steps)) * rng.integers(1, 4, size=(walks, 1))
+    pool[: min(constant, walks)] = 0.25
+    rhos = _walk_rhos(pool, range(steps + 3))  # lags >= steps are not reached
+    for lag, got in enumerate(rhos):
+        expected = autocorrelation(pool, lag)
+        reference = loop_autocorrelation(pool, lag, "walk") if lag < steps else math.nan
+        assert got == expected or math.isnan(got) and math.isnan(expected)
+        assert got == reference or math.isnan(got) and math.isnan(reference)
+
+
+@pytest.mark.parametrize("b, constant", [(1, 3), (4, 35)])
+def test_campaign_rho_equals_per_lag_autocorrelation(b, constant):
+    # constant walks carry no signal: the campaign drops them as autocorrelation does
+    L = er_build(5, 2, b, 60, seed=31)
+    stats, raw = run_random_walk_campaign(L, RandomWalkCampaign(walks=40, length=8, s_max=8,
+                                                                seed=5))
+    assert np.all(raw["series"] == raw["series"][:, :1], axis=1).sum() == constant
+    assert stats.rho == tuple(autocorrelation(raw["series"], s) for s in range(9))
 
 
 # rho(0..20) of the format-2 campaign on er_build(n, k, b, lambda_max, seed) with

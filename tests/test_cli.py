@@ -305,6 +305,18 @@ def test_bad_campaign_sizes_exit_2(tmp_path, capsys, section, settings):
     assert f"spec file: {section}:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("section", ["ea", "random_walks", "adaptive_walks", "neutrality"])
+@pytest.mark.parametrize("command", ["gen", "analyze", "evolve"])
+def test_seed_inside_a_section_exits_2(tmp_path, capsys, command, section):
+    # no command reads it, yet it would change spec_sha256
+    spec = write_spec(tmp_path / "spec.json", command=command, **{section: {"seed": 5}})
+    assert run_cli([command, "--spec", spec, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert f"spec file: {section}: seed is not read; every run and campaign seed derives " \
+        "from the top-level seed" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("section, settings", [
     ("random_walks", {"walks": 5, "length": 3, "s_max": 1, "lambda_max": 0}),
     ("neutrality", {"walks": 5, "length": 3, "lambda_max": 0}),

@@ -218,6 +218,46 @@ def test_block_bits_batch_matches_scalar(g):
 
 
 @st.composite
+def padded_matrices(draw):
+    """(rows, n_letters, b): genotypes of runs of 1 to 9 letters, PAD on their right."""
+    n = draw(st.integers(1, 24))
+    b = draw(st.integers(1, 7))
+    width = draw(st.integers(0, b + 3) | st.integers(0, 40) | st.just(130))
+    rows = np.full((draw(st.integers(0, 6)), width), PAD, np.int16)
+    for row in rows:
+        runs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 9)),
+                             max_size=width))
+        g = [s for s, length in runs for _ in range(length)][: draw(st.integers(0, width))]
+        row[: len(g)] = g
+    return rows, n, b
+
+
+def _padded(genotypes, width):
+    rows = np.full((len(genotypes), width), PAD, np.int16)
+    for row, g in zip(rows, genotypes):
+        row[: len(g)] = g
+    return rows
+
+
+@given(padded_matrices())
+@settings(max_examples=300, deadline=None)
+@example((_padded([(0, 0)], 2), 4, 3))  # b above the width
+@example((_padded([(1, 1, 1), (1, 1)], 3), 4, 3))  # blocks ending at the last column
+@example((_padded([(0, 1), (1,)], 2), 2, 1))  # the same at b = 1
+@example((_padded([(2, 2), (2,), (), (2, 2, 2)], 8), 3, 2))  # runs of PAD, an all-PAD row
+@example((_padded([(0, 1, 1)], 6), 2, 4))  # PAD does not extend a run
+@example((_padded([], 5), 4, 2))  # no rows
+@example((_padded([(23,) * 130, (0,) * 130, tuple(range(24)) * 5], 130), 24, 7))
+@example((_padded([(5,) * 130], 130), 24, 1))
+def test_block_bits_batch_matches_scalar_oracle(case):
+    rows, n, b = case
+    batch = block_bits_batch(rows, n, b)
+    assert batch.dtype == np.int64 and batch.shape == (len(rows),)
+    for row, bits in zip(rows, batch):
+        assert int(bits) == scalar_block_bits(row_to_genotype(row), n, b)
+
+
+@st.composite
 def block_cases(draw):
     """(genotype, n_letters, b): runs of 1 to 9 letters, as a tuple, a list or bytes."""
     n = draw(st.integers(1, 24))

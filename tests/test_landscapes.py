@@ -211,6 +211,33 @@ def test_landscape_load_names_a_missing_key(key):
         landscape_from_dict(doc)
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    *[("nk", key, None, f"nk is missing key '{key}'")
+      for key in ("n", "k", "kind", "seed", "links", "tables")],
+    *[("params", key, None, f"missing key 'params.{key}'")
+      for key in ("n_letters", "b", "lambda_max")],
+    ("nk", None, [6, 2], "nk must be an object, got list"),
+    ("nk", None, "nk", "nk must be an object, got str"),
+    ("params", None, [6, 2, 100], "params must be an object, got list"),
+    ("params", None, "params", "params must be an object, got str"),
+])
+def test_landscape_load_names_a_missing_nested_key_or_bad_section(section, key, value, message):
+    # with a key, that key is deleted from the section; without one, the section is replaced
+    doc = landscape_to_dict(er_build(6, 2, 2, 100, seed=24))
+    if key is None:
+        doc[section] = value
+    else:
+        del doc[section][key]
+    with pytest.raises(ValueError, match=message):
+        landscape_from_dict(doc)
+
+
+@pytest.mark.parametrize("doc", [[], "landscape", None])
+def test_landscape_load_rejects_a_document_that_is_not_an_object(doc):
+    with pytest.raises(ValueError, match="not a epiroad-landscape document"):
+        landscape_from_dict(doc)
+
+
 def test_royal_road_landscape_is_not_saved(tmp_path):
     path = tmp_path / "rr.json"
     with pytest.raises(ValueError, match="only Epistatic Road landscapes are saved"):
