@@ -90,8 +90,14 @@ class ExperimentSpec:
         return max(2 * n * b, 100)
 
     def sha256(self) -> str:
-        """Hash of every effective setting: a section's defaults count as if spelled out."""
-        payload = json.dumps(asdict(self), sort_keys=True).encode()  # tuples dump as lists
+        """Hash of every effective setting: a section's defaults count as if spelled out.
+
+        A spec that analyze may run and that names no campaign hashes as if it
+        named all three at their defaults, which is what analyze runs.
+        """
+        sections = _campaign_sections(self, defaults=self.command in (None, "analyze"))
+        payload = json.dumps(asdict(replace(self, campaigns=sections)),
+                             sort_keys=True).encode()  # tuples dump as lists
         return hashlib.sha256(payload).hexdigest()
 
 

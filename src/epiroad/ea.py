@@ -14,10 +14,17 @@ substitution are skipped when it is empty, insertion when it already sits at
 ``max_program_size``.
 
 Genotypes are ``bytes``, one letter per byte (alphabets stop at 24 letters,
-``nk.EXHAUSTIVE_BOUND``): crossover slices and joins them, mutation edits a
-``bytearray``, and ``genotype.block_bits`` scores a child in byte lanes of
-one int instead of letter by letter. The reference operators below also take
-tuples.
+``nk.EXHAUSTIVE_BOUND``): crossover slices and joins them, and mutation edits
+a ``bytearray``. The reference operators below also take tuples.
+
+A child is scored without ``landscape.evaluate``, to the same float. After
+the alphabet check, ``genotype.block_ends`` finds the letters that end its
+blocks, in byte lanes of one int. Those few bytes key a per-run memo of
+fitness, since children far more often repeat their block ends than their
+letters. On a miss the letters' bits are summed over the set of ends and the
+sum is looked up in ``landscape.bv_fitness``. The memo is cleared when it
+holds MEMO_SIZE entries, which bounds it at b = 1, where the ends are the
+child itself.
 
 A run's randomness comes from its own stream. The initial population is
 decoded from one row of uniforms per genotype, as walk starts are
@@ -51,8 +58,10 @@ import numpy as np
 from .genotype import (
     Genotype,
     block_count,
+    block_ends,
     decode_rows,
     random_genotype,  # noqa: F401  (no caller here; benchmarks/recorder.py wraps this binding)
+    validate_genotype,
 )
 from .landscapes import is_success
 from .seeds import STREAM_EA_RUN, STREAM_LANDSCAPE_SEED, UniformPool, derive_seed, make_rng
@@ -64,6 +73,10 @@ _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}
 # Rows of the initial population drawn and scored together; the population
 # does not depend on it, only the size of its temporaries does.
 INIT_BLOCK = 64
+
+# Entries of a run's fitness memo, keyed by a child's block-end letters; the
+# memo is cleared when full. Outputs do not depend on it, only memory does.
+MEMO_SIZE = 1 << 14
 
 
 @dataclass
@@ -215,8 +228,11 @@ def run(cfg: EaConfig, landscape) -> RunResult:
             f"lambda_max={landscape.lambda_max}"
         )
     rng = make_rng(cfg.seed, STREAM_EA_RUN)
-    n_letters = landscape.n_letters
-    evaluate = landscape.evaluate
+    n_letters, b = landscape.n_letters, landscape.b
+    alphabet = bytes(range(n_letters))
+    letter_bits = [1 << (n_letters - 1 - c) for c in range(n_letters)]
+    table = landscape.bv_fitness.item
+    ends_of, memo, memo_size = block_ends, {}, MEMO_SIZE  # read here, so tests may patch them
     size, t, cap = cfg.population, cfg.tournament_size, cfg.max_program_size
     x_rate, m_rate = cfg.crossover_rate, cfg.mutation_rate
     genotypes, fits = init_population(cfg, landscape, rng)  # fits is read only to refill the level
@@ -291,8 +307,15 @@ def run(cfg: EaConfig, landscape) -> RunResult:
                             out[int(pop() * len(out))] = letter
                     child = bytes(out)
                     f = None
-                if f is None:
-                    f = evaluate(child)
+                if f is None:  # scored as landscape.evaluate would, through the memo
+                    if child.translate(None, alphabet):
+                        validate_genotype(child, n_letters)
+                    ends = ends_of(child, b)
+                    f = memo.get(ends)
+                    if f is None:
+                        if len(memo) >= memo_size:
+                            memo.clear()
+                        f = memo[ends] = table(sum([letter_bits[c] for c in set(ends)]))
                 if not level:
                     low = float(fits.min())
                     level = np.flatnonzero(fits == low)[::-1].tolist()

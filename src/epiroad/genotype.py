@@ -25,7 +25,7 @@ Genotype = tuple[int, ...]
 # Sentinel used to pad rows of neighbor matrices; never a valid letter.
 PAD = -1
 
-# block_bits reads letters as byte lanes whose top bit must stay clear.
+# block_ends reads letters as byte lanes whose top bit must stay clear.
 LANE_LETTERS = 128
 _ALPHABETS = [bytes(range(n)) for n in range(LANE_LETTERS + 1)]
 _HIGH = bytes(range(LANE_LETTERS, 256))
@@ -76,6 +76,37 @@ def has_block(g, letter: int, b: int) -> bool:
     return False
 
 
+def block_ends(x: bytes, b: int) -> bytes:
+    """The letters of ``x`` that end a run of at least ``b`` copies, in order.
+
+    Their set is the genotype's blocks. There are no checks: every letter must
+    be below LANE_LETTERS and ``b`` at least 1. The letters are read as the
+    byte lanes of one Python int X, first letter highest, and all lanes are
+    tested at once. Lane c of ``ne`` has its top bit set when letter c
+    differs from letter c - 1: 0x7F is added to each lane of
+    ``X ^ (X >> 8)``, which cannot carry while letters stay below
+    LANE_LETTERS = 128. A block ends at lane c >= b - 1 when none of lanes
+    c - b + 2 .. c differs from its predecessor, so ORing ``ne`` with its
+    shifts down by 1 to b - 2 lanes sets the top bit of every other lane;
+    those lanes and the first b - 1 are dropped, and the letters left each
+    end a block. With b = 1 every letter ends one, and ``x`` is returned.
+    """
+    lam = len(x)
+    if b == 1 or lam < b:
+        return x if b == 1 else b""
+    try:
+        k7f, k80 = _LANES[lam]
+    except KeyError:
+        k7f, k80 = _LANES[lam] = (int.from_bytes(b"\x7f" * lam, "big"),
+                                  int.from_bytes(b"\x80" * lam, "big"))
+    X = int.from_bytes(x, "big")
+    ne = ((X ^ (X >> 8)) + k7f) & k80
+    m = ne
+    for s in range(8, 8 * (b - 1), 8):
+        m |= ne >> s
+    return (X | m).to_bytes(lam, "big")[b - 1 :].translate(None, _HIGH)
+
+
 def block_bits(g, n_letters: int, b: int) -> int:
     """Packed block vector: bit for letter ``l`` at position n_letters - 1 - l.
 
@@ -83,15 +114,8 @@ def block_bits(g, n_letters: int, b: int) -> int:
     orders block vectors lexicographically.
 
     ``g`` is ``bytes`` (the EA's genotypes) or any iterable of int letters.
-    The letters are read as the byte lanes of one Python int X, first letter
-    highest, and all lanes are tested at once. Lane c of ``ne`` has its top
-    bit set when letter c differs from letter c - 1: 0x7F is added to each
-    lane of ``X ^ (X >> 8)``, which cannot carry while letters stay below
-    LANE_LETTERS = 128. A block ends at lane c >= b - 1 when none of lanes
-    c - b + 2 .. c differs from its predecessor, so ORing ``ne`` with its
-    shifts down by 1 to b - 2 lanes sets the top bit of every other lane;
-    those lanes and the first b - 1 are dropped, and the letters left each
-    end a block.
+    After the checks, ``block_ends`` finds the letters that end a block, and
+    their bits are ORed.
     """
     if n_letters > LANE_LETTERS:
         raise ValueError(f"n_letters={n_letters} exceeds the byte lanes' {LANE_LETTERS}")
@@ -105,25 +129,10 @@ def block_bits(g, n_letters: int, b: int) -> int:
             raise
     if x.translate(None, _ALPHABETS[n_letters]):
         validate_genotype(g, n_letters)  # names the first foreign letter
-    lam = len(x)
-    if lam < b:
-        return 0
-    if b > 1:
-        try:
-            k7f, k80 = _LANES[lam]
-        except KeyError:
-            k7f, k80 = _LANES[lam] = (int.from_bytes(b"\x7f" * lam, "big"),
-                                      int.from_bytes(b"\x80" * lam, "big"))
-        X = int.from_bytes(x, "big")
-        ne = ((X ^ (X >> 8)) + k7f) & k80
-        m = ne
-        for s in range(8, 8 * (b - 1), 8):
-            m |= ne >> s
-        x = (X | m).to_bytes(lam, "big")[b - 1 :].translate(None, _HIGH)
-    elif b < 1:
+    if b < 1:
         raise ValueError(f"block size b must be >= 1, got {b}")
     bits = 0
-    for c in set(x):
+    for c in set(block_ends(x, b)):
         bits |= 1 << (n_letters - 1 - c)
     return bits
 

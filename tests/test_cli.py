@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -572,6 +573,39 @@ def test_spec_hash_covers_campaign_defaults(tmp_path):
     assert sha(random_walks={}) == sha(random_walks=spelled_out)
     assert sha(random_walks={"walks": 100}) != sha(random_walks={})
     assert sha(ea={}) == sha(ea={"population": 1000, "runs": 35})
+
+
+def _listed_sha256(spec):
+    """The spec's hash over its campaigns as listed, with no defaults filled in."""
+    return hashlib.sha256(json.dumps(asdict(spec), sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command", [None, "analyze"])
+def test_spec_hash_without_sections_counts_the_campaigns_analyze_runs(tmp_path, command):
+    from epiroad.cli import load_spec
+
+    def sha(**sections):
+        return load_spec(write_spec(tmp_path / "spec.json", command=command, **sections)).sha256()
+
+    assert sha() == sha(random_walks={}, adaptive_walks={}, neutrality={})
+    assert sha() != sha(random_walks={})
+
+
+@pytest.mark.parametrize("command", ["gen", "evolve"])
+def test_spec_hash_without_sections_keeps_gen_and_evolve_hashes(tmp_path, command):
+    from epiroad.cli import load_spec
+
+    spec = load_spec(write_spec(tmp_path / "spec.json", command=command))
+    assert spec.campaigns == {} and spec.sha256() == _listed_sha256(spec)
+
+
+@pytest.mark.parametrize("scale", [1, 0.1, 0.005])
+def test_preset_hashes_are_their_listed_campaigns(scale):
+    from epiroad.cli import PRESET_NAMES, build_preset
+
+    for name in PRESET_NAMES:
+        spec = build_preset(name, scale, 0)
+        assert spec.sha256() == _listed_sha256(spec), name
 
 
 @pytest.mark.parametrize("name", ["table1", "fig1", "fig5", "corr-study"])

@@ -16,7 +16,7 @@ from epiroad.ea import (
     run_instance,
     tournament_select,
 )
-from epiroad.genotype import PAD, BlockParams, block_count, decode_rows
+from epiroad.genotype import PAD, BlockParams, block_count, block_ends, decode_rows
 from epiroad.landscapes import er_build, is_success, royal_road
 from epiroad.seeds import STREAM_EA_RUN, STREAM_FORMAT, UniformPool, make_rng
 
@@ -221,7 +221,22 @@ def test_run_success_implies_all_blocks():
         assert res.best_fitness_trace[g] >= L.optimum_value - 1e-12
 
 
-def test_run_without_variation_only_duplicates():
+def spy_block_ends(monkeypatch, check=lambda g: None):
+    """Count the children ``run`` scores, through its ``block_ends`` binding."""
+    from epiroad import ea as ea_mod
+
+    calls = Counter()
+
+    def counted(g, b):
+        calls["children"] += 1
+        check(g)
+        return block_ends(g, b)
+
+    monkeypatch.setattr(ea_mod, "block_ends", counted)
+    return calls
+
+
+def test_run_without_variation_only_duplicates(monkeypatch):
     # rates at zero: children are parent copies, so every evaluated genotype
     # must already exist in the initial population
     from epiroad import ea as ea_mod
@@ -232,19 +247,18 @@ def test_run_without_variation_only_duplicates():
     initial = {tuple(g) for g in
                init_population(cfg, L, make_rng(cfg.seed, ea_mod.STREAM_EA_RUN))[0]}
 
+    def in_initial(g):
+        assert tuple(g) in initial
+
+    scored = spy_block_ends(monkeypatch, in_initial)
+
     class Spy:
         n_letters = L.n_letters
         b = L.b
         lambda_max = L.lambda_max
         optimum_value = L.optimum_value
-        bv_value = L.bv_value
-        calls = 0
+        bv_fitness = L.bv_fitness
         rows = 0
-
-        def evaluate(self, g):
-            Spy.calls += 1
-            assert tuple(g) in initial
-            return L.evaluate(g)
 
         def evaluate_rows(self, rows):
             Spy.rows += len(rows)
@@ -254,22 +268,23 @@ def test_run_without_variation_only_duplicates():
     assert res.best_fitness_trace[-1] >= res.best_fitness_trace[0]
     # the population is scored as rows; every child is its parent, whose
     # fitness it keeps: none is evaluated
-    assert (Spy.rows, Spy.calls) == (cfg.population, 0)
+    assert (Spy.rows, scored["children"]) == (cfg.population, 0)
 
 
-def test_population_size_constant_and_within_cap():
+def test_population_size_constant_and_within_cap(monkeypatch):
     L = er_build(6, 1, 2, 100, seed=35)
+
+    def within_cap(g):
+        assert len(g) <= 20
+
+    spy_block_ends(monkeypatch, within_cap)
 
     class Spy:
         n_letters = L.n_letters
         b = L.b
         lambda_max = L.lambda_max
         optimum_value = L.optimum_value
-        bv_value = L.bv_value
-
-        def evaluate(self, g):
-            assert len(g) <= 20
-            return L.evaluate(g)
+        bv_fitness = L.bv_fitness
 
         def evaluate_rows(self, rows):
             assert ((rows != PAD).sum(axis=1) <= 10).all()  # max_creation_size
@@ -588,24 +603,30 @@ def test_run_equals_reference_run_over_config_grid():
                events["elitist_fallback"]) > 0, events
 
 
-def test_run_reuses_the_fitness_of_unchanged_children():
+def test_run_does_not_depend_on_the_memo_size(monkeypatch):
+    # a memo of one entry is cleared at almost every miss; b = 1 keys it by
+    # the whole child, which rarely repeats
+    from epiroad import ea as ea_mod
+
+    cases = oracle_grid() + [
+        (small_cfg(population=60, generations=8, max_program_size=30, stop_on_success=False),
+         er_build(6, 2, 1, 30, seed=44)),
+    ]
+    results = [run(cfg, L) for cfg, L in cases]
+    monkeypatch.setattr(ea_mod, "MEMO_SIZE", 1)
+    for (cfg, L), want in zip(cases, results):
+        assert run(cfg, L) == want, cfg
+
+
+def test_run_reuses_the_fitness_of_unchanged_children(monkeypatch):
     # a child that neither crossover nor mutation changed is its parent: it is
     # not evaluated again, and every other child is evaluated once
     L = er_build(6, 2, 2, 30, seed=43)
     cfg = small_cfg(population=20, generations=6, max_program_size=30, stop_on_success=False)
-
-    class Spy:
-        n_letters, b, lambda_max, optimum_value = L.n_letters, L.b, L.lambda_max, L.optimum_value
-        evaluate_rows = L.evaluate_rows
-        calls = 0
-
-        def evaluate(self, g):
-            Spy.calls += 1
-            return L.evaluate(g)
-
-    assert run(cfg, Spy()) == reference_run(cfg, L)
+    scored = spy_block_ends(monkeypatch)
+    assert run(cfg, L) == reference_run(cfg, L)
     children = 2 * cfg.population * cfg.generations
-    assert 0.6 * children < Spy.calls < children
+    assert 0.6 * children < scored["children"] < children
 
 
 # ---------------------------------------------------------------------------

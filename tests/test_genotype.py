@@ -14,6 +14,7 @@ from epiroad.genotype import (
     block_bits,
     block_bits_batch,
     block_count,
+    block_ends,
     block_vector,
     edit_distance,
     enumerate_neighbors,
@@ -280,6 +281,24 @@ def block_cases(draw):
 def test_block_bits_matches_scalar_oracle(case):
     g, n, b = case
     assert block_bits(g, n, b) == scalar_block_bits(tuple(g), n, b)
+
+
+@given(block_cases().map(lambda case: (bytes(case[0]), *case[1:])))
+@settings(max_examples=400)
+@example((b"", 1, 1))
+@example((b"", 24, 7))
+@example((b"\x02\x02", 4, 3))  # b above the length
+@example((b"\x05" * 6, 6, 7))
+@example((b"\x01\x01\x01\x00\x01\x01\x01", 2, 3))  # one letter ending two blocks
+@example((bytes([23] * 130), 24, 7))
+@example((bytes(range(24)) * 5, 24, 1))
+def test_block_ends_matches_has_block_oracle(case):
+    g, n, b = case
+    ends = block_ends(g, b)
+    bits = 0
+    for c in set(ends):
+        bits |= 1 << (n - 1 - c)
+    assert bits == sum(1 << (n - 1 - s) for s in range(n) if has_block(g, s, b))
 
 
 def test_block_bits_reads_numpy_rows_by_letter():
