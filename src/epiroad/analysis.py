@@ -35,6 +35,7 @@ import numpy as np
 from .genotype import (
     PAD,
     Genotype,
+    _letter_lut,
     decode_rows,
     neighbor_matrix,
     random_genotype,  # noqa: F401  (no caller here; benchmarks/recorder.py wraps this binding)
@@ -485,11 +486,6 @@ def _class_counts_batch(landscape, rows: np.ndarray, lams: np.ndarray, fits, cap
     return np.stack([lower, total - lower - higher, higher], axis=1)
 
 
-def _letter_bits(n: int) -> np.ndarray:
-    """Each letter's bit in a packed block vector, and 0 for the sentinel letter n."""
-    return np.append(1 << np.arange(n - 1, -1, -1, dtype=np.int32), 0)
-
-
 def _slot_edits(rows: np.ndarray, lams: np.ndarray, n: int, b: int):
     """(letters, owner, base, gains, deletion): the block vector of every edit, per slot.
 
@@ -529,7 +525,7 @@ def _slot_edits(rows: np.ndarray, lams: np.ndarray, n: int, b: int):
     left_len = np.where(first, 0, np.roll(rlen, 1))
     qualifying = np.bincount((gid[starts] * (n + 1) + rlet)[rlen >= b],
                              minlength=len(lams) * (n + 1)).reshape(-1, n + 1)
-    bit = _letter_bits(n)  # bit[n] = bit[-1] = 0
+    bit = _letter_lut(n)  # bit[n] = bit[-1] = 0
     every = (1 << n) - 1 if b == 1 else 0  # with b = 1 any written letter is a block
 
     ln, fl, fr = rlen[run], left[run], np.roll(rlet, -1)[run]
@@ -569,7 +565,7 @@ def _edit_groups(rows: np.ndarray, lams: np.ndarray, n: int, b: int, cap: int):
     """
     flat, gid, base, gains, dele = _slot_edits(rows, lams, n, b)
     size = len(flat)
-    bit = _letter_bits(n)
+    bit = _letter_lut(n)
     at = np.flatnonzero(gains)
     letter, which = np.divmod(np.flatnonzero(bit[:n, None] & gains[at]), len(at))
     at = at[which]
@@ -592,7 +588,7 @@ def _neighbor_fitness(landscape, rows: np.ndarray, lams: np.ndarray, cap: int):
     n = landscape.n_letters
     flat, owner, base, gains, dele = _slot_edits(rows, lams, n, landscape.b)
     size = len(flat)
-    bv = base[:, None] | (gains[:, None] & _letter_bits(n)[:n])
+    bv = base[:, None] | (gains[:, None] & _letter_lut(n)[:n])
     np.copyto(bv[size:], dele[:, None], where=flat[:, None] == np.arange(n))
     keep = np.concatenate([lams[owner] < cap, flat < n])  # no capped insertions or end-slot edits
     order = np.argsort(np.concatenate([2 * owner, 2 * owner + 1]), kind="stable")

@@ -70,6 +70,11 @@ SPEC_KEYS = {"command", "grid", "instances", "seed", "out", "landscape_lambda_ma
              *CAMPAIGNS}
 
 
+def _analyzed_campaigns(spec: ExperimentSpec) -> dict:
+    """The campaigns analyze runs: the spec's, or all three at their defaults if it names none."""
+    return spec.campaigns or {name: campaign() for name, campaign in CAMPAIGNS.items()}
+
+
 @dataclass
 class ExperimentSpec:
     command: str | None = None
@@ -82,6 +87,11 @@ class ExperimentSpec:
     campaigns: dict = field(default_factory=dict)
     ea: ea.EaConfig = field(default_factory=ea.EaConfig)
 
+    def __post_init__(self):
+        # a spec that analyze may run and that names no campaign runs all three
+        if self.command in (None, "analyze"):
+            self.campaigns = _analyzed_campaigns(self)
+
     def lambda_max_for(self, n: int, b: int) -> int:
         if self.landscape_lambda_max is not None:
             return self.landscape_lambda_max
@@ -90,14 +100,8 @@ class ExperimentSpec:
         return max(2 * n * b, 100)
 
     def sha256(self) -> str:
-        """Hash of every effective setting: a section's defaults count as if spelled out.
-
-        A spec that analyze may run and that names no campaign hashes as if it
-        named all three at their defaults, which is what analyze runs.
-        """
-        sections = _campaign_sections(self, defaults=self.command in (None, "analyze"))
-        payload = json.dumps(asdict(replace(self, campaigns=sections)),
-                             sort_keys=True).encode()  # tuples dump as lists
+        """Hash of every effective setting: a section's defaults count as if spelled out."""
+        payload = json.dumps(asdict(self), sort_keys=True).encode()  # tuples dump as lists
         return hashlib.sha256(payload).hexdigest()
 
 
@@ -140,14 +144,6 @@ def _cells_from_grid(grid) -> list[tuple[int, int, int]]:
     return [(n, k, b) for n in ns for k in ks for b in bs]
 
 
-def _campaign_sections(spec: ExperimentSpec, defaults: bool) -> dict:
-    """The spec's campaigns by section name; with ``defaults``, all three if it names none."""
-    if defaults and not spec.campaigns:
-        # analyze with no explicit campaign settings runs everything at defaults
-        return {name: campaign() for name, campaign in CAMPAIGNS.items()}
-    return spec.campaigns
-
-
 def validate_cells(spec: ExperimentSpec, command: str) -> None:
     """Check every cell, its landscapes' cap, and every walk or program bound against it.
 
@@ -155,7 +151,7 @@ def validate_cells(spec: ExperimentSpec, command: str) -> None:
     declares, runs; the cap is ``spec.lambda_max_for(n, b)``.
     """
     commands = {command, spec.command}
-    sections = _campaign_sections(spec, defaults="analyze" in commands)
+    sections = _analyzed_campaigns(spec) if "analyze" in commands else spec.campaigns
     walk_caps = {name: campaign.lambda_max for name, campaign in sections.items()}
     program_cap = spec.ea.max_program_size if "evolve" in commands else None
     for n, k, b in spec.cells:
@@ -247,13 +243,10 @@ def apply_scale(spec: ExperimentSpec, scale: float) -> ExperimentSpec:
         raise SpecError(f"--scale must be a finite number > 0, got {scale!r}")
     if scale == 1.0:
         return spec
-    # a spec that analyze may run and that names no campaign runs all three, so
-    # all three scale; decided from the spec alone, so gen and analyze hash alike
-    sections = _campaign_sections(spec, defaults=spec.command in (None, "analyze"))
     # local-optima statistics need two adaptive walks
     campaigns = {name: replace(campaign, walks=_scaled(campaign.walks, scale,
                                                        floor=2 if name == "adaptive_walks" else 1))
-                 for name, campaign in sections.items()}
+                 for name, campaign in spec.campaigns.items()}
     cfg = spec.ea
     return replace(
         spec,
@@ -404,7 +397,7 @@ def _analysis_fieldnames(campaigns: dict) -> list[str]:
 def cmd_analyze(spec: ExperimentSpec, out_dir: Path, jobs: int = 1,
                 raw: bool = False) -> tuple[int, dict]:
     """Run the walk campaigns: (exit code, {"analysis_summary": per-cell rows})."""
-    campaigns = _campaign_sections(spec, defaults=True)
+    campaigns = _analyzed_campaigns(spec)
     raw_dir = str(out_dir / "raw") if raw else None
     rows, failures = _run_landscape_units("analyze", spec, out_dir, jobs, _analyze_unit,
                                           (spec.seed, campaigns, raw_dir))
@@ -566,79 +559,40 @@ def cmd_evolve(spec: ExperimentSpec, out_dir: Path, jobs: int = 1,
 
 
 # ---------------------------------------------------------------------------
-# presets: each report prints from the summary rows that analyze and evolve return
+# presets: each report is (table, title, lines) over the tables analyze and evolve
+# return. ``lines`` is a format string for each row of ``table`` in (b, k) order,
+# or a function of all the tables that yields the lines.
 
 
-def _report_table1(tables) -> None:
-    print("neutral-neighbor proportions, percent (observed | reference), n=8 k=4:")
+def _table1_lines(tables):
     for row in sorted(tables["analysis_summary"], key=lambda r: r["b"]):
         ref = REFERENCE_NEUTRALITY.get(row["b"])
         obs = (100 * row["frac_lower"], 100 * row["frac_equal"], 100 * row["frac_higher"])
-        line = (f"  b={row['b']}: lower/equal/higher = "
-                f"{obs[0]:.1f}/{obs[1]:.1f}/{obs[2]:.1f}")
-        if ref:
-            line += f" | {ref[0]}/{ref[1]}/{ref[2]}"
-        print(line)
+        line = f"  b={row['b']}: lower/equal/higher = {obs[0]:.1f}/{obs[1]:.1f}/{obs[2]:.1f}"
+        yield line + (f" | {ref[0]}/{ref[1]}/{ref[2]}" if ref else "")
 
 
-def _report_tau(tables) -> None:
+def _tau_lines(tables):
     summary = tables["analysis_summary"]
-    print("mean correlation length tau by (k, b), n=10"
-          " (reference trend: decreasing in k, flatter for larger b):")
-    bs = sorted({r["b"] for r in summary})
-    for b in bs:
-        vals = [(r["k"], r["tau"]) for r in summary if r["b"] == b]
-        txt = " ".join(f"k={k}:{tau:.2f}" for k, tau in sorted(vals))
-        print(f"  b={b}: {txt}")
+    for b in sorted({r["b"] for r in summary}):
+        vals = sorted((r["k"], r["tau"]) for r in summary if r["b"] == b)
+        yield f"  b={b}: " + " ".join(f"k={k}:{tau:.2f}" for k, tau in vals)
 
 
-def _report_rho(tables) -> None:
-    print("autocorrelation rho(s), s=1..5 shown, n=10:")
-    for row in sorted(tables["analysis_summary"], key=lambda r: (r["b"], r["k"])):
-        vals = " ".join(f"{row[f'rho_{s}']:.3f}" for s in range(1, 6))
-        print(f"  k={row['k']} b={row['b']}: {vals}")
-
-
-def _report_adaptive(tables) -> None:
-    print("adaptive walks, n=10 (reference trends: length decreasing in k for small b;"
-          " optima fitness decreasing in b):")
-    for row in sorted(tables["analysis_summary"], key=lambda r: (r["b"], r["k"])):
-        print(f"  k={row['k']} b={row['b']}: mean_length={row['mean_walk_length']:.2f} "
-              f"optima_fitness={row['optima_fitness_mean']:.4f}")
-
-
-def _report_success_rate(tables) -> None:
-    print("EA success rate by (k, b), n=8 (reference trend: decreasing in k,"
-          " steeper for larger b):")
-    for row in sorted(tables["ea_summary"], key=lambda r: (r["b"], r["k"])):
-        print(f"  k={row['k']} b={row['b']}: success_rate={row['success_rate']:.3f}")
-
-
-def _report_mean_blocks(tables) -> None:
-    print("EA mean blocks of best individual, n=16 (reference trend: decreasing"
-          " as k or b increases):")
-    for row in sorted(tables["ea_summary"], key=lambda r: (r["b"], r["k"])):
-        print(f"  k={row['k']} b={row['b']}: mean_final_blocks={row['mean_final_blocks']:.2f}")
-
-
-def _report_block_traces(tables) -> None:
+def _block_trace_lines(tables):
     rows = tables["ea_traces"]
-    print("mean best-blocks trace by generation, n=10 b=4 (every 10th generation):")
-    ks = sorted({r["k"] for r in rows})
-    for k in ks:
+    for k in sorted({r["k"] for r in rows}):
         per_gen: dict[int, list[float]] = {}
         for r in rows:
             if r["k"] == k:
                 per_gen.setdefault(r["generation"], []).append(r["best_blocks"])
-        gens = sorted(per_gen)
-        txt = " ".join(f"{g}:{np.mean(per_gen[g]):.1f}" for g in gens if g % 10 == 0)
-        print(f"  k={k}: {txt}")
+        yield f"  k={k}: " + " ".join(f"{g}:{np.mean(per_gen[g]):.1f}"
+                                      for g in sorted(per_gen) if g % 10 == 0)
 
 
-def _report_corr_study(tables) -> None:
+def _corr_study_lines(tables):
     analysis = {(r["n"], r["k"], r["b"]): r for r in tables["analysis_summary"]}
     ea_rows = {(r["n"], r["k"], r["b"]): r for r in tables["ea_summary"]}
-    print("correlation study (no pass threshold applied):")
     for field, label in (("mean_walk_length", "adaptive walk length"),
                          ("tau", "random-walk correlation length")):
         xs, blocks = [], []
@@ -648,9 +602,9 @@ def _report_corr_study(tables) -> None:
                 blocks.append(ea_rows[cell]["mean_final_blocks"])
         if len(xs) >= 2 and np.std(xs) > 0 and np.std(blocks) > 0:
             r = float(np.corrcoef(xs, blocks)[0, 1])
-            print(f"  corr({label}, mean blocks found) = {r:.3f} over {len(xs)} cells")
+            yield f"  corr({label}, mean blocks found) = {r:.3f} over {len(xs)} cells"
         else:
-            print(f"  corr({label}, mean blocks found): undefined over {len(xs)} cells")
+            yield f"  corr({label}, mean blocks found): undefined over {len(xs)} cells"
 
 
 _N10_CELLS = [(10, k, b) for k in range(10) for b in range(1, 6)]
@@ -660,30 +614,46 @@ _N10_CELLS = [(10, k, b) for k in range(10) for b in range(1, 6)]
 PRESETS = {
     "table1": (ExperimentSpec(
         command="analyze", cells=[(8, 4, b) for b in (2, 3, 4)],
-        campaigns={"neutrality": NeutralityCampaign()}), _report_table1),
+        campaigns={"neutrality": NeutralityCampaign()}),
+        ("analysis_summary", "neutral-neighbor proportions, percent (observed | reference),"
+         " n=8 k=4:", _table1_lines)),
     "fig1": (ExperimentSpec(
         command="analyze", cells=_N10_CELLS,
-        campaigns={"random_walks": RandomWalkCampaign()}), _report_tau),
+        campaigns={"random_walks": RandomWalkCampaign()}),
+        ("analysis_summary", "mean correlation length tau by (k, b), n=10"
+         " (reference trend: decreasing in k, flatter for larger b):", _tau_lines)),
     "fig3": (ExperimentSpec(
         command="analyze", cells=_N10_CELLS,
-        campaigns={"random_walks": RandomWalkCampaign()}), _report_rho),
+        campaigns={"random_walks": RandomWalkCampaign()}),
+        ("analysis_summary", "autocorrelation rho(s), s=1..5 shown, n=10:",
+         "  k={k} b={b}: {rho_1:.3f} {rho_2:.3f} {rho_3:.3f} {rho_4:.3f} {rho_5:.3f}")),
     "fig5": (ExperimentSpec(
         command="analyze", cells=_N10_CELLS,
-        campaigns={"adaptive_walks": AdaptiveWalkCampaign()}), _report_adaptive),
+        campaigns={"adaptive_walks": AdaptiveWalkCampaign()}),
+        ("analysis_summary", "adaptive walks, n=10 (reference trends: length decreasing in k"
+         " for small b; optima fitness decreasing in b):",
+         "  k={k} b={b}: mean_length={mean_walk_length:.2f}"
+         " optima_fitness={optima_fitness_mean:.4f}")),
     "fig6": (ExperimentSpec(
         command="evolve", cells=[(8, k, b) for k in range(0, 5) for b in range(2, 6)]),
-        _report_success_rate),
+        ("ea_summary", "EA success rate by (k, b), n=8 (reference trend: decreasing in k,"
+         " steeper for larger b):",
+         "  k={k} b={b}: success_rate={success_rate:.3f}")),
     "fig7": (ExperimentSpec(
         command="evolve", cells=[(10, k, 4) for k in range(0, 6)],
-        ea=ea.EaConfig(stop_on_success=False)), _report_block_traces),
+        ea=ea.EaConfig(stop_on_success=False)),
+        ("ea_traces", "mean best-blocks trace by generation, n=10 b=4"
+         " (every 10th generation):", _block_trace_lines)),
     "fig8": (ExperimentSpec(
         command="evolve", cells=[(16, k, b) for k in range(0, 9) for b in range(2, 6)]),
-        _report_mean_blocks),
+        ("ea_summary", "EA mean blocks of best individual, n=16 (reference trend: decreasing"
+         " as k or b increases):",
+         "  k={k} b={b}: mean_final_blocks={mean_final_blocks:.2f}")),
     "corr-study": (ExperimentSpec(
         command="evolve",
         cells=[(n, k, b) for n in (8, 10, 16) for k in range(0, n // 2 + 1) for b in range(2, 6)],
         campaigns={"random_walks": RandomWalkCampaign(), "adaptive_walks": AdaptiveWalkCampaign()}),
-        _report_corr_study),
+        ("ea_summary", "correlation study (no pass threshold applied):", _corr_study_lines)),
 }
 PRESET_NAMES = tuple(PRESETS)
 
@@ -697,17 +667,22 @@ def build_preset(name: str, scale: float, seed: int) -> ExperimentSpec:
 def cmd_reproduce(name: str, out_dir: Path, seed: int, scale: float, jobs: int) -> int:
     """gen, then analyze if the preset has campaigns and evolve if it evolves, then its report."""
     spec = build_preset(name, scale, seed)
-    report = PRESETS[name][1]
+    table, title, lines = PRESETS[name][1]
     rc = cmd_gen(spec, out_dir, jobs)
     tables: dict = {}
     if rc == 0 and spec.campaigns:
         rc, tables = cmd_analyze(spec, out_dir, jobs)
     if rc == 0 and spec.command == "evolve":
-        # only the trace report reads per-generation rows
-        rc, evolved = cmd_evolve(spec, out_dir, jobs, traces=report is _report_block_traces)
+        # only a report of the traces reads per-generation rows
+        rc, evolved = cmd_evolve(spec, out_dir, jobs, traces=table == "ea_traces")
         tables.update(evolved)
     if rc == 0:
-        report(tables)
+        if isinstance(lines, str):  # one line per row of the table
+            rows = sorted(tables[table], key=lambda r: (r["b"], r["k"]))
+            report = [lines.format(**row) for row in rows]
+        else:
+            report = lines(tables)
+        print(title, *report, sep="\n")
     return rc
 
 

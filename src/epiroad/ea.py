@@ -57,6 +57,7 @@ import numpy as np
 
 from .genotype import (
     Genotype,
+    _letter_lut,
     block_count,
     block_ends,
     decode_rows,
@@ -230,7 +231,7 @@ def run(cfg: EaConfig, landscape) -> RunResult:
     rng = make_rng(cfg.seed, STREAM_EA_RUN)
     n_letters, b = landscape.n_letters, landscape.b
     alphabet = bytes(range(n_letters))
-    letter_bits = [1 << (n_letters - 1 - c) for c in range(n_letters)]
+    letter_bits = _letter_lut(n_letters).tolist()
     table = landscape.bv_fitness.item
     ends_of, memo, memo_size = block_ends, {}, MEMO_SIZE  # read here, so tests may patch them
     size, t, cap = cfg.population, cfg.tournament_size, cfg.max_program_size

@@ -269,8 +269,10 @@ def block_bits_batch(rows: np.ndarray, n_letters: int, b: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _letter_lut(n_letters: int) -> np.ndarray:
-    """Each letter's bit in a packed block vector, then a 0 that PAD (-1) reads."""
-    return np.append(np.left_shift(1, np.arange(n_letters - 1, -1, -1, dtype=np.int64)), 0)
+    """Each letter's bit in a packed block vector, then a 0 that PAD (-1) and letter n read."""
+    lut = np.append(np.left_shift(1, np.arange(n_letters - 1, -1, -1, dtype=np.int64)), 0)
+    lut.flags.writeable = False  # the cache hands this one array to every caller
+    return lut
 
 
 def random_neighbor(

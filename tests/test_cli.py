@@ -762,6 +762,22 @@ def test_scale_shrinks_the_default_campaigns_of_a_spec_without_command(tmp_path)
     assert Counter(r["campaign"] for r in records) == {"random": 20, "adaptive": 2}
 
 
+@pytest.mark.parametrize("command", ["gen", "evolve"])
+@pytest.mark.parametrize("scale", [1, 0.5])
+def test_default_walk_bounds_are_checked_at_every_scale(tmp_path, capsys, command, scale):
+    # a spec with no command and no campaign section runs all three campaigns,
+    # so every command checks their default walk bounds, scaled or not
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"grid": {"n": [4], "k": [1], "b": [2]}, "instances": 2,
+                                "landscape_lambda_max": 10}))
+    assert run_cli([command, "--spec", path, "--out", tmp_path / "out",
+                    "--scale", scale, "--jobs", 1]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"{command}: invalid cell: random_walks walk bound 16 exceeds the landscape "
+        "lambda_max=10 (n=4, k=1, b=2)"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_program_size_is_not_checked_for_a_spec_that_does_not_evolve(tmp_path):
     spec = write_spec(tmp_path / "spec.json", command="analyze", landscape_lambda_max=50,
                       neutrality={"walks": 2, "length": 2})
@@ -833,6 +849,99 @@ def test_every_preset_reproduces_and_reports(tmp_path, capsys, monkeypatch, name
     head = max(i for i, line in enumerate(lines) if ": wrote " in line) + 1
     assert lines[head].startswith(REPORT_HEADS[name])
     assert len(lines) > head + 1 and lines[-1].startswith("  ")
+
+
+# tiny stand-ins for the presets' campaigns and EA sizes
+TINY_CAMPAIGNS = {
+    "random_walks": RandomWalkCampaign(walks=12, length=10, s_max=5),
+    "adaptive_walks": AdaptiveWalkCampaign(walks=6, lambda_max=40),
+    "neutrality": NeutralityCampaign(walks=3, length=4),
+}
+
+# the report each preset prints for its tiny spec (``_tiny_preset``), seed 0
+REPORT_GOLDENS = {
+    "table1": [
+        "neutral-neighbor proportions, percent (observed | reference), n=8 k=4:",
+        "  b=2: lower/equal/higher = 4.7/91.2/4.1 | 7.2/85.8/7.0",
+        "  b=2: lower/equal/higher = 8.7/84.0/7.3 | 7.2/85.8/7.0",
+        "  b=3: lower/equal/higher = 4.3/90.6/5.1 | 2.8/94.4/2.8",
+        "  b=3: lower/equal/higher = 2.7/92.2/5.0 | 2.8/94.4/2.8",
+    ],
+    "fig1": [
+        "mean correlation length tau by (k, b), n=10 (reference trend: decreasing in k, "
+        "flatter for larger b):",
+        "  b=2: k=0:1.42 k=3:1.67",
+        "  b=3: k=0:2.33 k=3:1.61",
+    ],
+    "fig3": [
+        "autocorrelation rho(s), s=1..5 shown, n=10:",
+        "  k=0 b=2: 0.492 0.169 -0.008 -0.098 -0.191",
+        "  k=3 b=2: 0.548 0.229 0.027 -0.182 -0.278",
+        "  k=0 b=3: 0.618 0.312 0.045 -0.173 -0.241",
+        "  k=3 b=3: 0.536 0.166 -0.088 -0.160 -0.174",
+    ],
+    "fig5": [
+        "adaptive walks, n=10 (reference trends: length decreasing in k for small b; "
+        "optima fitness decreasing in b):",
+        "  k=0 b=2: mean_length=3.08 optima_fitness=0.7109",
+        "  k=3 b=2: mean_length=1.08 optima_fitness=0.6506",
+        "  k=0 b=3: mean_length=2.67 optima_fitness=0.4457",
+        "  k=3 b=3: mean_length=1.50 optima_fitness=0.5690",
+    ],
+    "fig6": [
+        "EA success rate by (k, b), n=8 (reference trend: decreasing in k, steeper for larger b):",
+        "  k=0 b=2: success_rate=0.750",
+        "  k=3 b=2: success_rate=0.000",
+        "  k=0 b=3: success_rate=0.000",
+        "  k=3 b=3: success_rate=0.000",
+    ],
+    "fig7": [
+        "mean best-blocks trace by generation, n=10 b=4 (every 10th generation):",
+        "  k=0: 0:1.4 10:4.5",
+        "  k=3: 0:0.9 10:1.0",
+    ],
+    "fig8": [
+        "EA mean blocks of best individual, n=16 (reference trend: decreasing as k or b "
+        "increases):",
+        "  k=0 b=2: mean_final_blocks=5.25",
+        "  k=3 b=2: mean_final_blocks=1.00",
+        "  k=0 b=3: mean_final_blocks=4.25",
+        "  k=3 b=3: mean_final_blocks=1.00",
+    ],
+    "corr-study": [
+        "correlation study (no pass threshold applied):",
+        "  corr(adaptive walk length, mean blocks found) = 0.984 over 4 cells",
+        "  corr(random-walk correlation length, mean blocks found) = 0.160 over 4 cells",
+    ],
+}
+
+
+def _tiny_preset(name, scale, seed):
+    """The preset's command, campaign kinds and EA settings, on four n=6 cells at tiny sizes."""
+    from dataclasses import replace
+
+    from epiroad import cli as cli_mod
+
+    spec = cli_mod.PRESETS[name][0]
+    return cli_mod.ExperimentSpec(
+        command=spec.command, cells=[(6, k, b) for k in (0, 3) for b in (2, 3)],
+        instances=2, seed=seed,
+        campaigns={section: TINY_CAMPAIGNS[section] for section in spec.campaigns},
+        ea=replace(spec.ea, population=20, generations=12, runs=2,
+                   max_creation_size=10, max_program_size=40),
+    )
+
+
+@pytest.mark.parametrize("name", ["table1", "fig1", "fig3", "fig5", "fig6", "fig7", "fig8",
+                                  "corr-study"])
+def test_preset_report_is_golden(tmp_path, capsys, monkeypatch, name):
+    from epiroad import cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "build_preset", _tiny_preset)
+    assert run_cli(["reproduce", "--preset", name, "--out", tmp_path / name, "--jobs", 1]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    head = max(i for i, line in enumerate(lines) if ": wrote " in line) + 1
+    assert lines[head:] == REPORT_GOLDENS[name]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
