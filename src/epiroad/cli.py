@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
@@ -197,12 +198,14 @@ def load_spec(path) -> ExperimentSpec:
         raise SpecError(
             f"spec file: instances must be an integer >= 1, got {data['instances']!r}")
     for section in (*CAMPAIGNS, "ea"):
-        if isinstance(data.get(section), dict) and "seed" in data[section]:
+        if section in data and not isinstance(data[section], dict):
+            raise SpecError(f"spec file: {section} must be a JSON object, got {data[section]!r}")
+        if "seed" in data.get(section, {}):
             raise SpecError(f"spec file: {section}: seed is not read; every run and campaign "
                             f"seed derives from the top-level seed")
     campaigns = {}
     for section, campaign in CAMPAIGNS.items():
-        if data.get(section) is not None:
+        if section in data:
             try:
                 campaigns[section] = campaign(**data[section])
             except (TypeError, ValueError) as exc:
@@ -213,11 +216,8 @@ def load_spec(path) -> ExperimentSpec:
         if lambda_max is None or lambda_max < 1:
             raise SpecError("spec file: landscape_lambda_max must be an integer >= 1, "
                             f"got {data['landscape_lambda_max']!r}")
-    ea_settings = data.get("ea", {})
-    if not isinstance(ea_settings, dict):
-        raise SpecError(f"spec file: ea must be a JSON object, got {ea_settings!r}")
     try:
-        ea_cfg = ea.EaConfig(**ea_settings)
+        ea_cfg = ea.EaConfig(**data.get("ea", {}))
     except (TypeError, ValueError) as exc:
         raise SpecError(f"spec file: ea: {exc}") from None
     cells = _cells_from_grid(data.get("grid", {"n": [], "k": [], "b": []}))
@@ -294,7 +294,8 @@ def fmt(v) -> str:
     return str(v)
 
 
-def write_csv(path: Path, header_lines: list[str], fieldnames: list[str], rows: list[dict]) -> None:
+def write_csv(path: Path, header_lines: list[str], fieldnames: list[str],
+              rows: Iterable[dict]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with landscapes.open_atomic(path, newline="") as fh:
         for line in header_lines:
@@ -303,6 +304,20 @@ def write_csv(path: Path, header_lines: list[str], fieldnames: list[str], rows: 
         writer.writeheader()
         for row in rows:
             writer.writerow({key: fmt(row.get(key, "")) for key in fieldnames})
+
+
+def _parse(text: str):
+    """The int or float that ``fmt`` wrote as ``text``; "" (a None) stays ""."""
+    if not text:
+        return text
+    return int(text) if text.lstrip("-").isdigit() else float(text)
+
+
+def read_csv(path: Path) -> Iterator[dict]:
+    """The rows ``write_csv`` wrote to ``path``, one dict at a time, below its '#' lines."""
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(line for line in fh if not line.startswith("#")):
+            yield {key: _parse(text) for key, text in row.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +337,11 @@ def cmd_gen(spec: ExperimentSpec, out_dir: Path, jobs: int = 1) -> int:
             "stream_format": STREAM_FORMAT}
     units = [(str(path), n, k, b, idx, spec.seed, spec.lambda_max_for(n, b),
               {**prov, "cell": [n, k, b, idx]}) for path, n, k, b, idx in _units(spec, out_dir)]
-    (out_dir / "landscapes").mkdir(parents=True, exist_ok=True)
+    try:
+        (out_dir / "landscapes").mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise SpecError(f"cannot create output directory {out_dir / 'landscapes'}: "
+                        f"{exc.strerror}") from None
     failures: dict[tuple[int, int, int], list[str]] = {}
     written = _map_units_collect(_gen_unit, units, jobs, failures)
     print(f"gen: wrote {len(written)} landscape files under {out_dir / 'landscapes'}")
@@ -394,9 +413,8 @@ def _analysis_fieldnames(campaigns: dict) -> list[str]:
     return names
 
 
-def cmd_analyze(spec: ExperimentSpec, out_dir: Path, jobs: int = 1,
-                raw: bool = False) -> tuple[int, dict]:
-    """Run the walk campaigns: (exit code, {"analysis_summary": per-cell rows})."""
+def cmd_analyze(spec: ExperimentSpec, out_dir: Path, jobs: int = 1, raw: bool = False) -> int:
+    """Run the walk campaigns; write their instance and summary tables to ``out_dir``."""
     campaigns = _analyzed_campaigns(spec)
     raw_dir = str(out_dir / "raw") if raw else None
     rows, failures = _run_landscape_units("analyze", spec, out_dir, jobs, _analyze_unit,
@@ -418,7 +436,7 @@ def cmd_analyze(spec: ExperimentSpec, out_dir: Path, jobs: int = 1,
     write_csv(out_dir / "analysis_summary.csv", header, summary_fields, summary)
     print(f"analyze: wrote {out_dir / 'analysis_instances.csv'} and analysis_summary.csv "
           f"({len(rows)} instance rows)")
-    return _report_failures("analyze", spec, failures), {"analysis_summary": summary}
+    return _report_failures("analyze", spec, failures)
 
 
 def _run_landscape_units(command, spec, out_dir, jobs, fn, extra) -> tuple[list, dict]:
@@ -483,43 +501,29 @@ def _report_failures(command, spec, failures) -> int:
 # evolve
 
 
-def _evolve_unit(args) -> dict:
+def _evolve_unit(args) -> tuple[list[dict], list[tuple[list[float], list[int]]]]:
+    """(one row per run, each run's best-fitness and best-blocks traces if wanted)."""
     path_str, n, k, b, idx, master_seed, cfg, want_traces = args
     ls = landscapes.load_landscape(path_str)
     inst = ea.run_instance(cfg, ls, n, k, b, idx, master_seed)
-    rows = []
-    traces = []
-    for r, res in enumerate(inst.results):
-        rows.append({
-            "n": n, "k": k, "b": b,
-            "instance_seed": inst.instance_seed,
-            "run_index": r,
-            "success": int(res.success),
-            "generations_to_success":
-                res.generations_to_success if res.generations_to_success is not None else "",
-            "final_blocks": res.best_blocks_trace[-1],
-        })
-        if want_traces:
-            for gen, (bf, bb) in enumerate(zip(res.best_fitness_trace, res.best_blocks_trace)):
-                traces.append({
-                    "n": n, "k": k, "b": b,
-                    "instance_seed": inst.instance_seed, "run_index": r,
-                    "generation": gen, "best_fitness": bf, "best_blocks": bb,
-                })
-    return {"rows": rows, "traces": traces}
+    rows = [{"n": n, "k": k, "b": b, "instance_seed": inst.instance_seed, "run_index": r,
+             "success": int(res.success),
+             "generations_to_success":
+                 res.generations_to_success if res.generations_to_success is not None else "",
+             "final_blocks": res.best_blocks_trace[-1]}
+            for r, res in enumerate(inst.results)]
+    traces = [(res.best_fitness_trace, res.best_blocks_trace)
+              for res in inst.results] if want_traces else []
+    return rows, traces
 
 
-def cmd_evolve(spec: ExperimentSpec, out_dir: Path, jobs: int = 1,
-               traces: bool = False) -> tuple[int, dict]:
-    """Run the EA sweep: (exit code, {"ea_summary": per-cell rows, "ea_traces": trace rows}).
-
-    The trace rows are empty unless ``traces`` is set.
-    """
+def cmd_evolve(spec: ExperimentSpec, out_dir: Path, jobs: int = 1, traces: bool = False) -> int:
+    """Run the EA sweep; write its run and summary tables, and traces if asked, to ``out_dir``."""
     # run_instance derives each run's seed from the master seed
     results, failures = _run_landscape_units("evolve", spec, out_dir, jobs, _evolve_unit,
                                              (spec.seed, spec.ea, traces))
 
-    run_rows = [row for res in results for row in res["rows"]]
+    run_rows = [row for rows, _ in results for row in rows]
     header = provenance_lines(spec, "evolve")
     run_fields = ["n", "k", "b", "instance_seed", "run_index", "success",
                   "generations_to_success", "final_blocks"]
@@ -546,53 +550,52 @@ def cmd_evolve(spec: ExperimentSpec, out_dir: Path, jobs: int = 1,
                       "mean_final_blocks", "mean_generations_to_success"]
     write_csv(out_dir / "ea_summary.csv", header, summary_fields, summary)
 
-    trace_rows = [row for res in results for row in res["traces"]]
-    if traces:
-        trace_fields = ["n", "k", "b", "instance_seed", "run_index", "generation",
-                        "best_fitness", "best_blocks"]
-        write_csv(out_dir / "ea_traces.csv", header, trace_fields, trace_rows)
+    if traces:  # one row per run and generation, made as it is written
+        trace_rows = (dict(row, generation=gen, best_fitness=f, best_blocks=blocks)
+                      for rows, runs in results for row, run in zip(rows, runs)
+                      for gen, (f, blocks) in enumerate(zip(*run)))
+        write_csv(out_dir / "ea_traces.csv", header,
+                  run_fields[:5] + ["generation", "best_fitness", "best_blocks"], trace_rows)
 
     print(f"evolve: wrote {out_dir / 'ea_runs.csv'} and ea_summary.csv "
           f"({len(run_rows)} run rows)")
-    return (_report_failures("evolve", spec, failures),
-            {"ea_summary": summary, "ea_traces": trace_rows})
+    return _report_failures("evolve", spec, failures)
 
 
 # ---------------------------------------------------------------------------
 # presets: each report is (table, title, lines) over the tables analyze and evolve
-# return. ``lines`` is a format string for each row of ``table`` in (b, k) order,
-# or a function of all the tables that yields the lines.
+# write. ``lines`` is a format string for each row of ``table`` in (b, k) order,
+# or a function of a table reader (a table's name -> its rows) that yields the lines.
 
 
-def _table1_lines(tables):
-    for row in sorted(tables["analysis_summary"], key=lambda r: r["b"]):
+def _table1_lines(read):
+    for row in sorted(read("analysis_summary"), key=lambda r: r["b"]):
         ref = REFERENCE_NEUTRALITY.get(row["b"])
         obs = (100 * row["frac_lower"], 100 * row["frac_equal"], 100 * row["frac_higher"])
         line = f"  b={row['b']}: lower/equal/higher = {obs[0]:.1f}/{obs[1]:.1f}/{obs[2]:.1f}"
         yield line + (f" | {ref[0]}/{ref[1]}/{ref[2]}" if ref else "")
 
 
-def _tau_lines(tables):
-    summary = tables["analysis_summary"]
+def _tau_lines(read):
+    summary = list(read("analysis_summary"))
     for b in sorted({r["b"] for r in summary}):
         vals = sorted((r["k"], r["tau"]) for r in summary if r["b"] == b)
         yield f"  b={b}: " + " ".join(f"k={k}:{tau:.2f}" for k, tau in vals)
 
 
-def _block_trace_lines(tables):
-    rows = tables["ea_traces"]
-    for k in sorted({r["k"] for r in rows}):
-        per_gen: dict[int, list[float]] = {}
-        for r in rows:
-            if r["k"] == k:
-                per_gen.setdefault(r["generation"], []).append(r["best_blocks"])
-        yield f"  k={k}: " + " ".join(f"{g}:{np.mean(per_gen[g]):.1f}"
-                                      for g in sorted(per_gen) if g % 10 == 0)
+def _block_trace_lines(read):
+    per_k: dict[int, dict[int, list[int]]] = {}  # best_blocks by k and every 10th generation
+    for r in read("ea_traces"):
+        if r["generation"] % 10 == 0:
+            per_k.setdefault(r["k"], {}).setdefault(r["generation"], []).append(r["best_blocks"])
+    for k, per_gen in sorted(per_k.items()):
+        yield f"  k={k}: " + " ".join(f"{g}:{np.mean(blocks):.1f}"
+                                      for g, blocks in sorted(per_gen.items()))
 
 
-def _corr_study_lines(tables):
-    analysis = {(r["n"], r["k"], r["b"]): r for r in tables["analysis_summary"]}
-    ea_rows = {(r["n"], r["k"], r["b"]): r for r in tables["ea_summary"]}
+def _corr_study_lines(read):
+    analysis = {(r["n"], r["k"], r["b"]): r for r in read("analysis_summary")}
+    ea_rows = {(r["n"], r["k"], r["b"]): r for r in read("ea_summary")}
     for field, label in (("mean_walk_length", "adaptive walk length"),
                          ("tau", "random-walk correlation length")):
         xs, blocks = [], []
@@ -665,23 +668,24 @@ def build_preset(name: str, scale: float, seed: int) -> ExperimentSpec:
 
 
 def cmd_reproduce(name: str, out_dir: Path, seed: int, scale: float, jobs: int) -> int:
-    """gen, then analyze if the preset has campaigns and evolve if it evolves, then its report."""
+    """gen, then analyze if the preset has campaigns and evolve if it evolves, then its report.
+
+    The report reads the tables that those commands wrote to ``out_dir``.
+    """
     spec = build_preset(name, scale, seed)
     table, title, lines = PRESETS[name][1]
     rc = cmd_gen(spec, out_dir, jobs)
-    tables: dict = {}
     if rc == 0 and spec.campaigns:
-        rc, tables = cmd_analyze(spec, out_dir, jobs)
+        rc = cmd_analyze(spec, out_dir, jobs)
     if rc == 0 and spec.command == "evolve":
         # only a report of the traces reads per-generation rows
-        rc, evolved = cmd_evolve(spec, out_dir, jobs, traces=table == "ea_traces")
-        tables.update(evolved)
+        rc = cmd_evolve(spec, out_dir, jobs, traces=table == "ea_traces")
     if rc == 0:
         if isinstance(lines, str):  # one line per row of the table
-            rows = sorted(tables[table], key=lambda r: (r["b"], r["k"]))
+            rows = sorted(read_csv(out_dir / f"{table}.csv"), key=lambda r: (r["b"], r["k"]))
             report = [lines.format(**row) for row in rows]
         else:
-            report = lines(tables)
+            report = lines(lambda name: read_csv(out_dir / f"{name}.csv"))
         print(title, *report, sep="\n")
     return rc
 
@@ -756,8 +760,8 @@ def main(argv=None) -> int:
         if args.cmd == "gen":
             return cmd_gen(spec, out_dir, args.jobs)
         if args.cmd == "analyze":
-            return cmd_analyze(spec, out_dir, args.jobs, raw=args.raw)[0]
-        return cmd_evolve(spec, out_dir, args.jobs, traces=args.traces)[0]
+            return cmd_analyze(spec, out_dir, args.jobs, raw=args.raw)
+        return cmd_evolve(spec, out_dir, args.jobs, traces=args.traces)
     except SpecError as exc:
         print(f"{args.cmd}: {exc}", file=sys.stderr)
         return 2
