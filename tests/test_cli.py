@@ -710,6 +710,9 @@ def test_fig6_preset_matches_reported_grid():
     ("neutrality", {"lambda_max": -1}, "lambda_max must be >= 0, got -1"),
     ("adaptive_walks", {"walks": True}, "walks must be int, got True"),
     ("neutrality", {"length": 2.0}, "length must be int, got 2.0"),
+    # a section that is not a mapping fails load_spec's object check
+    pytest.param("neutrality", [5], "must be a JSON object, got [5]",
+                 id="neutrality-settings7-must be a mapping"),
 ])
 @pytest.mark.parametrize("command", ["gen", "analyze"])
 def test_campaign_key_typos_and_types_exit_2(tmp_path, capsys, command, section, settings,
@@ -717,7 +720,8 @@ def test_campaign_key_typos_and_types_exit_2(tmp_path, capsys, command, section,
     spec = write_spec(tmp_path / "spec.json", command="analyze", **{section: settings})
     assert run_cli([command, "--spec", spec, "--out", tmp_path / "out"]) == 2
     err = capsys.readouterr().err
-    assert f"{command}: spec file: {section}: " in err and message in err
+    sep = ": " if isinstance(settings, dict) else " "
+    assert f"{command}: spec file: {section}{sep}" in err and message in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
