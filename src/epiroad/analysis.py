@@ -26,16 +26,17 @@ together.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .genotype import (
+    NO_MOVE,
     PAD,
     Genotype,
     _letter_lut,
+    check_field_types,
     decode_rows,
     neighbor_matrix,
     random_genotype,  # noqa: F401  (no caller here; benchmarks/recorder.py wraps this binding)
@@ -57,10 +58,6 @@ WALK_BLOCK = 256
 ADAPTIVE_BLOCK = 64
 
 
-# A walk under lambda_max = 0 stays at the empty genotype, which has no neighbor.
-_NO_MOVE = "the empty genotype has no feasible neighbor under lambda_max=0"
-
-
 def check_walk_sizes(walks: int, length: int) -> None:
     """The bound every walk campaign puts on its walk count and walk length."""
     if walks < 1 or length < 0:
@@ -68,13 +65,8 @@ def check_walk_sizes(walks: int, length: int) -> None:
 
 
 def _check_campaign(campaign) -> None:
-    """Every field an int (bool is not one); a ``lambda_max`` that may be None, else >= 0."""
-    for f in fields(campaign):
-        value = getattr(campaign, f.name)
-        if value is None and f.type == "int | None":
-            continue
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise TypeError(f"{f.name} must be int, got {value!r}")
+    """Every field an int; a ``lambda_max`` that may be None, else >= 0."""
+    check_field_types(campaign)
     if campaign.lambda_max is not None and campaign.lambda_max < 0:
         raise ValueError(f"lambda_max must be >= 0, got {campaign.lambda_max}")
 
@@ -99,7 +91,10 @@ class RandomWalkCampaign:
         if not 0 <= self.s_max <= self.length:
             raise ValueError(f"s_max must lie in [0, length={self.length}], got {self.s_max}")
         if self.lambda_max == 0 and self.length > 0:
-            raise ValueError(_NO_MOVE)
+            raise ValueError(NO_MOVE)
+
+    def cap(self, params) -> int:
+        return _walk_cap(params, self.lambda_max)
 
 
 @dataclass(frozen=True)
@@ -112,6 +107,9 @@ class AdaptiveWalkCampaign:
         _check_campaign(self)
         if self.walks < 2:  # local_optima_stats needs two endpoints
             raise ValueError(f"walks must be >= 2, got {self.walks}")
+
+    def cap(self, params) -> int:
+        return _walk_cap(params, self.lambda_max)
 
 
 @dataclass(frozen=True)
@@ -127,7 +125,11 @@ class NeutralityCampaign:
         _check_campaign(self)
         check_walk_sizes(self.walks, self.length)
         if self.lambda_max == 0:  # even at length 0 the empty start has none to classify
-            raise ValueError(_NO_MOVE)
+            raise ValueError(NO_MOVE)
+
+    def cap(self, params) -> int:
+        # lambda_max is None (the landscape's own) or at least 1
+        return _walk_cap(params, self.lambda_max or params.lambda_max)
 
 
 @dataclass
@@ -148,12 +150,15 @@ class WalkStats:
     est_optima_distance: float | None = None
 
 
-def _walk_cap(landscape, lambda_max: int | None) -> int:
-    cap = 2 * landscape.n_letters * landscape.b if lambda_max is None else lambda_max
-    if cap > landscape.lambda_max:
-        raise ValueError(
-            f"walk bound {cap} exceeds landscape lambda_max={landscape.lambda_max}"
-        )
+def _walk_cap(params, lambda_max: int | None) -> int:
+    """A walk's length cap: ``lambda_max``, or 2 * n_letters * b when it is None.
+
+    It must fit the landscape's lambda_max. ``params`` is the landscape's
+    ``BlockParams``, or the landscape itself, which has the same fields.
+    """
+    cap = 2 * params.n_letters * params.b if lambda_max is None else lambda_max
+    if cap > params.lambda_max:
+        raise ValueError(f"walk bound {cap} exceeds the landscape lambda_max={params.lambda_max}")
     return cap
 
 
@@ -247,7 +252,7 @@ def correlation_length(rho1: float) -> float:
 
 def run_random_walk_campaign(landscape, campaign: RandomWalkCampaign):
     """(WalkStats, raw) with rho for lags 0..s_max and tau from rho(1)."""
-    cap = _walk_cap(landscape, campaign.lambda_max)
+    cap = campaign.cap(landscape)
     series = np.empty((campaign.walks, campaign.length + 1))
     for block, t, _, _, fits in _lockstep_walks(landscape, campaign.walks, campaign.length, cap,
                                                 campaign.seed, STREAM_RANDOM_WALK):
@@ -271,7 +276,7 @@ def _lockstep_walks(landscape, walks: int, length: int, cap: int, seed: int, str
     """
     n = landscape.n_letters
     if cap == 0 and length > 0:
-        raise ValueError(_NO_MOVE)
+        raise ValueError(NO_MOVE)
     rng = make_rng(seed, stream)
     for lo in range(0, walks, WALK_BLOCK):
         block = slice(lo, min(lo + WALK_BLOCK, walks))
@@ -398,7 +403,7 @@ def run_adaptive_walk_campaign(landscape, campaign: AdaptiveWalkCampaign):
     row in one pass (``_neighbor_fitness``), and a walk leaves the matrix
     when it stops, making room for the campaign's next walk.
     """
-    cap = _walk_cap(landscape, campaign.lambda_max)
+    cap = campaign.cap(landscape)
     n = landscape.n_letters
     finals = np.empty(campaign.walks)
     lengths = np.zeros(campaign.walks, dtype=np.int64)
@@ -605,8 +610,7 @@ def neutrality_scan(landscape, campaign: NeutralityCampaign) -> tuple[float, flo
     The walks step as in the correlation campaign (``_lockstep_walks``) but
     roam the full search space: the cap defaults to the landscape's own lambda_max.
     """
-    # a campaign's lambda_max is None (the landscape's own) or at least 1
-    cap = _walk_cap(landscape, campaign.lambda_max or landscape.lambda_max)
+    cap = campaign.cap(landscape)
     counts = np.zeros(3, np.int64)
     for _, _, rows, lams, fits in _lockstep_walks(landscape, campaign.walks, campaign.length,
                                                   cap, campaign.seed, STREAM_NEUTRALITY):

@@ -40,7 +40,7 @@ from .analysis import (
     run_adaptive_walk_campaign,
     run_random_walk_campaign,
 )
-from .genotype import to_text
+from .genotype import BlockParams, to_text
 from .seeds import (
     STREAM_ADAPTIVE_WALK,
     STREAM_FORMAT,
@@ -130,6 +130,9 @@ def _cells_from_grid(grid) -> list[tuple[int, int, int]]:
     """Every (n, k, b) of a grid whose ``n``, ``k`` and ``b`` are lists of integers."""
     if not isinstance(grid, dict):
         raise SpecError(f"grid must be a JSON object, got {grid!r}")
+    unknown = sorted(set(grid) - {"n", "k", "b"})
+    if unknown:
+        raise SpecError(f"grid: unknown keys {unknown}; known: ['b', 'k', 'n']")
 
     def axis(key: str) -> list[int]:
         if key not in grid:
@@ -146,36 +149,29 @@ def _cells_from_grid(grid) -> list[tuple[int, int, int]]:
 
 
 def validate_cells(spec: ExperimentSpec, command: str) -> None:
-    """Check every cell, its landscapes' cap, and every walk or program bound against it.
+    """Check every cell as the runs of ``command``, or of the spec's command, will.
 
-    The bounds are those of what ``command``, or the command the spec
-    declares, runs; the cap is ``spec.lambda_max_for(n, b)``.
+    The checks are the runs' own: the landscape's (``BlockParams`` at the cap
+    ``spec.lambda_max_for(n, b)``, ``nk.check_k``, ``nk.check_n``), each
+    campaign's ``cap`` and the EA's ``check_fits``. The first that fails ends
+    the command with a message naming its section and the cell.
     """
     commands = {command, spec.command}
     sections = _analyzed_campaigns(spec) if "analyze" in commands else spec.campaigns
-    walk_caps = {name: campaign.lambda_max for name, campaign in sections.items()}
-    program_cap = spec.ea.max_program_size if "evolve" in commands else None
+    checks = {name: campaign.cap for name, campaign in sections.items()}
+    if "evolve" in commands:
+        checks["ea"] = spec.ea.check_fits
     for n, k, b in spec.cells:
-        if not 0 <= k <= n - 1:
-            raise SpecError(f"invalid cell: k={k} must lie in [0, n-1] for n={n}")
-        if b < 1:
-            raise SpecError(f"invalid cell: b={b} must be >= 1 (n={n}, k={k})")
-        if n > nk.EXHAUSTIVE_BOUND:
-            raise SpecError(
-                f"invalid cell: n={n} exceeds the exhaustive bound {nk.EXHAUSTIVE_BOUND}")
-        lambda_max = spec.lambda_max_for(n, b)
-        if lambda_max < n * b:
-            raise SpecError(f"invalid cell: the landscape lambda_max={lambda_max} cannot hold "
-                            f"one block per letter, n*b={n * b} (n={n}, k={k}, b={b})")
-        # without its own cap a random walk stays within 2nb, a neutrality scan
-        # within the landscape's lambda_max
-        bounds = {f"{name} walk bound": 2 * n * b if cap is None and name == "random_walks"
-                  else cap for name, cap in walk_caps.items()}
-        bounds["ea max_program_size"] = program_cap
-        for what, bound in bounds.items():
-            if bound is not None and bound > lambda_max:
-                raise SpecError(f"invalid cell: {what} {bound} exceeds the landscape "
-                                f"lambda_max={lambda_max} (n={n}, k={k}, b={b})")
+        section = ""
+        try:
+            params = BlockParams(n, b, spec.lambda_max_for(n, b))
+            nk.check_k(n, k)
+            nk.check_n(n)
+            for section, check in checks.items():
+                check(params)
+        except ValueError as exc:
+            where = f"{section} " if section else ""
+            raise SpecError(f"invalid cell: {where}{exc} (n={n}, k={k}, b={b})") from None
 
 
 def load_spec(path) -> ExperimentSpec:
@@ -273,19 +269,17 @@ def _units(spec: ExperimentSpec, out_dir: Path):
             yield landscape_path(out_dir, n, k, b, idx), n, k, b, idx
 
 
-def provenance_lines(spec: ExperimentSpec, command: str, timestamp: bool = True) -> list[str]:
+def provenance_lines(spec: ExperimentSpec, command: str) -> list[str]:
     cells = " ".join(f"n{n}k{k}b{b}" for n, k, b in spec.cells)
-    lines = [
+    return [
         f"# artifact: {ARTIFACT}",
         f"# command: {command}",
         f"# spec_sha256: {spec.sha256()}",
         f"# master_seed: {spec.seed}",
         f"# stream_format: {STREAM_FORMAT}",
         f"# cells: {cells} instances={spec.instances}",
+        f"# generated: {datetime.now(timezone.utc).isoformat()}",
     ]
-    if timestamp:
-        lines.append(f"# generated: {datetime.now(timezone.utc).isoformat()}")
-    return lines
 
 
 def fmt(v) -> str:
@@ -505,15 +499,15 @@ def _evolve_unit(args) -> tuple[list[dict], list[tuple[list[float], list[int]]]]
     """(one row per run, each run's best-fitness and best-blocks traces if wanted)."""
     path_str, n, k, b, idx, master_seed, cfg, want_traces = args
     ls = landscapes.load_landscape(path_str)
-    inst = ea.run_instance(cfg, ls, n, k, b, idx, master_seed)
-    rows = [{"n": n, "k": k, "b": b, "instance_seed": inst.instance_seed, "run_index": r,
+    results = ea.run_instance(cfg, ls, n, k, b, idx, master_seed)
+    rows = [{"n": n, "k": k, "b": b, "instance_seed": ls.nk.seed, "run_index": r,
              "success": int(res.success),
              "generations_to_success":
                  res.generations_to_success if res.generations_to_success is not None else "",
              "final_blocks": res.best_blocks_trace[-1]}
-            for r, res in enumerate(inst.results)]
+            for r, res in enumerate(results)]
     traces = [(res.best_fitness_trace, res.best_blocks_trace)
-              for res in inst.results] if want_traces else []
+              for res in results] if want_traces else []
     return rows, traces
 
 

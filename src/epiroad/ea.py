@@ -50,8 +50,7 @@ fitness instead of being evaluated again.
 
 from __future__ import annotations
 
-import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,16 +59,13 @@ from .genotype import (
     _letter_lut,
     block_count,
     block_ends,
+    check_field_types,
     decode_rows,
     random_genotype,  # noqa: F401  (no caller here; benchmarks/recorder.py wraps this binding)
     validate_genotype,
 )
 from .landscapes import is_success
 from .seeds import STREAM_EA_RUN, STREAM_LANDSCAPE_SEED, UniformPool, derive_seed, make_rng
-
-
-# Accepted values per annotated field type; bool is never an int or a float here.
-_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}
 
 # Rows of the initial population drawn and scored together; the population
 # does not depend on it, only the size of its temporaries does.
@@ -95,11 +91,7 @@ class EaConfig:
     stop_on_success: bool = True
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) != (f.type == "bool") or \
-                    not isinstance(value, _FIELD_TYPES[f.type]):
-                raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
+        check_field_types(self)
         if not 0.0 <= self.mutation_rate <= 1.0:
             raise ValueError(f"mutation_rate must lie in [0, 1], got {self.mutation_rate}")
         if not 0.0 <= self.crossover_rate <= 1.0:
@@ -115,6 +107,12 @@ class EaConfig:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         if self.max_creation_size < 0 or self.seed < 0:
             raise ValueError("max_creation_size and seed must be >= 0")
+
+    def check_fits(self, params) -> None:
+        """Programs fit the landscape: ``params`` is its ``BlockParams``, or the landscape."""
+        if self.max_program_size > params.lambda_max:
+            raise ValueError(f"max_program_size {self.max_program_size} exceeds the landscape "
+                             f"lambda_max={params.lambda_max}")
 
 
 @dataclass
@@ -223,11 +221,7 @@ def elitist_victim(fits: np.ndarray, best_idx: int) -> int:
 
 def run(cfg: EaConfig, landscape) -> RunResult:
     """One seeded EA run; traces are recorded at every generation boundary."""
-    if cfg.max_program_size > landscape.lambda_max:
-        raise ValueError(
-            f"max_program_size={cfg.max_program_size} exceeds landscape "
-            f"lambda_max={landscape.lambda_max}"
-        )
+    cfg.check_fits(landscape)
     rng = make_rng(cfg.seed, STREAM_EA_RUN)
     n_letters, b = landscape.n_letters, landscape.b
     alphabet = bytes(range(n_letters))
@@ -348,18 +342,6 @@ def run(cfg: EaConfig, landscape) -> RunResult:
     )
 
 
-@dataclass
-class InstanceRuns:
-    """All runs of one config on one landscape instance."""
-
-    n: int
-    k: int
-    b: int
-    instance_index: int
-    instance_seed: int
-    results: list[RunResult] = field(default_factory=list)
-
-
 def landscape_seed(master_seed: int, n: int, k: int, b: int, instance_index: int) -> int:
     return derive_seed(master_seed, STREAM_LANDSCAPE_SEED, n, k, b, instance_index)
 
@@ -369,12 +351,8 @@ def run_seed(master_seed: int, n: int, k: int, b: int, instance_index: int, run_
 
 
 def run_instance(cfg: EaConfig, landscape, n: int, k: int, b: int,
-                 instance_index: int, master_seed: int) -> InstanceRuns:
+                 instance_index: int, master_seed: int) -> list[RunResult]:
     """cfg.runs independent runs on one landscape, each with a derived child seed."""
-    out = InstanceRuns(n=n, k=k, b=b, instance_index=instance_index,
-                       instance_seed=landscape.nk.seed)
-    for r in range(cfg.runs):
-        run_cfg = replace(cfg, seed=run_seed(master_seed, n, k, b, instance_index, r))
-        out.results.append(run(run_cfg, landscape))
-    return out
+    return [run(replace(cfg, seed=run_seed(master_seed, n, k, b, instance_index, r)), landscape)
+            for r in range(cfg.runs)]
 

@@ -15,7 +15,8 @@ the count holds exactly for every genotype.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -34,6 +35,12 @@ _LANES: dict[int, tuple[int, int]] = {}  # length -> (0x7F in every lane, 0x80 i
 # Display letters for text round-trips, DNA-style first four.
 DISPLAY_LETTERS = "ATGCBDEFHIJKLMNOPQRSUVWXYZ"
 
+# A walk under lambda_max = 0 stays at the empty genotype, which has no neighbor.
+NO_MOVE = "the empty genotype has no feasible neighbor under lambda_max=0"
+
+# The accepted values of each annotated field type; a bool is never an int or a float.
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}
+
 
 @dataclass(frozen=True)
 class BlockParams:
@@ -46,13 +53,30 @@ class BlockParams:
     def __post_init__(self):
         if self.n_letters < 1:
             raise ValueError(f"n_letters must be >= 1, got {self.n_letters}")
-        if self.b < 1:
-            raise ValueError(f"block size b must be >= 1, got {self.b}")
+        _check_b(self.b)
         if self.lambda_max < self.n_letters * self.b:
-            raise ValueError(
-                f"lambda_max={self.lambda_max} cannot hold one block per letter "
-                f"(needs >= n_letters * b = {self.n_letters * self.b})"
-            )
+            raise ValueError(f"the landscape lambda_max={self.lambda_max} cannot hold one block "
+                             f"per letter, n*b={self.n_letters * self.b}")
+
+
+def _check_b(b: int) -> None:
+    if b < 1:
+        raise ValueError(f"block size b must be >= 1, got {b}")
+
+
+def check_field_types(config) -> None:
+    """Every field of the dataclass ``config`` holds a value of its annotated type.
+
+    The types are int, float and bool, and ``int | None`` for a field that may be None.
+    """
+    for f in fields(config):
+        value = getattr(config, f.name)
+        kind, _, optional = f.type.partition(" | ")
+        if value is None and optional:
+            continue
+        if isinstance(value, bool) != (kind == "bool") or \
+                not isinstance(value, _FIELD_TYPES[kind]):
+            raise TypeError(f"{f.name} must be {kind}, got {value!r}")
 
 
 def validate_genotype(g, n_letters: int) -> None:
@@ -63,8 +87,7 @@ def validate_genotype(g, n_letters: int) -> None:
 
 def has_block(g, letter: int, b: int) -> bool:
     """True iff some contiguous run of at least ``b`` copies of ``letter`` exists."""
-    if b < 1:
-        raise ValueError(f"block size b must be >= 1, got {b}")
+    _check_b(b)
     run = 0
     for s in g:
         if s == letter:
@@ -129,8 +152,7 @@ def block_bits(g, n_letters: int, b: int) -> int:
             raise
     if x.translate(None, _ALPHABETS[n_letters]):
         validate_genotype(g, n_letters)  # names the first foreign letter
-    if b < 1:
-        raise ValueError(f"block size b must be >= 1, got {b}")
+    _check_b(b)
     bits = 0
     for c in set(block_ends(x, b)):
         bits |= 1 << (n_letters - 1 - c)
@@ -286,7 +308,7 @@ def random_neighbor(
     lam = len(g)
     n = n_letters
     if lam == 0 and lambda_max is not None and lambda_max < 1:
-        raise ValueError("the empty genotype has no feasible neighbor under lambda_max=0")
+        raise ValueError(NO_MOVE)
     total = (2 * lam + 1) * n
     while True:
         op = int(rng.integers(total))

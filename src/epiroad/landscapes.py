@@ -85,8 +85,7 @@ ErLandscape = BlockLandscape
 def royal_road(params: BlockParams) -> BlockLandscape:
     """Fraction of letters whose block is present: n_blocks / n_letters."""
     n = params.n_letters
-    if n > nk.EXHAUSTIVE_BOUND:
-        raise ValueError(f"n={n} exceeds the exhaustive bound {nk.EXHAUSTIVE_BOUND}")
+    nk.check_n(n)
     counts = np.zeros(1)
     for _ in range(n):  # a new top bit adds one block to every lower vector
         counts = np.concatenate([counts, counts + 1])

@@ -52,10 +52,21 @@ class NkInstance:
     mask: int = 0  # xor relabeling applied by relabel; 0 = raw instance
 
 
-def generate(n: int, k: int, kind: str, seed: int) -> NkInstance:
-    """Seeded instance with adjacent (periodic) or uniformly random link sets."""
+def check_k(n: int, k: int) -> None:
+    """Each locus links to k of the other n - 1 loci."""
     if not 0 <= k <= n - 1:
         raise ValueError(f"k must lie in [0, {n - 1}], got {k}")
+
+
+def check_n(n: int) -> None:
+    """The 2**n strings are enumerated, which is practical up to EXHAUSTIVE_BOUND."""
+    if n > EXHAUSTIVE_BOUND:
+        raise ValueError(f"n={n} exceeds the exhaustive bound {EXHAUSTIVE_BOUND}")
+
+
+def generate(n: int, k: int, kind: str, seed: int) -> NkInstance:
+    """Seeded instance with adjacent (periodic) or uniformly random link sets."""
+    check_k(n, k)
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     rng = make_rng(seed, STREAM_NK_INSTANCE)
@@ -117,10 +128,8 @@ def all_fitness_values(inst: NkInstance) -> np.ndarray:
     Element-wise identical to :func:`fitness`: every element starts at 0.0,
     adds its locus components in locus order 0..n-1 and is divided by n.
     """
-    n = inst.n
-    if n > EXHAUSTIVE_BOUND:
-        raise ValueError(f"n={n} exceeds the exhaustive bound {EXHAUSTIVE_BOUND}")
-    return _chunk_values(inst, 0, 1 << n)
+    check_n(inst.n)
+    return _chunk_values(inst, 0, 1 << inst.n)
 
 
 def _chunk_values(inst: NkInstance, lo: int, hi: int) -> np.ndarray:
@@ -210,8 +219,7 @@ def random_walk(inst: NkInstance, start, length: int, rng: np.random.Generator) 
 
 def theoretical_rho(n: int, k: int, s: int) -> float:
     """Random-walk autocorrelation at lag s: (1 - (k+1)/n) ** s."""
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"k must lie in [0, {n - 1}], got {k}")
+    check_k(n, k)
     if s < 0:
         raise ValueError(f"lag must be >= 0, got {s}")
     return (1.0 - (k + 1) / n) ** s
@@ -234,8 +242,7 @@ def theoretical_optima_stats(
 
     Defaults are the uniform-component constants mu = 1/2, sigma = sqrt(1/12).
     """
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"k must lie in [0, {n - 1}], got {k}")
+    check_k(n, k)
     kk = k + 1
     mean = mu + sigma * math.sqrt(2.0 * math.log(kk) / kk)
     var = kk * sigma**2 / (n * (kk + 2.0 * (k + 2) * math.log(kk)))

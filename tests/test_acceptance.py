@@ -221,8 +221,7 @@ def test_criterion_7_ea_desk_scale():
         for i in range(3):
             L = _er(8, k, 2, i)
             cfg = ea.EaConfig(population=200, generations=100, runs=10)
-            inst = ea.run_instance(cfg, L, 8, k, 2, i, MASTER)
-            for res in inst.results:
+            for res in ea.run_instance(cfg, L, 8, k, 2, i, MASTER):
                 monotone &= all(
                     a <= c for a, c in
                     zip(res.best_fitness_trace, res.best_fitness_trace[1:])

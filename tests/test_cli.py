@@ -12,8 +12,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from epiroad.analysis import AdaptiveWalkCampaign, NeutralityCampaign, RandomWalkCampaign
-from epiroad.cli import main
+from epiroad import ea, landscapes, nk
+from epiroad.analysis import (
+    AdaptiveWalkCampaign,
+    NeutralityCampaign,
+    RandomWalkCampaign,
+    neutrality_scan,
+    run_adaptive_walk_campaign,
+    run_random_walk_campaign,
+)
+from epiroad.cli import load_spec, main, validate_cells
 from epiroad.ea import EaConfig
 
 
@@ -441,10 +449,10 @@ def test_evolve_traces_are_streamed_to_the_file(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert cli_mod.cmd_gen(spec, out) == 0
     generations = 20_000
-    canned = ea.InstanceRuns(n=6, k=0, b=2, instance_index=0, instance_seed=7, results=[
+    canned = [
         ea.RunResult(best_fitness_trace=[g / generations for g in range(generations + 1)],
                      best_blocks_trace=[g % 7 for g in range(generations + 1)], success=False)
-        for _ in range(EVOLVE_SPEC["ea"]["runs"])])
+        for _ in range(EVOLVE_SPEC["ea"]["runs"])]
     monkeypatch.setattr(cli_mod.ea, "run_instance", lambda *args: canned)
     tracemalloc.start()
     try:
@@ -452,7 +460,7 @@ def test_evolve_traces_are_streamed_to_the_file(tmp_path, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    rows = len(canned.results) * (generations + 1)
+    rows = len(canned) * (generations + 1)
     assert peak < 64 * rows, f"{peak / rows:.0f} bytes per trace row"
     assert rc == 0 and len(csv_body(out / "ea_traces.csv")) == 1 + rows
 
@@ -848,6 +856,96 @@ def test_default_walk_bounds_are_checked_at_every_scale(tmp_path, capsys, comman
     assert capsys.readouterr().err.splitlines() == [
         f"{command}: invalid cell: random_walks walk bound 16 exceeds the landscape "
         "lambda_max=10 (n=4, k=1, b=2)"]
+    assert not (tmp_path / "out").exists()
+
+
+def _er(n=6, k=0, b=2, lambda_max=100):
+    return landscapes.er_build(n, k, b, lambda_max, seed=1)
+
+
+TINY_EA = {"population": 20, "generations": 1, "runs": 1, "max_creation_size": 10}
+
+# rule: (the commands that check it, the spec at value v, the run's own check
+# at v, the value that breaks the rule, its boundary, the message at the
+# breaking value after "invalid cell: "); the spec's cell is n=6, k=0, b=2
+# unless it says otherwise
+DRIFT_RULES = {
+    "k = n": (("gen", "analyze", "evolve"), lambda v: {"grid": {"n": [6], "k": [v], "b": [2]}},
+              lambda v: _er(k=v), 6, 5, "k must lie in [0, 5], got 6 (n=6, k=6, b=2)"),
+    "b = 0": (("gen", "analyze", "evolve"), lambda v: {"grid": {"n": [6], "k": [0], "b": [v]}},
+              lambda v: _er(b=v), 0, 1, "block size b must be >= 1, got 0 (n=6, k=0, b=0)"),
+    # the check nk.all_fitness_values makes; a build at n = 24 would take 2**24 values
+    "n = 25": (("gen", "analyze", "evolve"), lambda v: {"grid": {"n": [v], "k": [0], "b": [2]}},
+               nk.check_n, 25, 24, "n=25 exceeds the exhaustive bound 24 (n=25, k=0, b=2)"),
+    "lambda_max < n*b": (
+        ("gen", "analyze", "evolve"),
+        # sections whose caps fit 32, so the boundary also passes analyze and evolve
+        lambda v: {"grid": {"n": [8], "k": [2], "b": [4]}, "landscape_lambda_max": v,
+                   "neutrality": {"walks": 2, "length": 2},
+                   "ea": {**TINY_EA, "max_program_size": 20}},
+        lambda v: _er(8, 2, 4, v), 31, 32,
+        "the landscape lambda_max=31 cannot hold one block per letter, n*b=32 (n=8, k=2, b=4)"),
+    "random_walks cap": (
+        ("gen", "analyze"),
+        lambda v: {"command": "analyze", "landscape_lambda_max": v,
+                   "random_walks": {"walks": 2, "length": 2, "s_max": 1}},
+        lambda v: run_random_walk_campaign(_er(lambda_max=v),
+                                           RandomWalkCampaign(walks=2, length=2, s_max=1)),
+        23, 24, "random_walks walk bound 24 exceeds the landscape lambda_max=23 (n=6, k=0, b=2)"),
+    "adaptive_walks cap": (
+        ("gen", "analyze"),
+        lambda v: {"command": "analyze", "landscape_lambda_max": v,
+                   "adaptive_walks": {"walks": 2, "lambda_max": 30}},
+        lambda v: run_adaptive_walk_campaign(_er(lambda_max=v),
+                                             AdaptiveWalkCampaign(walks=2, lambda_max=30)),
+        29, 30, "adaptive_walks walk bound 30 exceeds the landscape lambda_max=29 (n=6, k=0, b=2)"),
+    "neutrality cap": (
+        ("gen", "analyze"),
+        lambda v: {"command": "analyze", "landscape_lambda_max": v,
+                   "neutrality": {"walks": 2, "length": 2, "lambda_max": 30}},
+        lambda v: neutrality_scan(_er(lambda_max=v),
+                                  NeutralityCampaign(walks=2, length=2, lambda_max=30)),
+        29, 30, "neutrality walk bound 30 exceeds the landscape lambda_max=29 (n=6, k=0, b=2)"),
+    # analyze checks its default campaigns too, adaptive walks at 50
+    "ea program cap": (
+        ("gen", "analyze", "evolve"),
+        lambda v: {"command": "evolve", "landscape_lambda_max": v,
+                   "ea": {**TINY_EA, "max_program_size": 60}},
+        lambda v: ea.run(EaConfig(**TINY_EA, max_program_size=60), _er(lambda_max=v)),
+        59, 60, "ea max_program_size 60 exceeds the landscape lambda_max=59 (n=6, k=0, b=2)"),
+}
+
+
+@pytest.mark.parametrize("rule, command", [(rule, command) for rule, (commands, *_)
+                                           in DRIFT_RULES.items() for command in commands])
+def test_cell_checks_are_the_runs_own(tmp_path, capsys, rule, command):
+    _, spec_at, run_at, broken, boundary, message = DRIFT_RULES[rule]
+
+    def spec(name, v):
+        return write_spec(tmp_path / name, **{"grid": {"n": [6], "k": [0], "b": [2]},
+                                              "instances": 1, **spec_at(v)})
+
+    assert run_cli([command, "--spec", spec("broken.json", broken),
+                    "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == f"{command}: invalid cell: {message}"
+    with pytest.raises(ValueError) as exc:
+        run_at(broken)
+    assert str(exc.value) in err[-1]
+    # the boundary passes the command's check and the run's
+    validate_cells(load_spec(spec("boundary.json", boundary)), command)
+    run_at(boundary)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "analyze", "evolve"])
+def test_unknown_grid_key_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"grid": {"n": [4], "k": [1], "b": [2], "lambda": [30]},
+                                "instances": 1, "neutrality": {"walks": 2, "length": 2}}))
+    assert run_cli([command, "--spec", path, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"{command}: grid: unknown keys ['lambda']; known: ['b', 'k', 'n']"]
     assert not (tmp_path / "out").exists()
 
 

@@ -298,14 +298,12 @@ def test_run_instance_is_reproducible():
     L = er_build(8, 0, 2, 100, seed=36)
     cfg = small_cfg(population=80, generations=25, runs=3,
                     max_program_size=100, max_creation_size=50)
-    inst = run_instance(cfg, L, 8, 0, 2, 0, master_seed=99)
-    assert len(inst.results) == 3
-    assert all(len(r.best_blocks_trace) == cfg.generations + 1 for r in inst.results)
+    runs = run_instance(cfg, L, 8, 0, 2, 0, master_seed=99)
+    assert len(runs) == 3
+    assert all(len(r.best_blocks_trace) == cfg.generations + 1 for r in runs)
     # derived child seeds make instances reproducible
-    inst2 = run_instance(cfg, L, 8, 0, 2, 0, master_seed=99)
-    assert [r.best_fitness_trace for r in inst.results] == [
-        r.best_fitness_trace for r in inst2.results
-    ]
+    runs2 = run_instance(cfg, L, 8, 0, 2, 0, master_seed=99)
+    assert [r.best_fitness_trace for r in runs] == [r.best_fitness_trace for r in runs2]
 
 
 def test_run_rejects_program_size_beyond_landscape():
