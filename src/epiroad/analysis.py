@@ -18,9 +18,9 @@ site, with no neighbor matrix, and break ties as the scalar
 campaign's next walk takes its row. The scalar walks are kept as test oracles.
 Each campaign reads its uniforms from one random stream in walk order, walk w
 taking row w of ``random((walks, D))`` (stream format 5); an adaptive walk
-that ties also opens its own child stream, derived from (campaign seed, walk
-index). Pooled results are therefore identical no matter how many walks step
-together.
+that ties also opens its own child stream, derived from (the seed argument,
+walk index). Pooled results are therefore identical no matter how many walks
+step together.
 """
 
 from __future__ import annotations
@@ -83,7 +83,6 @@ class RandomWalkCampaign:
     length: int = 35
     lambda_max: int | None = None
     s_max: int = 20
-    seed: int = 0
 
     def __post_init__(self):
         _check_campaign(self)
@@ -101,7 +100,6 @@ class RandomWalkCampaign:
 class AdaptiveWalkCampaign:
     walks: int = 2_000
     lambda_max: int = 50
-    seed: int = 0
 
     def __post_init__(self):
         _check_campaign(self)
@@ -119,7 +117,6 @@ class NeutralityCampaign:
     walks: int = 2_000
     length: int = 20
     lambda_max: int | None = None
-    seed: int = 0
 
     def __post_init__(self):
         _check_campaign(self)
@@ -250,12 +247,12 @@ def correlation_length(rho1: float) -> float:
     return -1.0 / math.log(rho1)
 
 
-def run_random_walk_campaign(landscape, campaign: RandomWalkCampaign):
+def run_random_walk_campaign(landscape, campaign: RandomWalkCampaign, seed: int):
     """(WalkStats, raw) with rho for lags 0..s_max and tau from rho(1)."""
     cap = campaign.cap(landscape)
     series = np.empty((campaign.walks, campaign.length + 1))
     for block, t, _, _, fits in _lockstep_walks(landscape, campaign.walks, campaign.length, cap,
-                                                campaign.seed, STREAM_RANDOM_WALK):
+                                                seed, STREAM_RANDOM_WALK):
         series[block, t] = fits
     rho = _walk_rhos(series, range(campaign.s_max + 1))
     tau = correlation_length(rho[1]) if campaign.s_max >= 1 else math.nan
@@ -390,7 +387,7 @@ def local_optima_stats(final_fitnesses, lengths) -> WalkStats:
     )
 
 
-def run_adaptive_walk_campaign(landscape, campaign: AdaptiveWalkCampaign):
+def run_adaptive_walk_campaign(landscape, campaign: AdaptiveWalkCampaign, seed: int):
     """(WalkStats, raw) over greedy walks from random starts.
 
     Walk w decodes its start (``genotype.decode_rows``) from row w of
@@ -408,7 +405,7 @@ def run_adaptive_walk_campaign(landscape, campaign: AdaptiveWalkCampaign):
     finals = np.empty(campaign.walks)
     lengths = np.zeros(campaign.walks, dtype=np.int64)
     endpoints: list[Genotype] = [()] * campaign.walks
-    start_rng = make_rng(campaign.seed, STREAM_ADAPTIVE_START)
+    start_rng = make_rng(seed, STREAM_ADAPTIVE_START)
     tie_rngs: dict[int, np.random.Generator] = {}
     joined = 0
     walk = np.empty(0, np.int64)
@@ -442,7 +439,7 @@ def run_adaptive_walk_campaign(landscape, campaign: AdaptiveWalkCampaign):
         for i in np.flatnonzero(ties > 1):
             w = int(walk[i])
             if w not in tie_rngs:
-                tie_rngs[w] = make_rng(campaign.seed, STREAM_ADAPTIVE_WALK, w)
+                tie_rngs[w] = make_rng(seed, STREAM_ADAPTIVE_WALK, w)
             pick[i] += tie_rngs[w].integers(int(ties[i]))
         pick = cand[pick[moves]] - first[moves]  # its row in neighbor_matrix's order
         walk, rows, lams, fit = walk[moves], rows[moves], lams[moves], best[moves]
@@ -601,19 +598,21 @@ def _neighbor_fitness(landscape, rows: np.ndarray, lams: np.ndarray, cap: int):
     return landscape.bv_fitness[bv[order[keep[order]]]].ravel(), counts
 
 
-def neutrality_scan(landscape, campaign: NeutralityCampaign) -> tuple[float, float, float]:
+def neutrality_scan(landscape, campaign: NeutralityCampaign,
+                    seed: int) -> tuple[float, float, float]:
     """Proportions of lower / equal / higher neighbors along random walks.
 
     Every genotype visited by every walk contributes all its within-cap
     operation-neighbors, compared against the current fitness with exact
     floating equality (safe because fitness factors through block vectors).
-    The walks step as in the correlation campaign (``_lockstep_walks``) but
-    roam the full search space: the cap defaults to the landscape's own lambda_max.
+    The walks step as in the correlation campaign (``_lockstep_walks``), on the
+    stream (seed, STREAM_NEUTRALITY), but roam the full search space: the cap
+    defaults to the landscape's own lambda_max.
     """
     cap = campaign.cap(landscape)
     counts = np.zeros(3, np.int64)
     for _, _, rows, lams, fits in _lockstep_walks(landscape, campaign.walks, campaign.length,
-                                                  cap, campaign.seed, STREAM_NEUTRALITY):
+                                                  cap, seed, STREAM_NEUTRALITY):
         counts += _class_counts_batch(landscape, rows, lams, fits, cap).sum(axis=0)
     total = int(counts.sum())
     return tuple(int(c) / total for c in counts)

@@ -357,13 +357,12 @@ def _analyze_unit(args) -> dict:
     row: dict = {"n": n, "k": k, "b": b, "instance_seed": ls.nk.seed}
     raw_records: list[dict] = []
 
-    def campaign(name: str, stream: int):
-        # campaign seeds derive from the master seed
-        return replace(campaigns[name], seed=derive_seed(master_seed, stream, n, k, b, idx))
+    def seed(stream: int) -> int:
+        return derive_seed(master_seed, stream, n, k, b, idx)
 
     if "random_walks" in campaigns:
-        rw = campaign("random_walks", STREAM_RANDOM_WALK)
-        stats, raw = run_random_walk_campaign(ls, rw)
+        rw = campaigns["random_walks"]
+        stats, raw = run_random_walk_campaign(ls, rw, seed(STREAM_RANDOM_WALK))
         for s in range(1, rw.s_max + 1):
             row[f"rho_{s}"] = stats.rho[s]
         row["tau"] = stats.tau
@@ -371,8 +370,8 @@ def _analyze_unit(args) -> dict:
             raw_records += [{"campaign": "random", "walk": w, "series": series.tolist()}
                             for w, series in enumerate(raw["series"])]
     if "adaptive_walks" in campaigns:
-        stats, raw = run_adaptive_walk_campaign(
-            ls, campaign("adaptive_walks", STREAM_ADAPTIVE_WALK))
+        stats, raw = run_adaptive_walk_campaign(ls, campaigns["adaptive_walks"],
+                                                seed(STREAM_ADAPTIVE_WALK))
         row.update((f, getattr(stats, f)) for f in _ADAPTIVE_FIELDS)
         if raw_dir:
             raw_records += [
@@ -383,10 +382,8 @@ def _analyze_unit(args) -> dict:
                 for w, g in enumerate(raw["endpoints"])
             ]
     if "neutrality" in campaigns:
-        lower, equal, higher = neutrality_scan(ls, campaign("neutrality", STREAM_NEUTRALITY))
-        row["frac_lower"] = lower
-        row["frac_equal"] = equal
-        row["frac_higher"] = higher
+        scan = neutrality_scan(ls, campaigns["neutrality"], seed(STREAM_NEUTRALITY))
+        row.update(zip(("frac_lower", "frac_equal", "frac_higher"), scan))
     if raw_dir and raw_records:
         raw_path = Path(raw_dir) / f"walks_n{n:02d}_k{k:02d}_b{b}_i{idx:02d}.jsonl"
         raw_path.parent.mkdir(parents=True, exist_ok=True)

@@ -26,12 +26,12 @@ sum is looked up in ``landscape.bv_fitness``. The memo is cleared when it
 holds MEMO_SIZE entries, which bounds it at b = 1, where the ends are the
 child itself.
 
-A run's randomness comes from its own stream. The initial population is
-decoded from one row of uniforms per genotype, as walk starts are
-(``genotype.decode_rows``), and scored a block of rows at a time with one
-table lookup (stream format 6); every later draw comes from a
-``UniformPool`` over the same generator. The operators only call
-``random()`` and ``integers(high)``, so they take either a pool or a
+A run's randomness comes from its own stream, opened from the seed argument
+of ``run``. The initial population is decoded from one row of uniforms per
+genotype, as walk starts are (``genotype.decode_rows``), and scored a block
+of rows at a time with one table lookup (stream format 6); every later draw
+comes from a ``UniformPool`` over the same generator. The operators only
+call ``random()`` and ``integers(high)``, so they take either a pool or a
 ``Generator``.
 
 ``run`` is one event loop. Each event reserves its worst-case number of
@@ -50,7 +50,7 @@ fitness instead of being evaluated again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,7 +87,6 @@ class EaConfig:
     max_program_size: int = 100
     elitism: bool = True
     runs: int = 35
-    seed: int = 0
     stop_on_success: bool = True
 
     def __post_init__(self):
@@ -105,8 +104,8 @@ class EaConfig:
             raise ValueError("population, generations and tournament_size must be positive")
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
-        if self.max_creation_size < 0 or self.seed < 0:
-            raise ValueError("max_creation_size and seed must be >= 0")
+        if self.max_creation_size < 0:
+            raise ValueError(f"max_creation_size must be >= 0, got {self.max_creation_size}")
 
     def check_fits(self, params) -> None:
         """Programs fit the landscape: ``params`` is its ``BlockParams``, or the landscape."""
@@ -219,10 +218,10 @@ def elitist_victim(fits: np.ndarray, best_idx: int) -> int:
     return victim
 
 
-def run(cfg: EaConfig, landscape) -> RunResult:
-    """One seeded EA run; traces are recorded at every generation boundary."""
+def run(cfg: EaConfig, landscape, seed: int) -> RunResult:
+    """One EA run on the stream (seed, STREAM_EA_RUN), traced at every generation boundary."""
     cfg.check_fits(landscape)
-    rng = make_rng(cfg.seed, STREAM_EA_RUN)
+    rng = make_rng(seed, STREAM_EA_RUN)
     n_letters, b = landscape.n_letters, landscape.b
     alphabet = bytes(range(n_letters))
     letter_bits = _letter_lut(n_letters).tolist()
@@ -353,6 +352,6 @@ def run_seed(master_seed: int, n: int, k: int, b: int, instance_index: int, run_
 def run_instance(cfg: EaConfig, landscape, n: int, k: int, b: int,
                  instance_index: int, master_seed: int) -> list[RunResult]:
     """cfg.runs independent runs on one landscape, each with a derived child seed."""
-    return [run(replace(cfg, seed=run_seed(master_seed, n, k, b, instance_index, r)), landscape)
+    return [run(cfg, landscape, run_seed(master_seed, n, k, b, instance_index, r))
             for r in range(cfg.runs)]
 

@@ -289,8 +289,9 @@ def instance_from_dict(d: dict) -> NkInstance:
     n, k = d["n"], d["k"]
     if type(n) is not int or n < 1:
         raise ValueError(f"n must be a positive int, got {n!r}")
-    if type(k) is not int or not 0 <= k < n:
-        raise ValueError(f"k must be an int in [0, {n - 1}], got {k!r}")
+    if type(k) is not int:
+        raise ValueError(f"k must be an int, got {k!r}")
+    check_k(n, k)
     # object dtype keeps the raw JSON values, where a numeric array would turn
     # [True, 2] into [1, 2] and an int cast [1, 2.5] into [1, 2]
     links = np.asarray(d["links"], dtype=object).reshape(n, k)

@@ -54,10 +54,11 @@ STREAM_FORMAT = 6
 
 
 def seed_sequence(master_seed: int, *path: int) -> np.random.SeedSequence:
-    entropy = [int(master_seed)] + [int(p) for p in path]
-    if any(e < 0 for e in entropy):
-        raise ValueError(f"seed path entries must be non-negative, got {entropy}")
-    return np.random.SeedSequence(entropy)
+    """Every stream opens here: each entry must be a non-negative int (numpy's too), not a bool."""
+    entropy = (master_seed, *path)
+    if any(isinstance(e, bool) or not isinstance(e, (int, np.integer)) or e < 0 for e in entropy):
+        raise ValueError(f"seed path entries must be non-negative integers, got {entropy}")
+    return np.random.SeedSequence([int(e) for e in entropy])
 
 
 def make_rng(master_seed: int, *path: int) -> np.random.Generator:

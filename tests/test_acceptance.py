@@ -63,7 +63,7 @@ def test_criterion_1_neutrality_table(b):
     for i in range(10):
         L = _er(8, 4, b, i)
         seed = derive_seed(MASTER, STREAM_NEUTRALITY, 8, 4, b, i)
-        triples.append(neutrality_scan(L, NeutralityCampaign(walks=2000, length=20, seed=seed)))
+        triples.append(neutrality_scan(L, NeutralityCampaign(walks=2000, length=20), seed))
     observed = tuple(100 * v for v in np.mean(triples, axis=0))
     ref = REFERENCE_NEUTRALITY[b]
     deltas = [abs(o - r) for o, r in zip(observed, ref)]
@@ -159,12 +159,9 @@ def test_criterion_5_correlation_length_trends():
             per_inst = []
             for i in range(10):
                 L = _er(10, k, b, i)
-                camp = RandomWalkCampaign(
-                    walks=2000, length=35, s_max=1,
-                    lambda_max=2 * 10 * b,
-                    seed=derive_seed(MASTER, STREAM_RANDOM_WALK, 10, k, b, i),
-                )
-                stats, _ = run_random_walk_campaign(L, camp)
+                camp = RandomWalkCampaign(walks=2000, length=35, s_max=1, lambda_max=2 * 10 * b)
+                seed = derive_seed(MASTER, STREAM_RANDOM_WALK, 10, k, b, i)
+                stats, _ = run_random_walk_campaign(L, camp, seed)
                 per_inst.append(stats.tau)
             taus[(b, k)] = float(np.mean(per_inst))
     b1 = [taus[(1, k)] for k in (0, 2, 4, 8)]
@@ -182,13 +179,11 @@ def test_criterion_5_correlation_length_trends():
 def test_criterion_6_adaptive_walk_trends():
     def campaign_stats(k, b, i):
         L = _er(10, k, b, i)
-        camp = AdaptiveWalkCampaign(
-            walks=500, lambda_max=50,
-            seed=derive_seed(MASTER, STREAM_ADAPTIVE_WALK, 10, k, b, i),
-        )
+        camp = AdaptiveWalkCampaign(walks=500, lambda_max=50)
+        seed = derive_seed(MASTER, STREAM_ADAPTIVE_WALK, 10, k, b, i)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            stats, _ = run_adaptive_walk_campaign(L, camp)
+            stats, _ = run_adaptive_walk_campaign(L, camp, seed)
         return stats
 
     lengths = []
@@ -267,12 +262,12 @@ def test_criterion_8_property_suites_fast():
     assert np.array_equal(nk.generate(8, 3, "random", 5).tables,
                           nk.generate(8, 3, "random", 5).tables)
     L = _er(8, 2, 2, 0)
-    camp = RandomWalkCampaign(walks=20, length=10, s_max=3, seed=3)
-    assert run_random_walk_campaign(L, camp)[0] == run_random_walk_campaign(L, camp)[0]
-    assert neutrality_scan(L, NeutralityCampaign(walks=5, length=5, seed=4)) == \
-        neutrality_scan(L, NeutralityCampaign(walks=5, length=5, seed=4))
-    cfg = ea.EaConfig(population=40, generations=5, seed=6, max_creation_size=10)
-    assert ea.run(cfg, L) == ea.run(cfg, L)
+    camp = RandomWalkCampaign(walks=20, length=10, s_max=3)
+    assert run_random_walk_campaign(L, camp, 3)[0] == run_random_walk_campaign(L, camp, 3)[0]
+    assert neutrality_scan(L, NeutralityCampaign(walks=5, length=5), 4) == \
+        neutrality_scan(L, NeutralityCampaign(walks=5, length=5), 4)
+    cfg = ea.EaConfig(population=40, generations=5, max_creation_size=10)
+    assert ea.run(cfg, L, 6) == ea.run(cfg, L, 6)
 
     # block vector translocation invariance (differing flanks at removal)
     for _ in range(500):

@@ -196,8 +196,7 @@ def test_once_centered_rho_equals_per_lag_autocorrelation(walks, steps, constant
 def test_campaign_rho_equals_per_lag_autocorrelation(b, constant):
     # constant walks carry no signal: the campaign drops them as autocorrelation does
     L = er_build(5, 2, b, 60, seed=31)
-    stats, raw = run_random_walk_campaign(L, RandomWalkCampaign(walks=40, length=8, s_max=8,
-                                                                seed=5))
+    stats, raw = run_random_walk_campaign(L, RandomWalkCampaign(walks=40, length=8, s_max=8), 5)
     assert np.all(raw["series"] == raw["series"][:, :1], axis=1).sum() == constant
     assert stats.rho == tuple(autocorrelation(raw["series"], s) for s in range(9))
 
@@ -426,7 +425,7 @@ GOLDEN_RHO_FORMAT_5 = {
 def test_format5_campaign_rho_is_bit_identical_to_golden(cell):
     n, k, b, lambda_max, seed = cell
     L = er_build(n, k, b, lambda_max, seed=seed)
-    stats, raw = run_random_walk_campaign(L, RandomWalkCampaign(walks=300, length=35, seed=seed))
+    stats, raw = run_random_walk_campaign(L, RandomWalkCampaign(walks=300, length=35), seed)
     assert stats.rho == GOLDEN_RHO_FORMAT_5[cell]["walk"]
     assert rho_by_centering(raw["series"]) == GOLDEN_RHO_FORMAT_5[cell]
 
@@ -483,10 +482,10 @@ def test_lockstep_campaign_equals_tuple_walks(n, b, cap, walks, length, seed, ro
     L = royal_road(params) if royal else er_build(n, n // 2, b, params.lambda_max, seed=seed)
     if cap == 0 and length > 0:
         with pytest.raises(ValueError, match="no feasible neighbor"):
-            RandomWalkCampaign(walks=walks, length=length, lambda_max=cap, s_max=0, seed=seed)
+            RandomWalkCampaign(walks=walks, length=length, lambda_max=cap, s_max=0)
         return
-    campaign = RandomWalkCampaign(walks=walks, length=length, lambda_max=cap, s_max=0, seed=seed)
-    _, raw = run_random_walk_campaign(L, campaign)
+    campaign = RandomWalkCampaign(walks=walks, length=length, lambda_max=cap, s_max=0)
+    _, raw = run_random_walk_campaign(L, campaign, seed)
     assert np.array_equal(raw["series"], tuple_campaign_series(L, walks, length, seed, cap))
 
 
@@ -554,9 +553,10 @@ def test_lockstep_campaign_with_zero_cap_rejects_steps():
     with pytest.raises(ValueError, match="no feasible neighbor"):
         random_neighbor((), 4, make_rng(0, 0), lambda_max=0)
     with pytest.raises(ValueError, match="no feasible neighbor"):
-        run_random_walk_campaign(L, RandomWalkCampaign(walks=3, length=1, lambda_max=0, s_max=0))
+        run_random_walk_campaign(L, RandomWalkCampaign(walks=3, length=1, lambda_max=0, s_max=0),
+                                 0)
     _, raw = run_random_walk_campaign(L, RandomWalkCampaign(walks=3, length=0, lambda_max=0,
-                                                            s_max=0))
+                                                            s_max=0), 0)
     assert np.array_equal(raw["series"], np.full((3, 1), L.evaluate(())))
     # the kernel keeps its own check for callers that build no campaign
     with pytest.raises(ValueError, match="no feasible neighbor"):
@@ -641,26 +641,26 @@ def test_local_optima_stats_requires_two_walks():
 
 def test_adaptive_campaign_deterministic_and_raw_consistent():
     L = er_build(8, 3, 2, 100, seed=11)
-    campaign = AdaptiveWalkCampaign(walks=30, lambda_max=50, seed=12)
-    s1, raw1 = run_adaptive_walk_campaign(L, campaign)
-    s2, raw2 = run_adaptive_walk_campaign(L, campaign)
+    campaign = AdaptiveWalkCampaign(walks=30, lambda_max=50)
+    s1, raw1 = run_adaptive_walk_campaign(L, campaign, 12)
+    s2, raw2 = run_adaptive_walk_campaign(L, campaign, 12)
     assert s1 == s2
     assert np.array_equal(raw1["final_fitness"], raw2["final_fitness"])
     assert s1.optima_fitness_mean == float(np.mean(raw1["final_fitness"]))
     assert s1.mean_walk_length == float(np.mean(raw1["lengths"]))
 
 
-def scalar_adaptive_campaign(landscape, campaign, tied=None):
+def scalar_adaptive_campaign(landscape, campaign, seed, tied=None):
     """(endpoints, finals, lengths) of scalar walks: start w from campaign row w, then a climb.
 
     Walk w breaks its ties from the stream (seed, STREAM_ADAPTIVE_WALK, w); the
     walks that draw from it are added to ``tied``.
     """
     cap, n = campaign.lambda_max, landscape.n_letters
-    draws = campaign_draws(campaign.seed, STREAM_ADAPTIVE_START, campaign.walks, 1 + cap)
+    draws = campaign_draws(seed, STREAM_ADAPTIVE_START, campaign.walks, 1 + cap)
     walks = []
     for w, u in enumerate(draws.tolist()):
-        rng = RecordingRng(make_rng(campaign.seed, STREAM_ADAPTIVE_WALK, w))
+        rng = RecordingRng(make_rng(seed, STREAM_ADAPTIVE_WALK, w))
         walks.append(adaptive_walk(landscape, tuple_start(u, n, cap), rng, lambda_max=cap))
         if rng.last is not None and tied is not None:
             tied.add(w)
@@ -668,10 +668,10 @@ def scalar_adaptive_campaign(landscape, campaign, tied=None):
     return list(ends), np.array(finals), np.array(lengths)
 
 
-def lockstep_adaptive_campaign(landscape, campaign):
+def lockstep_adaptive_campaign(landscape, campaign, seed):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the walk-length review bound
-        _, raw = run_adaptive_walk_campaign(landscape, campaign)
+        _, raw = run_adaptive_walk_campaign(landscape, campaign, seed)
     return raw["endpoints"], raw["final_fitness"], raw["lengths"]
 
 
@@ -685,11 +685,11 @@ def test_lockstep_adaptive_campaign_equals_scalar_walks(n, b, cap, walks, block,
     # with fewer places than walks, later walks join as earlier ones stop
     params = BlockParams(n, b, max(n * b, cap))
     L = royal_road(params) if royal else er_build(n, n // 2, b, params.lambda_max, seed=seed)
-    campaign = AdaptiveWalkCampaign(walks=walks, lambda_max=cap, seed=seed)
+    campaign = AdaptiveWalkCampaign(walks=walks, lambda_max=cap)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "ADAPTIVE_BLOCK", block)
-        ends, finals, lengths = lockstep_adaptive_campaign(L, campaign)
-    oracle_ends, oracle_finals, oracle_lengths = scalar_adaptive_campaign(L, campaign)
+        ends, finals, lengths = lockstep_adaptive_campaign(L, campaign, seed)
+    oracle_ends, oracle_finals, oracle_lengths = scalar_adaptive_campaign(L, campaign, seed)
     assert ends == oracle_ends
     assert np.array_equal(finals, oracle_finals)
     assert np.array_equal(lengths, oracle_lengths)
@@ -706,7 +706,7 @@ def test_campaign_starts_are_uniform(cap):
     rows, lams = np.concatenate([r for r, _ in starts]), np.concatenate([m for _, m in starts])
     assert_uniform(lams.tolist(), list(range(cap + 1)))
     assert_uniform(rows[rows != PAD].tolist(), list(range(n)))
-    ends, _, lengths = lockstep_adaptive_campaign(L, AdaptiveWalkCampaign(walks, cap, seed=2))
+    ends, _, lengths = lockstep_adaptive_campaign(L, AdaptiveWalkCampaign(walks, cap), 2)
     assert not lengths.any()
     assert_uniform([len(g) for g in ends], list(range(cap + 1)))
 
@@ -721,14 +721,14 @@ def test_each_campaign_opens_one_stream_and_ties_their_own(monkeypatch):
     monkeypatch.setattr(analysis, "make_rng", make_rng_logged)
     L = er_build(6, 3, 1, 40, seed=3)
     # 600 walks span three blocks of WALK_BLOCK
-    run_random_walk_campaign(L, RandomWalkCampaign(walks=600, length=5, s_max=2, seed=4))
-    neutrality_scan(L, NeutralityCampaign(walks=600, length=3, seed=5))
+    run_random_walk_campaign(L, RandomWalkCampaign(walks=600, length=5, s_max=2), 4)
+    neutrality_scan(L, NeutralityCampaign(walks=600, length=3), 5)
     assert paths == [(4, STREAM_RANDOM_WALK), (5, STREAM_NEUTRALITY)]
     paths.clear()
-    campaign = AdaptiveWalkCampaign(walks=200, lambda_max=20, seed=6)
-    lockstep_adaptive_campaign(L, campaign)
+    campaign = AdaptiveWalkCampaign(walks=200, lambda_max=20)
+    lockstep_adaptive_campaign(L, campaign, 6)
     tied = set()
-    scalar_adaptive_campaign(L, campaign, tied)
+    scalar_adaptive_campaign(L, campaign, 6, tied)
     assert 0 < len(tied) < campaign.walks
     # the starts' stream, then each walk's tie stream once, on its first tie
     assert paths[0] == (6, STREAM_ADAPTIVE_START)
@@ -737,20 +737,33 @@ def test_each_campaign_opens_one_stream_and_ties_their_own(monkeypatch):
 
 def test_random_campaign_deterministic():
     L = er_build(8, 2, 2, 100, seed=13)
-    campaign = RandomWalkCampaign(walks=50, length=20, s_max=5, seed=14)
-    s1, raw1 = run_random_walk_campaign(L, campaign)
-    s2, _ = run_random_walk_campaign(L, campaign)
+    campaign = RandomWalkCampaign(walks=50, length=20, s_max=5)
+    s1, raw1 = run_random_walk_campaign(L, campaign, 14)
+    s2, _ = run_random_walk_campaign(L, campaign, 14)
     assert s1 == s2
     assert raw1["series"].shape == (50, 21)
     assert s1.rho[0] == 1.0
 
 
+@pytest.mark.parametrize("seed", [2.5, True, -1])
+def test_campaigns_check_their_seed_where_the_stream_opens(seed):
+    L = er_build(6, 2, 2, 100, seed=30)
+    for run_campaign, campaign in [
+        (run_random_walk_campaign, RandomWalkCampaign(walks=2, length=2, s_max=1)),
+        (run_adaptive_walk_campaign, AdaptiveWalkCampaign(walks=2, lambda_max=20)),
+        (neutrality_scan, NeutralityCampaign(walks=2, length=2)),
+    ]:
+        with pytest.raises(ValueError, match="seed path entries must be non-negative integers"):
+            run_campaign(L, campaign, seed)
+        assert repr(run_campaign(L, campaign, np.int64(3))) == repr(run_campaign(L, campaign, 3))
+
+
 def test_campaign_cap_cannot_exceed_landscape():
     L = er_build(4, 1, 2, 8, seed=15)
     with pytest.raises(ValueError):
-        run_random_walk_campaign(L, RandomWalkCampaign(walks=2, length=2, lambda_max=9))
+        run_random_walk_campaign(L, RandomWalkCampaign(walks=2, length=2, lambda_max=9), 0)
     with pytest.raises(ValueError):
-        run_adaptive_walk_campaign(L, AdaptiveWalkCampaign(walks=2, lambda_max=9))
+        run_adaptive_walk_campaign(L, AdaptiveWalkCampaign(walks=2, lambda_max=9), 0)
 
 
 @pytest.mark.parametrize("cls, kw, error", [
@@ -788,21 +801,21 @@ def test_campaign_defaults_and_integer_types():
 
 def test_neutrality_constant_landscape_is_all_equal():
     L = BlockLandscape(BlockParams(3, 1, 12), np.full(1 << 3, 0.5), 0.5)
-    triple = neutrality_scan(L, NeutralityCampaign(walks=5, length=5, seed=16))
+    triple = neutrality_scan(L, NeutralityCampaign(walks=5, length=5), 16)
     assert triple == (0.0, 1.0, 0.0)
 
 
 def test_neutrality_proportions_sum_to_one():
     L = er_build(8, 4, 2, 100, seed=17)
-    triple = neutrality_scan(L, NeutralityCampaign(walks=20, length=10, seed=18))
+    triple = neutrality_scan(L, NeutralityCampaign(walks=20, length=10), 18)
     assert abs(sum(triple) - 1.0) < 1e-9
     assert all(0.0 <= v <= 1.0 for v in triple)
 
 
 def test_neutrality_scan_deterministic():
     L = er_build(8, 4, 3, 100, seed=19)
-    a = neutrality_scan(L, NeutralityCampaign(walks=15, length=8, seed=20))
-    b = neutrality_scan(L, NeutralityCampaign(walks=15, length=8, seed=20))
+    a = neutrality_scan(L, NeutralityCampaign(walks=15, length=8), 20)
+    b = neutrality_scan(L, NeutralityCampaign(walks=15, length=8), 20)
     assert a == b
 
 
@@ -925,7 +938,7 @@ def format3_scan(landscape, walks, length, seed, cap):
     return proportions(counts)
 
 
-# neutrality_scan(er_build(n, k, b, lambda_max, seed), NeutralityCampaign(40, 20, seed=7)) under
+# neutrality_scan(er_build(n, k, b, lambda_max, seed), NeutralityCampaign(40, 20), 7) under
 # stream format 3, as the scalar classifier computed it; with lambda_max = 8 about a third
 # of the visited genotypes sit at the cap
 GOLDEN_NEUTRALITY = {
@@ -996,14 +1009,14 @@ GOLDEN_ROYAL_NEUTRALITY_FORMAT_5 = (0.040011553892173125, 0.903711067636343, 0.0
 def test_format5_neutrality_scan_is_bit_identical_to_golden(cell):
     n, k, b, lambda_max, seed = cell
     L = er_build(n, k, b, lambda_max, seed=seed)
-    campaign = NeutralityCampaign(walks=40, length=20, seed=7)
-    assert neutrality_scan(L, campaign) == GOLDEN_NEUTRALITY_FORMAT_5[cell]
+    campaign = NeutralityCampaign(walks=40, length=20)
+    assert neutrality_scan(L, campaign, 7) == GOLDEN_NEUTRALITY_FORMAT_5[cell]
 
 
 def test_royal_road_format5_neutrality_scan_is_bit_identical_to_golden():
     L = royal_road(BlockParams(6, 2, 100))
-    campaign = NeutralityCampaign(walks=40, length=20, seed=301)
-    assert neutrality_scan(L, campaign) == GOLDEN_ROYAL_NEUTRALITY_FORMAT_5
+    campaign = NeutralityCampaign(walks=40, length=20)
+    assert neutrality_scan(L, campaign, 301) == GOLDEN_ROYAL_NEUTRALITY_FORMAT_5
 
 
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 8), st.integers(1, 6),
@@ -1017,29 +1030,28 @@ def test_neutrality_scan_equals_classified_tuple_walks(n, b, cap, walks, length,
     L = royal_road(params) if royal else er_build(n, n // 2, b, params.lambda_max, seed=seed)
     if cap == 0:
         with pytest.raises(ValueError, match="no feasible neighbor"):
-            neutrality_scan(L, NeutralityCampaign(walks=walks, length=length, lambda_max=cap,
-                                                  seed=seed))
+            neutrality_scan(L, NeutralityCampaign(walks=walks, length=length, lambda_max=cap),
+                            seed)
         return
     counts = np.zeros(3, np.int64)
     for visited in tuple_walks(n, walks, length, seed, cap, STREAM_NEUTRALITY):
         for g in visited:
             counts += classify_neighbors(L, g, L.evaluate(g), cap)
     expected = proportions(counts)
-    got = neutrality_scan(L, NeutralityCampaign(walks=walks, length=length, lambda_max=cap,
-                                                seed=seed))
+    got = neutrality_scan(L, NeutralityCampaign(walks=walks, length=length, lambda_max=cap), seed)
     assert got == expected
 
 
 def test_walk_block_size_does_not_change_results(monkeypatch):
     # 300 walks span several blocks of the default sizes and 100 blocks of 3
     L = er_build(8, 4, 2, 40, seed=5)
-    campaign = RandomWalkCampaign(walks=300, length=12, s_max=3, seed=6)
+    campaign = RandomWalkCampaign(walks=300, length=12, s_max=3)
 
     def run():
-        _, raw = run_random_walk_campaign(L, campaign)
+        _, raw = run_random_walk_campaign(L, campaign, 6)
         ends, finals, lengths = lockstep_adaptive_campaign(
-            L, AdaptiveWalkCampaign(walks=300, lambda_max=40, seed=8))
-        scan = neutrality_scan(L, NeutralityCampaign(walks=300, length=12, seed=7))
+            L, AdaptiveWalkCampaign(walks=300, lambda_max=40), 8)
+        scan = neutrality_scan(L, NeutralityCampaign(walks=300, length=12), 7)
         return raw["series"].tobytes(), scan, ends, finals.tobytes(), lengths.tobytes()
 
     default = run()
@@ -1052,4 +1064,4 @@ def test_walk_block_size_does_not_change_results(monkeypatch):
 def test_neutrality_scan_rejects_bad_sizes(walks, length):
     with pytest.raises(ValueError, match="walks must be >= 1 and length >= 0"):
         neutrality_scan(er_build(4, 1, 2, 8, seed=1),
-                        NeutralityCampaign(walks=walks, length=length))
+                        NeutralityCampaign(walks=walks, length=length), 0)

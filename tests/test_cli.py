@@ -890,28 +890,28 @@ DRIFT_RULES = {
         lambda v: {"command": "analyze", "landscape_lambda_max": v,
                    "random_walks": {"walks": 2, "length": 2, "s_max": 1}},
         lambda v: run_random_walk_campaign(_er(lambda_max=v),
-                                           RandomWalkCampaign(walks=2, length=2, s_max=1)),
+                                           RandomWalkCampaign(walks=2, length=2, s_max=1), 0),
         23, 24, "random_walks walk bound 24 exceeds the landscape lambda_max=23 (n=6, k=0, b=2)"),
     "adaptive_walks cap": (
         ("gen", "analyze"),
         lambda v: {"command": "analyze", "landscape_lambda_max": v,
                    "adaptive_walks": {"walks": 2, "lambda_max": 30}},
         lambda v: run_adaptive_walk_campaign(_er(lambda_max=v),
-                                             AdaptiveWalkCampaign(walks=2, lambda_max=30)),
+                                             AdaptiveWalkCampaign(walks=2, lambda_max=30), 0),
         29, 30, "adaptive_walks walk bound 30 exceeds the landscape lambda_max=29 (n=6, k=0, b=2)"),
     "neutrality cap": (
         ("gen", "analyze"),
         lambda v: {"command": "analyze", "landscape_lambda_max": v,
                    "neutrality": {"walks": 2, "length": 2, "lambda_max": 30}},
         lambda v: neutrality_scan(_er(lambda_max=v),
-                                  NeutralityCampaign(walks=2, length=2, lambda_max=30)),
+                                  NeutralityCampaign(walks=2, length=2, lambda_max=30), 0),
         29, 30, "neutrality walk bound 30 exceeds the landscape lambda_max=29 (n=6, k=0, b=2)"),
     # analyze checks its default campaigns too, adaptive walks at 50
     "ea program cap": (
         ("gen", "analyze", "evolve"),
         lambda v: {"command": "evolve", "landscape_lambda_max": v,
                    "ea": {**TINY_EA, "max_program_size": 60}},
-        lambda v: ea.run(EaConfig(**TINY_EA, max_program_size=60), _er(lambda_max=v)),
+        lambda v: ea.run(EaConfig(**TINY_EA, max_program_size=60), _er(lambda_max=v), 0),
         59, 60, "ea max_program_size 60 exceeds the landscape lambda_max=59 (n=6, k=0, b=2)"),
 }
 

@@ -37,7 +37,7 @@ class ScriptedRng:
 
 def small_cfg(**kw):
     defaults = dict(population=30, generations=10, runs=2,
-                    max_creation_size=10, max_program_size=20, seed=1)
+                    max_creation_size=10, max_program_size=20)
     defaults.update(kw)
     return EaConfig(**defaults)
 
@@ -187,7 +187,7 @@ def test_tournament_deterministic():
 def test_run_traces_shape_and_monotone_best():
     L = er_build(8, 2, 2, 100, seed=30)
     cfg = small_cfg(max_program_size=100, max_creation_size=50)
-    res = run(cfg, L)
+    res = run(cfg, L, 1)
     assert len(res.best_fitness_trace) == cfg.generations + 1
     assert len(res.best_blocks_trace) == cfg.generations + 1
     assert all(a <= b for a, b in zip(res.best_fitness_trace, res.best_fitness_trace[1:]))
@@ -195,17 +195,17 @@ def test_run_traces_shape_and_monotone_best():
 
 def test_run_deterministic():
     L = er_build(8, 2, 2, 100, seed=31)
-    cfg = small_cfg(max_program_size=100, max_creation_size=50, seed=77)
-    r1 = run(cfg, L)
-    r2 = run(cfg, L)
+    cfg = small_cfg(max_program_size=100, max_creation_size=50)
+    r1 = run(cfg, L, 77)
+    r2 = run(cfg, L, 77)
     assert r1 == r2
 
 
 def test_run_k0_easy_success():
     L = er_build(6, 0, 1, 100, seed=32)
     cfg = EaConfig(population=100, generations=30, max_creation_size=30,
-                   max_program_size=100, seed=5, runs=1)
-    res = run(cfg, L)
+                   max_program_size=100, runs=1)
+    res = run(cfg, L, 5)
     assert res.success
     assert res.generations_to_success is not None
     assert res.best_blocks_trace[-1] == 6
@@ -213,8 +213,8 @@ def test_run_k0_easy_success():
 
 def test_run_success_implies_all_blocks():
     L = er_build(8, 1, 2, 100, seed=33)
-    cfg = EaConfig(population=150, generations=60, seed=6, runs=1)
-    res = run(cfg, L)
+    cfg = EaConfig(population=150, generations=60, runs=1)
+    res = run(cfg, L, 6)
     if res.success:
         assert res.best_blocks_trace[-1] == 8
         g = res.generations_to_success
@@ -245,7 +245,7 @@ def test_run_without_variation_only_duplicates(monkeypatch):
     cfg = small_cfg(mutation_rate=0.0, crossover_rate=0.0, generations=5,
                     max_program_size=100, max_creation_size=20, stop_on_success=False)
     initial = {tuple(g) for g in
-               init_population(cfg, L, make_rng(cfg.seed, ea_mod.STREAM_EA_RUN))[0]}
+               init_population(cfg, L, make_rng(1, ea_mod.STREAM_EA_RUN))[0]}
 
     def in_initial(g):
         assert tuple(g) in initial
@@ -264,7 +264,7 @@ def test_run_without_variation_only_duplicates(monkeypatch):
             Spy.rows += len(rows)
             return L.evaluate_rows(rows)
 
-    res = run(cfg, Spy())
+    res = run(cfg, Spy(), 1)
     assert res.best_fitness_trace[-1] >= res.best_fitness_trace[0]
     # the population is scored as rows; every child is its parent, whose
     # fitness it keeps: none is evaluated
@@ -291,7 +291,7 @@ def test_population_size_constant_and_within_cap(monkeypatch):
             return L.evaluate_rows(rows)
 
     cfg = small_cfg(max_program_size=20, max_creation_size=10, stop_on_success=False)
-    run(cfg, Spy())
+    run(cfg, Spy(), 1)
 
 
 def test_run_instance_is_reproducible():
@@ -309,7 +309,7 @@ def test_run_instance_is_reproducible():
 def test_run_rejects_program_size_beyond_landscape():
     L = er_build(4, 1, 2, 8, seed=37)
     with pytest.raises(ValueError):
-        run(small_cfg(max_program_size=10, max_creation_size=5), L)
+        run(small_cfg(max_program_size=10, max_creation_size=5), L, 1)
 
 
 def test_config_rejects_wrong_types_and_ranges():
@@ -319,6 +319,12 @@ def test_config_rejects_wrong_types_and_ranges():
         with pytest.raises((TypeError, ValueError)):
             EaConfig(**kw)
     assert EaConfig(population=np.int64(5), mutation_rate=1).population == 5
+    # the seed is run's argument, checked where its stream opens
+    L = er_build(6, 2, 2, 100, seed=30)
+    for seed in (-1, 2.5, True):
+        with pytest.raises(ValueError, match="seed path entries must be non-negative integers"):
+            run(small_cfg(), L, seed)
+    assert run(small_cfg(), L, np.int64(1)) == run(small_cfg(), L, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +438,8 @@ def test_run_golden_stream_format_6():
     assert STREAM_FORMAT == 6
     L = er_build(6, 2, 2, 100, seed=38)
     cfg = EaConfig(population=40, generations=12, max_creation_size=20,
-                   max_program_size=100, seed=3, runs=1)
-    res = run(cfg, L)
+                   max_program_size=100, runs=1)
+    res = run(cfg, L, 3)
     assert not res.success and res.generations_to_success is None
     assert res.best_blocks_trace == [3] * 13
     assert res.best_fitness_trace == [0.8357267885778169] * 13
@@ -473,7 +479,7 @@ def scalar_population(cfg, landscape, rng):
     return genotypes, [landscape.evaluate(g) for g in genotypes]
 
 
-def reference_run(cfg, landscape, events=None):
+def reference_run(cfg, landscape, seed, events=None):
     """ea.run as one call per operator and an argmin per child (stream format 6).
 
     The initial population is ``scalar_population``'s; later draws are as in
@@ -487,7 +493,7 @@ def reference_run(cfg, landscape, events=None):
     if cfg.max_program_size > landscape.lambda_max:
         raise ValueError("max_program_size exceeds the landscape's lambda_max")
     events = Counter() if events is None else events
-    rng = make_rng(cfg.seed, STREAM_EA_RUN)
+    rng = make_rng(seed, STREAM_EA_RUN)
     n_letters = landscape.n_letters
     pop, fit_list = scalar_population(cfg, landscape, rng)
     draws = CountedDraws(UniformPool(rng))
@@ -544,12 +550,12 @@ def reference_run(cfg, landscape, events=None):
 
 
 def oracle_grid():
-    """(cfg, landscape) pairs: the edge cases by name, then seeded random configs."""
+    """(cfg, landscape, seed) triples: the edge cases by name, then seeded random configs."""
     er = er_build(6, 2, 2, 30, seed=40)
     flat = royal_road(BlockParams(4, 7, 30))  # b above every program size: all fitness 0
     late = royal_road(BlockParams(4, 4, 30))  # no block at creation, blocks after growth
     base = dict(population=12, generations=5, max_creation_size=10, max_program_size=20,
-                stop_on_success=False, seed=3, runs=1)
+                stop_on_success=False, runs=1)
     named = [
         (dict(elitism=False), er),
         (dict(population=1), er),
@@ -570,7 +576,7 @@ def oracle_grid():
         (dict(max_creation_size=3, max_program_size=30, generations=8), late),
         (dict(max_creation_size=5, max_program_size=6, elitism=False), flat),
     ]
-    cases = [(EaConfig(**{**base, **kw}), L) for kw, L in named]
+    cases = [(EaConfig(**{**base, **kw}), L, 3) for kw, L in named]
     rng = np.random.default_rng(2024)
     landscapes = [er, flat, late, er_build(4, 0, 1, 30, seed=41), er_build(8, 5, 3, 30, seed=42)]
     for _ in range(300):
@@ -585,17 +591,17 @@ def oracle_grid():
             max_program_size=creation + int(rng.choice([0, 1, 5, 17])),
             elitism=bool(rng.integers(2)),
             stop_on_success=bool(rng.integers(2)),
-            seed=int(rng.integers(2**40)),
             runs=1,
         )
-        cases.append((cfg, landscapes[int(rng.integers(len(landscapes)))]))
+        seed = int(rng.integers(2**40))  # drawn after the config's fields, before the landscape
+        cases.append((cfg, landscapes[int(rng.integers(len(landscapes)))], seed))
     return cases
 
 
 def test_run_equals_reference_run_over_config_grid():
     events = Counter()
-    for cfg, L in oracle_grid():
-        assert run(cfg, L) == reference_run(cfg, L, events), cfg
+    for cfg, L, seed in oracle_grid():
+        assert run(cfg, L, seed) == reference_run(cfg, L, seed, events), cfg
     # the grid reaches every rare branch of the loop
     assert min(events["crossover_fallback"], events["insertion_skipped"],
                events["elitist_fallback"]) > 0, events
@@ -608,12 +614,12 @@ def test_run_does_not_depend_on_the_memo_size(monkeypatch):
 
     cases = oracle_grid() + [
         (small_cfg(population=60, generations=8, max_program_size=30, stop_on_success=False),
-         er_build(6, 2, 1, 30, seed=44)),
+         er_build(6, 2, 1, 30, seed=44), 1),
     ]
-    results = [run(cfg, L) for cfg, L in cases]
+    results = [run(cfg, L, seed) for cfg, L, seed in cases]
     monkeypatch.setattr(ea_mod, "MEMO_SIZE", 1)
-    for (cfg, L), want in zip(cases, results):
-        assert run(cfg, L) == want, cfg
+    for (cfg, L, seed), want in zip(cases, results):
+        assert run(cfg, L, seed) == want, cfg
 
 
 def test_run_reuses_the_fitness_of_unchanged_children(monkeypatch):
@@ -622,7 +628,7 @@ def test_run_reuses_the_fitness_of_unchanged_children(monkeypatch):
     L = er_build(6, 2, 2, 30, seed=43)
     cfg = small_cfg(population=20, generations=6, max_program_size=30, stop_on_success=False)
     scored = spy_block_ends(monkeypatch)
-    assert run(cfg, L) == reference_run(cfg, L)
+    assert run(cfg, L, 1) == reference_run(cfg, L, 1)
     children = 2 * cfg.population * cfg.generations
     assert 0.6 * children < scored["children"] < children
 
@@ -655,7 +661,7 @@ def test_init_population_equals_scalar_decode_and_evaluate(creation, program):
         assert fits.tolist() == want_fits  # bit-equal: both read the same table entry
         if creation == 0:
             assert set(pop) == {b""}
-        assert run(cfg, L) == reference_run(cfg, L)
+        assert run(cfg, L, 0) == reference_run(cfg, L, 0)
 
 
 @pytest.mark.parametrize("population, block", [(1, 64), (63, 64), (64, 64), (65, 64), (1000, 64),

@@ -1,6 +1,7 @@
 import base64
 import hashlib
 import itertools
+import json
 import os
 
 import numpy as np
@@ -373,6 +374,32 @@ def test_landscape_load_rejects_bad_instance_field(field, value):
     doc["nk"][field] = value
     with pytest.raises(ValueError, match=rf"^{field} must"):
         landscape_from_dict(doc)
+
+
+def test_landscape_load_states_the_k_range_as_gen_does(tmp_path):
+    path = tmp_path / "er.json"
+    save_landscape(er_build(8, 2, 2, 100, seed=28), path)
+    doc = json.loads(path.read_text())
+    doc["nk"]["k"] = 8
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as built:
+        er_build(8, 8, 2, 100, seed=28)
+    with pytest.raises(ValueError, match=r"^k must lie in \[0, 7\], got 8$") as loaded:
+        load_landscape(path)
+    assert str(loaded.value) == str(built.value)
+
+
+@pytest.mark.parametrize("seed", [2.5, True, -1])
+def test_er_build_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    # read as int(2.5), it would build seed 2's table and record 2.5, a seed no file can hold
+    with pytest.raises(ValueError, match="seed path entries must be non-negative integers"):
+        er_build(6, 2, 2, 30, seed=seed)
+
+
+def test_a_numpy_integer_seed_opens_the_same_stream():
+    assert make_rng(np.int64(3), 1).random() == make_rng(3, 1).random()
+    assert np.array_equal(er_build(6, 2, 2, 30, seed=np.uint64(2)).bv_fitness,
+                          er_build(6, 2, 2, 30, seed=2).bv_fitness)
 
 
 @pytest.mark.parametrize("field,value", [
