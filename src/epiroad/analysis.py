@@ -266,7 +266,7 @@ def _lockstep_walks(landscape, walks: int, length: int, cap: int, seed: int, str
     length))``, drawn a block of rows at a time in walk order, so the rows do
     not depend on WALK_BLOCK. Its first ``1 + cap`` uniforms give its start
     (``genotype.decode_rows``), and at step t uniform ``u[cap + t]`` picks move
-    ``int(u[cap + t] * F)`` of its F feasible moves (see ``_step_rows``). A
+    ``int(u[cap + t] * F)`` of its F feasible moves (see ``_decode_moves``). A
     block's walks step in lockstep as the rows of one ``(block, cap + 2)``
     matrix padded with PAD; t runs over 0..length, and the next step changes
     ``rows`` and ``lams`` in place.
@@ -285,18 +285,24 @@ def _lockstep_walks(landscape, walks: int, length: int, cap: int, seed: int, str
             yield block, t, rows, lams, landscape.evaluate_rows(rows)
 
 
-def _step_rows(rows: np.ndarray, lams: np.ndarray, u: np.ndarray, n: int, cap: int):
+def _step_rows(rows: np.ndarray, lams: np.ndarray, u: np.ndarray, n: int, cap: int) -> None:
     """Apply one feasible move to every row of a padded genotype matrix, in place.
 
     ``rows`` is ``(W, cap + 2)`` with each row's ``lams[w] <= cap`` letters
-    followed by PAD, and ``lams`` is updated with it. A row below the cap has
-    F = (2 * lam + 1) * n feasible moves, one at the cap F = lam * n. Move
-    ``m = int(u * F)`` is ``random_neighbor``'s operation m, counted past the
-    (lam + 1) * n insertions at the cap. That order lists the insertions
-    gap-major, letter-minor, then per position its n - 1 substitutions in
-    letter order and its deletion. Returns the moves as (kind, position,
-    letter) arrays: kind 0 is an insertion, 1 a substitution and 2 a deletion
-    (whose letter is PAD).
+    followed by PAD, and ``lams`` is updated with it. The moves are
+    ``_decode_moves(rows, lams, u, n, cap)``.
+    """
+    _apply_edits(rows, lams, *_decode_moves(rows, lams, u, n, cap))
+
+
+def _decode_moves(rows: np.ndarray, lams: np.ndarray, u: np.ndarray, n: int, cap: int):
+    """The ``(ins, dele, pos, letter)`` edits of ``_apply_edits`` that uniforms ``u`` pick.
+
+    A row below the cap has F = (2 * lam + 1) * n feasible moves, one at the
+    cap F = lam * n. Move ``m = int(u * F)`` is ``random_neighbor``'s
+    operation m, counted past the (lam + 1) * n insertions at the cap. That
+    order lists the insertions gap-major, letter-minor, then per position its
+    n - 1 substitutions in letter order and its deletion.
     """
     ins_ops = (lams + 1) * n
     at_cap = lams >= cap
@@ -307,9 +313,7 @@ def _step_rows(rows: np.ndarray, lams: np.ndarray, u: np.ndarray, n: int, cap: i
     dele = ~ins & (r == n - 1)
     incumbent = rows[np.arange(len(lams)), pos]
     letter = np.where(ins | (r < incumbent), r, r + 1).astype(np.int16)
-    _apply_edits(rows, lams, ins, dele, pos, letter)
-    kind = np.where(ins, 0, np.where(dele, 2, 1))
-    return kind, pos, np.where(dele, PAD, letter)
+    return ins, dele, pos, letter
 
 
 def _apply_edits(rows: np.ndarray, lams: np.ndarray, ins, dele, pos, letter) -> None:

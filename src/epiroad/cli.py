@@ -2,9 +2,11 @@
 
 Commands operate on an experiment spec (a JSON file or a built-in preset)
 describing a grid of (n, k, b) cells, an instance count and a master seed.
-``gen`` materializes seeded landscape files, ``analyze`` runs walk campaigns
-over them, ``evolve`` runs the EA sweep, and ``reproduce`` runs a named
-preset and prints observed values next to reference values where they exist.
+Each unit, one (n, k, b, instance), builds its landscape from the master
+seed, so no command reads another's files. ``analyze`` runs walk campaigns,
+``evolve`` runs the EA sweep, ``gen`` exports the landscapes as files, and
+``reproduce`` runs a named preset and prints observed values next to
+reference values where they exist.
 
 All CSV outputs start with '#' provenance lines (artifact version, spec
 hash, master seed, stream format, grid cells, timestamp); everything after
@@ -262,11 +264,10 @@ def landscape_path(out_dir: Path, n: int, k: int, b: int, idx: int) -> Path:
     return out_dir / "landscapes" / f"n{n:02d}_k{k:02d}_b{b}_i{idx:02d}.json"
 
 
-def _units(spec: ExperimentSpec, out_dir: Path):
-    """(landscape path, n, k, b, instance) of every unit the spec names, cell by cell."""
-    for n, k, b in spec.cells:
-        for idx in range(spec.instances):
-            yield landscape_path(out_dir, n, k, b, idx), n, k, b, idx
+def _build_landscape(n: int, k: int, b: int, idx: int, master_seed: int, lambda_max: int):
+    """The unit's Epistatic Road landscape, a function of its seed path and cap alone."""
+    return landscapes.er_build(n, k, b, lambda_max,
+                               seed=ea.landscape_seed(master_seed, n, k, b, idx))
 
 
 def provenance_lines(spec: ExperimentSpec, command: str) -> list[str]:
@@ -319,25 +320,19 @@ def read_csv(path: Path) -> Iterator[dict]:
 
 
 def _gen_unit(args) -> str:
-    path_str, n, k, b, idx, seed, lam_max, prov = args
-    ls = landscapes.er_build(n, k, b, lam_max, seed=ea.landscape_seed(seed, n, k, b, idx))
-    landscapes.save_landscape(ls, path_str, provenance=prov)
-    return path_str
+    n, k, b, idx, master_seed, lam_max, out_dir, prov = args
+    path = landscape_path(out_dir, n, k, b, idx)
+    landscapes.save_landscape(_build_landscape(n, k, b, idx, master_seed, lam_max), path,
+                              provenance={**prov, "cell": [n, k, b, idx]})
+    return str(path)
 
 
 def cmd_gen(spec: ExperimentSpec, out_dir: Path, jobs: int = 1) -> int:
-    validate_cells(spec, "gen")
+    """Export the spec's landscapes as files; no other command reads them back."""
     prov = {"artifact": ARTIFACT, "spec_sha256": spec.sha256(), "master_seed": spec.seed,
             "stream_format": STREAM_FORMAT}
-    units = [(str(path), n, k, b, idx, spec.seed, spec.lambda_max_for(n, b),
-              {**prov, "cell": [n, k, b, idx]}) for path, n, k, b, idx in _units(spec, out_dir)]
-    try:
-        (out_dir / "landscapes").mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise SpecError(f"cannot create output directory {out_dir / 'landscapes'}: "
-                        f"{exc.strerror}") from None
-    failures: dict[tuple[int, int, int], list[str]] = {}
-    written = _map_units_collect(_gen_unit, units, jobs, failures)
+    written, failures = _run_landscape_units("gen", spec, out_dir / "landscapes", jobs,
+                                             _gen_unit, (out_dir, prov))
     print(f"gen: wrote {len(written)} landscape files under {out_dir / 'landscapes'}")
     return _report_failures("gen", spec, failures)
 
@@ -352,8 +347,8 @@ _ADAPTIVE_FIELDS = ["optima_fitness_mean", "optima_fitness_std", "optima_fitness
 
 
 def _analyze_unit(args) -> dict:
-    path_str, n, k, b, idx, master_seed, campaigns, raw_dir = args
-    ls = landscapes.load_landscape(path_str)
+    n, k, b, idx, master_seed, lam_max, campaigns, raw_dir = args
+    ls = _build_landscape(n, k, b, idx, master_seed, lam_max)
     row: dict = {"n": n, "k": k, "b": b, "instance_seed": ls.nk.seed}
     raw_records: list[dict] = []
 
@@ -409,7 +404,7 @@ def cmd_analyze(spec: ExperimentSpec, out_dir: Path, jobs: int = 1, raw: bool = 
     campaigns = _analyzed_campaigns(spec)
     raw_dir = str(out_dir / "raw") if raw else None
     rows, failures = _run_landscape_units("analyze", spec, out_dir, jobs, _analyze_unit,
-                                          (spec.seed, campaigns, raw_dir))
+                                          (campaigns, raw_dir))
 
     fieldnames = _analysis_fieldnames(campaigns)
     header = provenance_lines(spec, "analyze")
@@ -431,27 +426,25 @@ def cmd_analyze(spec: ExperimentSpec, out_dir: Path, jobs: int = 1, raw: bool = 
 
 
 def _run_landscape_units(command, spec, out_dir, jobs, fn, extra) -> tuple[list, dict]:
-    """fn over (path, n, k, b, instance, *extra) per landscape file: (results, failures).
+    """fn over each unit's (n, k, b, instance, master seed, cap, *extra): (results, failures).
 
-    A missing file is recorded as its unit's failure, so its siblings still
-    run. A SpecError when files are named but none exists: gen has not been
-    run for this output directory.
+    Each unit builds its landscape from the master seed, its cell, its index
+    and the cap, so no unit reads a file that an earlier command wrote. The
+    cells are checked and ``out_dir`` is made before any unit runs.
     """
     validate_cells(spec, command)
-    units, failures = [], {}
-    for path, n, k, b, idx in _units(spec, out_dir):
-        if path.exists():
-            units.append((str(path), n, k, b, idx, *extra))
-        else:
-            failures.setdefault((n, k, b), []).append(
-                f"instance {idx}: missing landscape file {path}")
-    if failures and not units:
-        raise SpecError(f"missing landscape files under {out_dir / 'landscapes'}; run gen first")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise SpecError(f"cannot create output directory {out_dir}: {exc.strerror}") from None
+    units = [(n, k, b, idx, spec.seed, spec.lambda_max_for(n, b), *extra)
+             for n, k, b in spec.cells for idx in range(spec.instances)]
+    failures: dict[tuple[int, int, int], list[str]] = {}
     return _map_units_collect(fn, units, jobs, failures), failures
 
 
 def _map_units_collect(fn, units, jobs, failures) -> list:
-    """fn over units (path, n, k, b, instance, ...); failures are collected per cell."""
+    """fn over units (n, k, b, instance, ...); failures are collected per cell."""
     out = []
     parallel = jobs > 1 and len(units) > 1
     if parallel:  # imported here: a serial run never loads multiprocessing
@@ -462,7 +455,7 @@ def _map_units_collect(fn, units, jobs, failures) -> list:
             try:
                 out.append(call())
             except Exception as exc:  # a unit's failure must not abort its siblings
-                failures.setdefault(u[1:4], []).append(f"instance {u[4]}: {exc}")
+                failures.setdefault(u[:3], []).append(f"instance {u[3]}: {exc}")
     return out
 
 
@@ -494,8 +487,8 @@ def _report_failures(command, spec, failures) -> int:
 
 def _evolve_unit(args) -> tuple[list[dict], list[tuple[list[float], list[int]]]]:
     """(one row per run, each run's best-fitness and best-blocks traces if wanted)."""
-    path_str, n, k, b, idx, master_seed, cfg, want_traces = args
-    ls = landscapes.load_landscape(path_str)
+    n, k, b, idx, master_seed, lam_max, cfg, want_traces = args
+    ls = _build_landscape(n, k, b, idx, master_seed, lam_max)
     results = ea.run_instance(cfg, ls, n, k, b, idx, master_seed)
     rows = [{"n": n, "k": k, "b": b, "instance_seed": ls.nk.seed, "run_index": r,
              "success": int(res.success),
@@ -512,7 +505,7 @@ def cmd_evolve(spec: ExperimentSpec, out_dir: Path, jobs: int = 1, traces: bool 
     """Run the EA sweep; write its run and summary tables, and traces if asked, to ``out_dir``."""
     # run_instance derives each run's seed from the master seed
     results, failures = _run_landscape_units("evolve", spec, out_dir, jobs, _evolve_unit,
-                                             (spec.seed, spec.ea, traces))
+                                             (spec.ea, traces))
 
     run_rows = [row for rows, _ in results for row in rows]
     header = provenance_lines(spec, "evolve")
@@ -659,15 +652,13 @@ def build_preset(name: str, scale: float, seed: int) -> ExperimentSpec:
 
 
 def cmd_reproduce(name: str, out_dir: Path, seed: int, scale: float, jobs: int) -> int:
-    """gen, then analyze if the preset has campaigns and evolve if it evolves, then its report.
+    """analyze if the preset has campaigns and evolve if it evolves, then its report.
 
     The report reads the tables that those commands wrote to ``out_dir``.
     """
     spec = build_preset(name, scale, seed)
     table, title, lines = PRESETS[name][1]
-    rc = cmd_gen(spec, out_dir, jobs)
-    if rc == 0 and spec.campaigns:
-        rc = cmd_analyze(spec, out_dir, jobs)
+    rc = cmd_analyze(spec, out_dir, jobs) if spec.campaigns else 0
     if rc == 0 and spec.command == "evolve":
         # only a report of the traces reads per-generation rows
         rc = cmd_evolve(spec, out_dir, jobs, traces=table == "ea_traces")

@@ -87,7 +87,8 @@ def generate(n: int, k: int, kind: str, seed: int) -> NkInstance:
             others = np.delete(np.arange(n), i)
             links[i] = np.sort(rng.choice(others, size=k, replace=False))
     tables = rng.random((n, 1 << (k + 1)))
-    return NkInstance(n=n, k=k, kind=kind, seed=seed, links=links, tables=tables)
+    # make_rng checked the seed; a numpy integer is stored as the int it names, for JSON
+    return NkInstance(n=n, k=k, kind=kind, seed=int(seed), links=links, tables=tables)
 
 
 def fitness(inst: NkInstance, x) -> float:

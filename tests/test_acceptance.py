@@ -315,7 +315,7 @@ def test_criterion_9_corr_study_reports_without_threshold(tmp_path, capsys, monk
                        max_creation_size=20, max_program_size=100),
     )
     out = tmp_path / "corr"
-    # the desk-scale spec replaces the preset's, so reproduce runs gen, analyze,
+    # the desk-scale spec replaces the preset's, so reproduce runs analyze,
     # evolve and the corr-study report on it
     monkeypatch.setitem(cli_mod.PRESETS, "corr-study", (spec, cli_mod.PRESETS["corr-study"][1]))
     assert cli_mod.cmd_reproduce("corr-study", out, MASTER, scale=1.0, jobs=1) == 0

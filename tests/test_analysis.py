@@ -12,7 +12,9 @@ from epiroad.analysis import (
     AdaptiveWalkCampaign,
     NeutralityCampaign,
     RandomWalkCampaign,
+    _apply_edits,
     _class_counts_batch,
+    _decode_moves,
     _lockstep_walks,
     _neighbor_fitness,
     _step_rows,
@@ -524,8 +526,10 @@ def test_lockstep_moves_are_uniform_over_feasible_moves(g, cap):
     rows = np.full((draws, cap + 2), PAD, np.int16)
     rows[:, : len(g)] = g
     lams = np.full(draws, len(g), np.int64)
-    kind, pos, letter = _step_rows(rows, lams, make_rng(31, len(g)).random(draws), n, cap)
-    drawn = list(zip(kind.tolist(), pos.tolist(), letter.tolist()))
+    ins, dele, pos, letter = _decode_moves(rows, lams, make_rng(31, len(g)).random(draws), n, cap)
+    _apply_edits(rows, lams, ins, dele, pos, letter)
+    kind = np.where(ins, 0, np.where(dele, 2, 1))  # as feasible_moves lists them
+    drawn = list(zip(kind.tolist(), pos.tolist(), np.where(dele, PAD, letter).tolist()))
     assert_uniform(drawn, feasible_moves(g, n, cap))
     for row, lam, move in zip(rows[:50], lams[:50], drawn[:50]):
         assert row_to_genotype(row) == apply_move(g, move) and len(apply_move(g, move)) == lam

@@ -21,7 +21,7 @@ from epiroad.analysis import (
     run_adaptive_walk_campaign,
     run_random_walk_campaign,
 )
-from epiroad.cli import load_spec, main, validate_cells
+from epiroad.cli import load_spec, main, read_csv, validate_cells
 from epiroad.ea import EaConfig
 
 
@@ -106,12 +106,6 @@ def test_analyze_writes_instance_and_summary_tables(tmp_path):
     assert len(inst_body) == 1 + 4  # header + cells x instances
     sum_body = csv_body(out / "analysis_summary.csv")
     assert len(sum_body) == 1 + 2  # header + cells
-
-
-def test_analyze_missing_landscapes_is_a_named_error(tmp_path, capsys):
-    spec = write_spec(tmp_path / "spec.json", **ANALYZE_SPEC)
-    assert run_cli(["analyze", "--spec", spec, "--out", tmp_path / "nowhere"]) == 2
-    assert "missing landscape file" in capsys.readouterr().err
 
 
 def test_analyze_empty_grid_writes_header_only(tmp_path):
@@ -340,7 +334,8 @@ def test_section_that_is_not_an_object_exits_2(tmp_path, capsys, section, value)
 
 
 @pytest.mark.parametrize("below", [False, True])
-@pytest.mark.parametrize("argv", [["gen"], ["reproduce", "--preset", "table1"]])
+@pytest.mark.parametrize("argv", [["gen"], ["reproduce", "--preset", "table1"], ["analyze"],
+                                  ["evolve"]])
 def test_out_at_a_regular_file_exits_2(tmp_path, capsys, argv, below):
     spec = write_spec(tmp_path / "spec.json")
     blocker = tmp_path / "blocker"
@@ -349,8 +344,10 @@ def test_out_at_a_regular_file_exits_2(tmp_path, capsys, argv, below):
     args = with_spec(argv, spec) + ["--out", out, "--jobs", 1, "--scale", 0.005]
     assert run_cli(args) == 2
     err = capsys.readouterr().err
-    assert f"{argv[0]}: cannot create output directory {out / 'landscapes'}: " \
-        f"{os.strerror(errno.ENOTDIR)}" in err
+    # only gen makes a landscapes directory; the others make the regular file's path itself
+    made, code = ((out / "landscapes", errno.ENOTDIR) if argv[0] == "gen"
+                  else (out, errno.ENOTDIR if below else errno.EEXIST))
+    assert f"{argv[0]}: cannot create output directory {made}: {os.strerror(code)}" in err
     assert "Traceback" not in err
     assert blocker.read_text() == "a regular file\n"
 
@@ -393,6 +390,77 @@ def test_gen_failure_is_reported_per_cell(tmp_path, capsys, monkeypatch):
     assert "k=2 b=2 failed entirely" not in err
     assert [f.name for f in sorted((out / "landscapes").glob("*.json"))] == \
         ["n06_k02_b2_i00.json"]
+
+
+@pytest.mark.parametrize("command, extra", [("analyze", ANALYZE_SPEC), ("evolve", EVOLVE_SPEC)])
+def test_units_build_their_landscapes_from_the_seed(tmp_path, command, extra):
+    # no unit reads a file gen wrote: a directory gen never wrote, and one that
+    # holds another seed's landscapes, give the bodies of a gen-first run
+    spec = write_spec(tmp_path / "spec.json", **{**extra, "command": command})
+    bodies = {}
+    for name, gen_seed in (("gen_first", 2), ("no_gen", None), ("gen_seed_1", 1)):
+        out = tmp_path / name
+        if gen_seed is not None:
+            assert run_cli(["gen", "--spec", spec, "--out", out, "--seed", gen_seed,
+                            "--jobs", 1]) == 0
+        assert run_cli([command, "--spec", spec, "--out", out, "--seed", 2, "--jobs", 1]) == 0
+        bodies[name] = {p.name: csv_bytes_body(p) for p in out.glob("*.csv")}
+    assert len(bodies["gen_first"]) == 2
+    assert bodies["no_gen"] == bodies["gen_first"] == bodies["gen_seed_1"]
+    assert not (tmp_path / "no_gen" / "landscapes").exists()
+    table = "analysis_instances.csv" if command == "analyze" else "ea_runs.csv"
+    assert {row["instance_seed"] for row in read_csv(tmp_path / "gen_seed_1" / table)} == \
+        {ea.landscape_seed(2, 6, k, 2, i) for k in (0, 2) for i in (0, 1)}
+
+
+def fail_instance_1_of_k2(unit):
+    """A unit function that fails the unit (n, 2, b, 1) and returns the others' keys."""
+    if unit[1] == 2 and unit[3] == 1:
+        raise RuntimeError("injected unit failure")
+    return unit[:4]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_failing_unit_fails_only_itself(jobs):
+    from epiroad.cli import _map_units_collect
+
+    units = [(6, k, 2, i, "extra") for k in (0, 2) for i in (0, 1)]
+    failures = {}
+    assert _map_units_collect(fail_instance_1_of_k2, units, jobs, failures) == \
+        [(6, 0, 2, 0), (6, 0, 2, 1), (6, 2, 2, 0)]
+    assert failures == {(6, 2, 2): ["instance 1: injected unit failure"]}
+
+
+@pytest.mark.parametrize("command, extra", [("analyze", ANALYZE_SPEC), ("evolve", EVOLVE_SPEC)])
+def test_failed_units_are_reported_per_cell(tmp_path, capsys, monkeypatch, command, extra):
+    from epiroad import cli as cli_mod
+
+    real_build, doomed = cli_mod.landscapes.er_build, set()
+
+    def flaky_build(n, k, b, lambda_max, seed):
+        if seed in doomed:
+            raise RuntimeError("injected build failure")
+        return real_build(n, k, b, lambda_max, seed=seed)
+
+    monkeypatch.setattr(cli_mod.landscapes, "er_build", flaky_build)
+    spec = write_spec(tmp_path / "spec.json", **{**extra, "command": command})
+    out = tmp_path / "out"
+    table = "analysis_instances.csv" if command == "analyze" else "ea_runs.csv"
+    runs = 1 if command == "analyze" else EVOLVE_SPEC["ea"]["runs"]
+    # cell k=2 keeps instance 0, so the run succeeds without instance 1
+    doomed.add(ea.landscape_seed(42, 6, 2, 2, 1))
+    assert run_cli([command, "--spec", spec, "--out", out, "--jobs", 1]) == 0
+    err = capsys.readouterr().err
+    assert f"{command}: cell n=6 k=2 b=2 instance 1: injected build failure" in err
+    assert "failed entirely" not in err
+    rows = csv_body(out / table)[1:]
+    assert len(rows) == 3 * runs and sum(row.startswith("6,2,2,") for row in rows) == runs
+    # losing both instances of a cell fails the cell, and the run
+    doomed.add(ea.landscape_seed(42, 6, 2, 2, 0))
+    assert run_cli([command, "--spec", spec, "--out", out, "--jobs", 1]) == 1
+    err = capsys.readouterr().err
+    assert "cell n=6 k=2 b=2 failed entirely" in err and "k=0 b=2 failed entirely" not in err
+    assert len(csv_body(out / table)[1:]) == 2 * runs
 
 
 def test_outputs_record_the_stream_format(tmp_path):
@@ -463,34 +531,6 @@ def test_evolve_traces_are_streamed_to_the_file(tmp_path, monkeypatch):
     rows = len(canned) * (generations + 1)
     assert peak < 64 * rows, f"{peak / rows:.0f} bytes per trace row"
     assert rc == 0 and len(csv_body(out / "ea_traces.csv")) == 1 + rows
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("command, extra", [("analyze", ANALYZE_SPEC), ("evolve", EVOLVE_SPEC)])
-def test_missing_landscape_fails_only_its_unit(tmp_path, capsys, command, extra, jobs):
-    spec = write_spec(tmp_path / "spec.json", **{**extra, "command": command})
-    out = tmp_path / "out"
-    run_cli(["gen", "--spec", spec, "--out", out, "--jobs", 1])
-    lost = out / "landscapes" / "n06_k02_b2_i01.json"
-    lost.unlink()
-    capsys.readouterr()
-    # cell k=2 keeps instance 0, so the run succeeds without the lost file
-    assert run_cli([command, "--spec", spec, "--out", out, "--jobs", jobs]) == 0
-    err = capsys.readouterr().err
-    assert f"{command}: cell n=6 k=2 b=2 instance 1: missing landscape file {lost}" in err
-    assert "failed entirely" not in err
-    csv_name = "analysis_instances.csv" if command == "analyze" else "ea_runs.csv"
-    rows = csv_body(out / csv_name)[1:]
-    runs = 1 if command == "analyze" else EVOLVE_SPEC["ea"]["runs"]
-    assert len(rows) == 3 * runs
-    assert sum(row.startswith("6,2,2,") for row in rows) == runs
-    # losing both instances of a cell fails the cell, and the run
-    (out / "landscapes" / "n06_k02_b2_i00.json").unlink()
-    assert run_cli([command, "--spec", spec, "--out", out, "--jobs", jobs]) == 1
-    err = capsys.readouterr().err
-    assert "cell n=6 k=2 b=2 failed entirely" in err
-    assert "k=0 b=2 failed entirely" not in err
-    assert len(csv_body(out / csv_name)[1:]) == 2 * runs
 
 
 @pytest.mark.parametrize("settings, message", [
@@ -1089,38 +1129,6 @@ def test_preset_report_is_golden(tmp_path, capsys, monkeypatch, name):
     lines = capsys.readouterr().out.splitlines()
     head = max(i for i, line in enumerate(lines) if ": wrote " in line) + 1
     assert lines[head:] == REPORT_GOLDENS[name]
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_landscape_with_bad_mask_fails_its_unit(tmp_path, capsys, jobs):
-    spec = write_spec(tmp_path / "spec.json", **ANALYZE_SPEC)
-    out = tmp_path / "out"
-    run_cli(["gen", "--spec", spec, "--out", out, "--jobs", 1])
-    for i in range(2):
-        path = out / "landscapes" / f"n06_k02_b2_i{i:02d}.json"
-        doc = json.loads(path.read_text())
-        doc["nk"]["mask"] = "x"
-        path.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert run_cli(["analyze", "--spec", spec, "--out", out, "--jobs", jobs]) == 1
-    err = capsys.readouterr().err
-    assert "analyze: cell n=6 k=2 b=2 instance 1: mask must be an int" in err
-    assert "cell n=6 k=2 b=2 failed entirely" in err
-    assert "k=0 b=2 failed entirely" not in err
-
-
-def test_analyze_reports_a_format_1_landscape_file_per_unit(tmp_path, capsys):
-    spec = write_spec(tmp_path / "spec.json", **ANALYZE_SPEC)
-    out = tmp_path / "out"
-    run_cli(["gen", "--spec", spec, "--out", out, "--jobs", 1])
-    path = out / "landscapes" / "n06_k02_b2_i01.json"
-    doc = json.loads(path.read_text())
-    doc["version"] = 1
-    path.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert run_cli(["analyze", "--spec", spec, "--out", out, "--jobs", 1]) == 0
-    err = capsys.readouterr().err
-    assert "instance 1: landscape file version 1 is not 2; rerun `epiroad gen`" in err
 
 
 def test_importing_the_cli_loads_no_process_pool():

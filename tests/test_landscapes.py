@@ -402,6 +402,13 @@ def test_a_numpy_integer_seed_opens_the_same_stream():
                           er_build(6, 2, 2, 30, seed=2).bv_fitness)
 
 
+@pytest.mark.parametrize("seed", [np.int64(2), np.uint64(2)])
+def test_a_numpy_integer_seed_saves_the_file_of_its_int(tmp_path, seed):
+    save_landscape(er_build(6, 2, 2, 30, seed=seed), tmp_path / "numpy.json")
+    save_landscape(er_build(6, 2, 2, 30, seed=2), tmp_path / "int.json")
+    assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "int.json").read_bytes()
+
+
 @pytest.mark.parametrize("field,value", [
     ("n_letters", 6.0), ("b", 2.5), ("b", True), ("lambda_max", 100.0), ("lambda_max", "100"),
 ])
