@@ -2,25 +2,26 @@
 
 Random walks estimate the fitness autocorrelation function and its
 correlation length; greedy adaptive walks estimate local-optima fitness and
-spacing; neutrality scans classify every neighbor of every visited genotype
-as lower, equal or higher in fitness.
+spacing; neutrality scans count the neighbors of every visited genotype that
+are lower, equal or higher in fitness.
 
 All walks draw uniformly from the operation neighborhood (insertions,
 substitutions, deletions) within the walk's length cap. Every campaign steps
 its walks together, a bounded number at a time, as the rows of a padded
-matrix.
-Random-walk campaigns and neutrality scans pick each move directly among the
-feasible ones; the scalar ``random_walk`` re-draws a move that would exceed
-the cap, which leaves the same uniform distribution. Adaptive-walk campaigns
-score every neighbor of every row from the run structure around each edit
-site, with no neighbor matrix, and break ties as the scalar
+matrix. Random-walk campaigns and neutrality scans pick each move directly
+among the feasible ones; the scalar ``random_walk`` re-draws a move that would
+exceed the cap, which leaves the same uniform distribution. Adaptive-walk
+campaigns and neutrality scans read every neighbor's block vector from the run
+structure around its edit site, with no neighbor matrix. An adaptive campaign
+scores every neighbor of every row and breaks ties as the scalar
 ``adaptive_walk`` does; a walk leaves the matrix when it stops and the
-campaign's next walk takes its row. The scalar walks are kept as test oracles.
-Each campaign reads its uniforms from one random stream in walk order, walk w
-taking row w of ``random((walks, D))`` (stream format 5); an adaptive walk
-that ties also opens its own child stream, derived from (the seed argument,
-walk index). Pooled results are therefore identical no matter how many walks
-step together.
+campaign's next walk takes its row. A scan adds, step by step, the three class
+totals of all its rows, one fitness lookup per group of edits with one
+outcome. The scalar walks are kept as test oracles. Each campaign reads its
+uniforms from one random stream in walk order, walk w taking row w of
+``random((walks, D))`` (stream format 5); an adaptive walk that ties also
+opens its own child stream, derived from (the seed argument, walk index).
+Pooled results are therefore identical no matter how many walks step together.
 """
 
 from __future__ import annotations
@@ -469,27 +470,43 @@ def run_adaptive_walk_campaign(landscape, campaign: AdaptiveWalkCampaign, seed: 
 def neighbor_class_counts(landscape, g: Genotype, f: float, lambda_max: int):
     """(lower, equal, higher) counts over all within-cap operation-neighbors."""
     row = np.array([(*g, PAD)], np.int16)
-    counts = _class_counts_batch(landscape, row, np.array([len(g)]), [f], lambda_max)[0]
-    return tuple(int(v) for v in counts)
+    return _class_totals(landscape, row, np.array([len(g)]), [f], lambda_max)
 
 
-def _class_counts_batch(landscape, rows: np.ndarray, lams: np.ndarray, fits, cap: int):
-    """(M, 3) lower/equal/higher counts for the operation-neighbors of M genotypes.
+def _class_totals(landscape, rows: np.ndarray, lams: np.ndarray, fits, cap: int):
+    """(lower, equal, higher) counts over the operation-neighbors of M genotypes together.
 
     Row i of ``rows`` starts with genotype i's ``lams[i]`` letters; the
-    matrix is wider than every genotype. Edits with one outcome form a group
-    that costs one lookup in the landscape's block-vector fitness table; all
-    groups share one gather.
+    matrix is wider than every genotype. Per slot (``_slot_edits``) a kind's
+    edits that gain no bit share one lookup of its base vector in the
+    block-vector fitness table, and the deletion and each gaining letter take
+    one each. With no insertion at the cap and only insertions at the end
+    slot, the total is sum_i [(lam_i < cap)(lam_i + 1) n + lam_i n].
     """
-    owner, nb, mult = _edit_groups(rows, lams, landscape.n_letters, landscape.b, cap)
-    fv = landscape.bv_fitness[nb]
-    fp = np.asarray(fits, dtype=np.float64)[owner]
-    moved = np.flatnonzero(fv != fp)
-    m = len(lams)
-    lower, higher = np.bincount(2 * owner[moved] + (fv[moved] > fp[moved]), weights=mult[moved],
-                                minlength=2 * m).astype(np.int64).reshape(-1, 2).T
-    total = np.bincount(owner, weights=mult, minlength=m).astype(np.int64)
-    return np.stack([lower, total - lower - higher, higher], axis=1)
+    n = landscape.n_letters
+    flat, gid, base, gains, dele = _slot_edits(rows, lams, n, landscape.b)
+    size = len(flat)
+    valid = np.concatenate([lams[gid] < cap, flat < n])
+    at = np.flatnonzero(gains * valid)
+    fp = np.asarray(fits, dtype=np.float64)[gid]
+    fb = landscape.bv_fitness[base]
+    gains, base, fa, fba = gains[at], base[at], fp[at % size], fb[at]
+    fd, valid, fb = landscape.bv_fitness[dele], valid.reshape(2, size), fb.reshape(2, size)
+    sides = (np.less, np.greater)
+    counts = [n * np.count_nonzero(valid[0] & side(fb[0], fp))
+              + (n - 1) * np.count_nonzero(valid[1] & side(fb[1], fp))
+              + np.count_nonzero(valid[1] & side(fd, fp)) for side in sides]
+    while len(gains):  # each pass moves one gaining letter per slot, its lowest bit, off the base
+        low = gains & -gains
+        fg = landscape.bv_fitness[base | low]
+        counts = [c + np.count_nonzero(side(fg, fa)) - np.count_nonzero(side(fba, fa))
+                  for c, side in zip(counts, sides)]
+        gains ^= low
+        more = gains != 0
+        gains, base, fa, fba = gains[more], base[more], fa[more], fba[more]
+    lower, higher = counts
+    total = int((n * (np.where(lams < cap, lams + 1, 0) + lams)).sum())
+    return lower, total - lower - higher, higher
 
 
 def _slot_edits(rows: np.ndarray, lams: np.ndarray, n: int, b: int):
@@ -512,74 +529,53 @@ def _slot_edits(rows: np.ndarray, lams: np.ndarray, n: int, b: int):
     deletion instead, whose block vector is ``deletion``.
     """
     cols = np.arange(rows.shape[1])
-    flat = np.where(cols < lams[:, None], rows, n)[cols <= lams[:, None]]
+    flat = rows[cols <= lams[:, None]].astype(np.intp)
+    ends = np.cumsum(lams + 1) - 1
+    flat[ends] = n
     size = len(flat)
-    heads = np.cumsum(lams + 1) - lams - 1
     gid = np.repeat(np.arange(len(lams)), lams + 1)
 
     # runs from change points; a genotype's head always opens one
     new = np.ones(size, bool)
     np.not_equal(flat[1:], flat[:-1], out=new[1:])
-    new[heads] = True
+    new[ends - lams] = True
     starts = np.flatnonzero(new)
     run = np.cumsum(new) - 1
     rlen = np.diff(starts, append=size)
     rlet = flat[starts]
-    first = np.zeros(len(starts), bool)
-    first[run[heads]] = True
-    left = np.where(first, -1, np.roll(rlet, 1))  # letter -1 matches none
-    left_len = np.where(first, 0, np.roll(rlen, 1))
+    # left of a genotype's first run lies the end slot before it (the last
+    # genotype's, for the first), whose letter n has no bit to join or bridge
+    left, left_len = np.roll(rlet, 1), np.roll(rlen, 1)
     qualifying = np.bincount((gid[starts] * (n + 1) + rlet)[rlen >= b],
                              minlength=len(lams) * (n + 1)).reshape(-1, n + 1)
-    bit = _letter_lut(n)  # bit[n] = bit[-1] = 0
+    bit = _letter_lut(n)  # bit[n] = 0
     every = (1 << n) - 1 if b == 1 else 0  # with b = 1 any written letter is a block
 
     ln, fl, fr = rlen[run], left[run], np.roll(rlet, -1)[run]
     nl, nr = left_len[run], np.roll(rlen, -1)[run]
     a = np.arange(size) - starts[run]  # offset in the run
     rest = ln - 1 - a
-    others = qualifying[gid, flat] - (ln >= b)  # qualifying runs of the letter besides this one
+    kept = qualifying[gid, flat] > (ln >= b)  # the letter has a qualifying run besides this one
     cur = ((qualifying > 0) @ bit)[gid]
+    own, left_bit = bit[flat], bit[fl]
+    dropped = cur & ~own
 
     def recount(keeps):
-        return np.where(keeps, cur, cur & ~bit[flat])
-
-    def gain(letter, grows):
-        return np.where(grows, bit[letter], 0)
+        return np.where(keeps, cur, dropped)
 
     # kinds laid end to end: insertions before each slot, then substitutions of it
     bridge = (ln == 1) & (fl == fr)
-    base = np.concatenate([recount(others + (a >= b) + (ln - a >= b) > 0),
-                           recount(others + (a >= b) + (rest >= b) > 0)])
+    head = kept | (a >= b)
+    base = np.concatenate([recount(head | (ln - a >= b)), recount(head | (rest >= b))])
     # written at a run's head, the left flank's letter extends that flank; at
     # its end the right flank's, which for a bridged singleton is the same
-    joins_left = gain(fl, (a == 0) & (nl + 1 >= b))
-    written = np.concatenate([gain(flat, ln + 1 >= b) | joins_left,
-                              joins_left | gain(fr, (rest == 0) & (nr + 1 + bridge * nl >= b))])
+    joins_left = np.where((a == 0) & (nl + 1 >= b), left_bit, 0)
+    joins_either = joins_left | np.where((rest == 0) & (nr + 1 + bridge * nl >= b), bit[fr], 0)
+    written = np.concatenate([np.where(ln + 1 >= b, own, 0) | joins_left, joins_either])
     gains = (written | every) & ~base
-    gains[size:] &= ~bit[flat]  # the incumbent letter's column holds the deletion
-    dele = recount(others + (ln - 1 >= b) > 0) | gain(fl, bridge & (nl + nr >= b))
+    gains[size:] &= ~own  # the incumbent letter's column holds the deletion
+    dele = recount(kept | (ln > b)) | np.where(bridge & (nl + nr >= b), left_bit, 0)
     return flat, gid, base, gains, dele
-
-
-def _edit_groups(rows: np.ndarray, lams: np.ndarray, n: int, b: int, cap: int):
-    """(genotype index, block vector, multiplicity) of each group of edits.
-
-    A letter that gains no bit leaves its kind's base vector (``_slot_edits``),
-    so each slot looks up one base per kind, its deletion and one vector per
-    gaining letter. Insertions drop out at the cap.
-    """
-    flat, gid, base, gains, dele = _slot_edits(rows, lams, n, b)
-    size = len(flat)
-    bit = _letter_lut(n)
-    at = np.flatnonzero(gains)
-    letter, which = np.divmod(np.flatnonzero(bit[:n, None] & gains[at]), len(at))
-    at = at[which]
-    valid = np.concatenate([lams[gid] < cap, flat < n])  # no capped insertions or end-slot edits
-    mult = (np.repeat([n, n - 1], size) - np.bincount(at, minlength=2 * size)) * valid
-    return (np.concatenate([gid, gid, gid, gid[at % size]]),
-            np.concatenate([base, dele, base[at] | bit[letter]]),
-            np.concatenate([mult, valid[size:], valid[at]]))
 
 
 def _neighbor_fitness(landscape, rows: np.ndarray, lams: np.ndarray, cap: int):
@@ -617,6 +613,6 @@ def neutrality_scan(landscape, campaign: NeutralityCampaign,
     counts = np.zeros(3, np.int64)
     for _, _, rows, lams, fits in _lockstep_walks(landscape, campaign.walks, campaign.length,
                                                   cap, seed, STREAM_NEUTRALITY):
-        counts += _class_counts_batch(landscape, rows, lams, fits, cap).sum(axis=0)
+        counts += _class_totals(landscape, rows, lams, fits, cap)
     total = int(counts.sum())
     return tuple(int(c) / total for c in counts)

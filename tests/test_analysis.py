@@ -7,13 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import exact
 from epiroad import analysis, nk
 from epiroad.analysis import (
     AdaptiveWalkCampaign,
     NeutralityCampaign,
     RandomWalkCampaign,
     _apply_edits,
-    _class_counts_batch,
+    _class_totals,
     _decode_moves,
     _lockstep_walks,
     _neighbor_fitness,
@@ -858,6 +859,37 @@ def test_fast_class_counts_cover_operation_multiset():
         assert lo + eq + hi == len(g) * 6
 
 
+# every genotype up to the cap of 6 over 3 letters: 1,093 of them
+EXACT_SPACE = exact.Space(3, 6)
+
+
+def exact_landscape(k):
+    """er_build(3, k, 2, 6), or the Royal Road on the same space when k is None."""
+    return royal_road(BlockParams(3, 2, 6)) if k is None else er_build(3, k, 2, 6, seed=27)
+
+
+@pytest.mark.parametrize("k", [0, 2, None])
+def test_exact_classes_match_classify_neighbors(k):
+    L = exact_landscape(k)
+    fitness = EXACT_SPACE.fitness(L)
+    for g, f, row in zip(EXACT_SPACE.genotypes, fitness, EXACT_SPACE.classes(fitness)):
+        assert tuple(row) == classify_neighbors(L, g, f, 6)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, None])
+def test_neutrality_scan_matches_exact_expectation(k, monkeypatch):
+    # The pooled fractions of 10 scans of 2,000 walks of length 20, on seeds fixed
+    # before the first run, against the exact ratio of expected sums; the bound on
+    # z, in standard errors taken from the spread of the 10 scans, was fixed then too.
+    L = exact_landscape(k)
+    sums = exact.neutrality_sums(EXACT_SPACE, EXACT_SPACE.fitness(L), 20)
+    monkeypatch.setattr(analysis, "WALK_BLOCK", 2000)  # pooled output does not depend on it
+    scans = np.array([neutrality_scan(L, NeutralityCampaign(walks=2000, length=20), seed)
+                      for seed in range(2700, 2710)])
+    z = (scans.mean(axis=0) - sums / sums.sum()) / (scans.std(axis=0, ddof=1) / math.sqrt(10))
+    assert np.all(np.abs(z) <= 4.5), z
+
+
 def padded(genotypes, width=None):
     """(rows, lengths): the genotypes as rows of a PAD-padded matrix with width + 1 columns."""
     lams = np.array([len(g) for g in genotypes], np.int64)
@@ -892,20 +924,20 @@ def run_batches(draw):
 @example((3, 3, [(0, 0, 1, 0, 0, 0), (), (2, 1, 2, 0, 1, 0), (1, 1, 0, 1)], 7), 2, 0, True)
 @example((1, 1, [(0, 0), (), (0,)], 2), 0, 0, False)  # one letter, b = 1
 @settings(max_examples=150, deadline=None)
-def test_class_counts_batch_matches_matrix_oracle(batch, k, seed, royal):
+def test_class_totals_match_matrix_oracle(batch, k, seed, royal):
     # the three-letter examples hold singleton bridges, on both landscape kinds
     n, b, genotypes, cap = batch
     params = BlockParams(n, b, max(n * b, cap))
     L = royal_road(params) if royal else er_build(n, min(k, n - 1), b, params.lambda_max,
                                                    seed=seed)
     fits = [L.evaluate(g) for g in genotypes]
-    rows = _class_counts_batch(L, *padded(genotypes, cap + 1), fits, cap)
-    assert rows.shape == (len(genotypes), 3)
-    for g, f, row in zip(genotypes, fits, rows):
-        oracle = classify_neighbors(L, g, f, cap)
-        assert tuple(row) == oracle
+    oracles = [classify_neighbors(L, g, f, cap) for g, f in zip(genotypes, fits)]
+    for g, f, oracle in zip(genotypes, fits, oracles):
+        assert _class_totals(L, *padded([g], cap + 1), [f], cap) == oracle
         lam = len(g)
-        assert row.sum() == (lam * n if lam >= cap else (2 * lam + 1) * n)
+        assert sum(oracle) == (lam * n if lam >= cap else (2 * lam + 1) * n)
+    totals = _class_totals(L, *padded(genotypes, cap + 1), fits, cap)
+    assert totals == tuple(map(sum, zip(*oracles)))
 
 
 @given(run_batches(), st.integers(0, 4), st.integers(0, 3), st.booleans())
@@ -938,7 +970,7 @@ def format3_scan(landscape, walks, length, seed, cap):
         for _ in range(length):
             visited.append(random_neighbor(visited[-1], n, rng, lambda_max=cap))
         fits = [landscape.evaluate(g) for g in visited]
-        counts += _class_counts_batch(landscape, *padded(visited), fits, cap).sum(axis=0)
+        counts += _class_totals(landscape, *padded(visited), fits, cap)
     return proportions(counts)
 
 
@@ -971,7 +1003,7 @@ def test_royal_road_neutrality_scan_is_bit_identical_to_golden():
 def format4_scan(landscape, walks, length, seed, cap):
     """Stream format 4's neutrality scan: the lockstep steps over per-walk draws."""
     u = format4_draws(seed, STREAM_NEUTRALITY, walks, 1 + cap + length)
-    counts = sum(_class_counts_batch(landscape, rows, lams, fits, cap).sum(axis=0)
+    counts = sum(np.array(_class_totals(landscape, rows, lams, fits, cap))
                  for rows, lams, fits in lockstep_from_draws(landscape, u, length, cap))
     return proportions(counts)
 
